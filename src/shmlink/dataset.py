@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
-from scipy import signal as _signal
 
 
 class DatasetError(Exception):
@@ -239,8 +238,8 @@ def estimate_offset(mech: list[MechanicalSample], res: list[ResistanceSample]) -
     s -= s.mean()
     r -= r.mean()
 
-    corr = _signal.correlate(s, r, mode="full", method="auto")
-    lags = _signal.correlation_lags(s.size, r.size, mode="full")
+    corr = _correlate_full(s, r)
+    lags = np.arange(-(r.size - 1), s.size)
     # normalize by the energies of the overlapping segments at each lag:
     # s[n] overlaps r[n - lag] for n in [max(0, lag), min(len(s), len(r)+lag))
     s2 = np.concatenate(([0.0], np.cumsum(s * s)))
@@ -257,6 +256,18 @@ def estimate_offset(mech: list[MechanicalSample], res: list[ResistanceSample]) -
     if not np.isfinite(score[best]) or score[best] == 0.0:
         raise InsufficientVariation("no informative overlap")
     return float(grid_r[0] - grid_s[0] - lags[best] * dt)
+
+
+def _correlate_full(s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``sum_n s[n] * r[n - lag]`` for lag = -(len(r) - 1) .. len(s) - 1.
+
+    The same values as ``np.correlate(s, r, "full")``, in O(n log n): a
+    circular correlation by real FFT, zero-padded to a power of two at least
+    len(s) + len(r) - 1 long so no lag wraps onto another.
+    """
+    size = 1 << (s.size + r.size - 2).bit_length()
+    circular = np.fft.irfft(np.fft.rfft(s, size) * np.conj(np.fft.rfft(r, size)), size)
+    return np.concatenate((circular[size - (r.size - 1):], circular[:s.size]))
 
 
 def split_chronological(records: list[AlignedRecord],

@@ -8,9 +8,18 @@ configurable event rule decides when a frame triggers a prediction request.
 Every trigger produces a latency record stamped on the monotonic clock:
 frame received <= request sent <= response received.
 
-In push mode triggers go straight to the server over TCP; in poll-compat mode
-(the legacy topology kept for benchmarking) triggers are written as upload
-files that the server's periodic scan will answer.
+In push mode triggers go to the server over TCP by flat combining (Hendler
+et al., SPAA 2010).  Ingest only queues a triggered frame under the ingest
+lock; once the lock is released, the ingesting thread sends the queue itself
+unless another thread is already sending, in which case it returns at once
+and that sender keeps going until the queue is empty.  Each pass sends what
+queued during the previous round trip as one multi-row predict per channel
+count, in arrival order, so an uncontended trigger is still answered before
+``ingest`` returns, while under load the other nodes keep persisting during a
+round trip or a retry backoff.  A coalesced frame's ``t_request_sent`` is the
+time its batch was sent.  In poll-compat mode (the legacy topology kept for
+benchmarking) triggers are written as upload files that the server's periodic
+scan will answer.
 """
 
 from __future__ import annotations
@@ -217,7 +226,12 @@ class Gateway:
         self._baseline: dict[int, tuple[float, ...]] = {}  # node_id -> last triggering R
         self._server_sock: socket.socket | None = None
         self._request_id = 0
+        self._request_lock = threading.Lock()  # request id + server socket
         self._ingest_lock = threading.Lock()  # readers of many nodes funnel in
+        # push triggers awaiting the sender; guarded by the ingest lock, and
+        # never non-empty while _sending is False
+        self._pending: list[tuple[TelemetryFrame, float]] = []
+        self._sending = False
         self._pending_polls: dict[Path, tuple[TelemetryFrame, float, float]] = {}
         self.latency_records: list[LatencyRecord] = []
         self._latency_fh = None
@@ -236,11 +250,19 @@ class Gateway:
         current reading).  Duplicate counters from one node are dropped
         without persisting or triggering.  A persistence failure loses that
         row only (logged); monitoring continues.  Safe to call from several
-        node-reader threads: rows and triggers are serialized internally.
+        node-reader threads: rows are serialized internally, and push triggers
+        are sent in arrival order by whichever caller is the sender (see the
+        module docstring).  A failed send raises ServerUnreachable or
+        ShapeMismatch in the sender's call; the frame itself stays persisted.
         """
         received = time.perf_counter() if now is None else now
         with self._ingest_lock:
-            return self._ingest_locked(frame, received)
+            fired = self._ingest_locked(frame, received)
+            if self._sending or not self._pending:
+                return fired
+            self._sending = True
+        self._send_pending()
+        return fired
 
     def _ingest_locked(self, frame: TelemetryFrame, received: float) -> bool:
         seen = self._seen.setdefault(frame.node_id, set())
@@ -276,44 +298,79 @@ class Gateway:
 
     def _fire_trigger(self, frame: TelemetryFrame, received: float) -> None:
         if self.config.mode == "push":
-            sent = time.perf_counter()
-            self.request_prediction([list(frame.resistances)])
-            done = time.perf_counter()
-            self._record_latency(frame, received, sent, done)
+            self._pending.append((frame, received))
         else:
             self._submit_poll_upload(frame, received)
 
     # -- push topology ---------------------------------------------------------------
+
+    def _send_pending(self) -> None:
+        """Send queued triggers until none are left; only the sender calls this.
+
+        Each pass takes the whole queue and sends one request per channel
+        count, in order of arrival.  On a failed send the frames not yet
+        answered, and any queued behind them, lose their prediction: they are
+        logged, the queue is cleared, the sender role is released and the
+        error propagates.
+        """
+        queued: list[tuple[TelemetryFrame, float]] = []
+        try:
+            while True:
+                with self._ingest_lock:
+                    queued, self._pending = self._pending, []
+                    if not queued:
+                        self._sending = False
+                        return
+                while queued:
+                    width = queued[0][0].channel_count
+                    batch = [item for item in queued if item[0].channel_count == width]
+                    sent = time.perf_counter()
+                    self.request_prediction([list(f.resistances) for f, _ in batch])
+                    done = time.perf_counter()
+                    for f, received in batch:
+                        self._record_latency(f, received, sent, done)
+                    queued = [item for item in queued if item[0].channel_count != width]
+        except BaseException:
+            with self._ingest_lock:
+                lost = queued + self._pending
+                self._pending = []
+                self._sending = False
+            log.error("trigger send failed; predictions lost for (node, counter) %s",
+                      [(f.node_id, f.counter) for f, _ in lost])
+            raise
 
     def request_prediction(self, rows: list[list[float]]) -> list[float]:
         """Round-trip one predict request; retries transport failures.
 
         Raises ServerUnreachable after 5 failed attempts (exponential
         backoff), ShapeMismatch when the server rejects the feature width.
+        Safe to call from any thread: calls take turns on the one server
+        connection.
         """
-        self._request_id += 1
-        request = {"type": "predict", "request_id": self._request_id,
-                   "model_id": self.config.model_id, "rows": rows,
-                   "timestamp": time.time()}
-        payload = json.dumps(request).encode()
-        last_error: Exception | None = None
-        for attempt in range(5):
-            if attempt:
-                time.sleep(self.config.retry_backoff * 2 ** (attempt - 1))
-            try:
-                sock = self._server_connection()
-                send_message(sock, payload)
-                reply = json.loads(recv_message(sock).decode("utf-8"))
-            except (OSError, ConnectionClosed, ValueError) as exc:
-                last_error = exc
-                self._drop_server_connection()
-                continue
-            if reply.get("type") == "predict_ok":
-                return [float(p) for p in reply["predictions"]]
-            if reply.get("error") == "shape_mismatch":
-                raise ShapeMismatch(reply.get("detail", "shape mismatch"))
-            last_error = GatewayError(f"server error: {reply!r}")
-        raise ServerUnreachable(f"5 attempts failed: {last_error}")
+        with self._request_lock:
+            self._request_id += 1
+            request = {"type": "predict", "request_id": self._request_id,
+                       "model_id": self.config.model_id, "rows": rows,
+                       "timestamp": time.time()}
+            payload = json.dumps(request).encode()
+            last_error: Exception | None = None
+            for attempt in range(5):
+                if attempt:
+                    time.sleep(self.config.retry_backoff * 2 ** (attempt - 1))
+                try:
+                    sock = self._server_connection()
+                    send_message(sock, payload)
+                    reply = json.loads(recv_message(sock).decode("utf-8"))
+                except (OSError, ConnectionClosed, ValueError) as exc:
+                    last_error = exc
+                    self._drop_server_connection()
+                    continue
+                if reply.get("type") == "predict_ok":
+                    return [float(p) for p in reply["predictions"]]
+                if reply.get("error") == "shape_mismatch":
+                    raise ShapeMismatch(reply.get("detail", "shape mismatch"))
+                last_error = GatewayError(f"server error: {reply!r}")
+            raise ServerUnreachable(f"5 attempts failed: {last_error}")
 
     def _server_connection(self) -> socket.socket:
         if self._server_sock is None:
@@ -378,7 +435,8 @@ class Gateway:
             self._latency_fh.flush()
 
     def close(self) -> None:
-        self._drop_server_connection()
+        with self._request_lock:
+            self._drop_server_connection()
         if self._csv is not None:
             self._csv.close()
         if self._latency_fh is not None:
@@ -401,7 +459,9 @@ def read_node_stream(conn: socket.socket, gateway: Gateway,
                      max_frames: int | None = None) -> int:
     """Ingest length-prefixed frames from one node connection until EOF.
 
-    Undecodable frames are logged and skipped; returns the number ingested.
+    Undecodable frames are logged and skipped, and so is a trigger that
+    fails to reach the server, so one failure never ends the node's stream;
+    returns the number ingested.
     """
     count = 0
     while max_frames is None or count < max_frames:
@@ -414,7 +474,11 @@ def read_node_stream(conn: socket.socket, gateway: Gateway,
         except FrameError:
             log.exception("undecodable frame, skipping")
             continue
-        gateway.ingest(frame)
+        try:
+            gateway.ingest(frame)
+        except GatewayError:
+            log.exception("trigger failed for counter %d from node %d",
+                          frame.counter, frame.node_id)
         count += 1
     return count
 

@@ -122,7 +122,27 @@ def forward(model: MlpModel, features) -> float:
     x = np.asarray(features, dtype=float)
     if x.shape != (model.d_in,):
         raise DimensionMismatch(f"expected {model.d_in} features, got shape {x.shape}")
-    return float(predict(model, x[None, :])[0])
+    return float(forward_rows(model, x[None, :])[0])
+
+
+def forward_rows(model: MlpModel, rows) -> np.ndarray:
+    """Predictions for a (n, d_in) feature matrix, batch-invariant per row.
+
+    Each layer multiplies a stack of 1-row matrices, ``x[:, None, :] @ W.T``:
+    numpy runs the same 1-row product for every slice of the stack, so a
+    row's result is bit-identical to ``predict`` on that row alone, whatever
+    the number of rows beside it.  ``predict``'s single (n, d_in) product may
+    round differently per batch shape.
+    """
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2 or x.shape[1] != model.d_in:
+        raise DimensionMismatch(f"expected (n, {model.d_in}) rows, got shape {x.shape}")
+    w1, w2, w3 = model.weights
+    b1, b2, b3 = model.biases
+    xn = ((x - model.feature_mean) / model.feature_std)[:, None, :]
+    a1 = _relu(xn @ w1.T + b1)
+    a2 = _relu(a1 @ w2.T + b2)
+    return (a2 @ w3.T + b3).reshape(-1)
 
 
 def predict(model: MlpModel, rows: np.ndarray) -> np.ndarray:

@@ -211,19 +211,18 @@ class InferenceServer:
     def handle_predict(self, request: PredictRequest) -> PredictResponse:
         """Pure model application; raises ModelNotLoaded / DimensionMismatch.
 
-        Rows are evaluated one at a time so the result for a given row is
-        bit-identical however clients batch their requests (batched matrix
-        kernels may round differently per shape).
+        The result for a given row is bit-identical however clients batch
+        their requests, so a gateway may coalesce triggers freely.  A single
+        (n, d_in) matrix product may round differently per batch shape;
+        ``mlp.forward_rows`` instead multiplies a stack of 1-row matrices, and
+        numpy applies the same 1-row kernel to every slice of the stack.
         """
         with self._models_lock:
             model = self._models.get(request.model_id)
         if model is None:
             raise ModelNotLoaded(request.model_id)
         started = time.perf_counter()
-        rows = np.asarray(request.rows, dtype=float)
-        if rows.ndim != 2:
-            raise mlp.DimensionMismatch(f"rows must be a matrix, got shape {rows.shape}")
-        predictions = tuple(mlp.forward(model, row) for row in rows)
+        predictions = tuple(mlp.forward_rows(model, request.rows).tolist())
         return PredictResponse(request_id=request.request_id, predictions=predictions,
                                model_id=request.model_id,
                                processing_time=time.perf_counter() - started)
@@ -236,6 +235,9 @@ class InferenceServer:
             content = str(msg["content"])
         except KeyError as exc:
             return {"type": "error", "error": "bad_message", "detail": f"missing {exc}"}
+        if name in ("", "..") or "\0" in name:
+            return {"type": "error", "error": "bad_message",
+                    "detail": f"not a file name: {msg['name']!r}"}
         dest = Path(self.config.upload_dir) / name
         dest.parent.mkdir(parents=True, exist_ok=True)
         tmp = dest.with_suffix(dest.suffix + ".tmp")

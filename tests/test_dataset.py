@@ -1,5 +1,7 @@
 """Ingestion, synchronization, offset estimation, and the canonical CSV layout."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +138,28 @@ def test_synchronize_interpolates_between_sparse_neighbors():
 
 
 # -- estimate_offset ------------------------------------------------------------------
+
+
+def test_fft_correlation_matches_direct_correlation():
+    from shmlink.dataset import _correlate_full
+    rng = np.random.default_rng(7)
+    for s_len, r_len in [(1, 1), (1, 5), (5, 1), (10, 10), (13, 40), (64, 17), (100, 99)]:
+        s, r = rng.normal(size=s_len), rng.normal(size=r_len)
+        direct = np.correlate(s, r, "full")
+        scale = np.abs(s).sum() * np.abs(r).max()
+        np.testing.assert_allclose(_correlate_full(s, r), direct, rtol=0, atol=1e-13 * scale)
+
+
+def test_package_imports_without_scipy():
+    code = ("import pkgutil, sys, shmlink\n"
+            "for module in pkgutil.iter_modules(shmlink.__path__):\n"
+            "    if module.name != '__main__':\n"
+            "        __import__('shmlink.' + module.name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_estimate_known_offset():

@@ -1,7 +1,10 @@
 """Gateway: ingest/dedupe/trigger rules, persistence, latency statistics."""
 
+import logging
 import socket
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,13 +21,23 @@ from shmlink.gateway import (
     ShapeMismatch,
     TriggerRule,
     latency_summary,
+    read_node_stream,
 )
-from shmlink.protocol import TelemetryFrame
+from shmlink.protocol import TelemetryFrame, encode, send_message
 from shmlink.server import ServerConfig, serve
 
 
 def frame(counter, resistances=(47.0, 120.0), node_id=0):
     return TelemetryFrame(counter=counter, node_id=node_id, resistances=resistances)
+
+
+def dead_endpoint() -> str:
+    """An address on which nothing listens: a port bound once, then closed."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return f"127.0.0.1:{port}"
 
 
 @pytest.fixture
@@ -171,13 +184,8 @@ def test_loopback_end_to_end_under_one_second(served_gateway):
 
 
 def test_server_down_unreachable_after_retries(tmp_path):
-    # grab a port that is then closed again
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    dead_port = probe.getsockname()[1]
-    probe.close()
     gw = Gateway(GatewayConfig(node_endpoints=["127.0.0.1:0"],
-                               server_endpoint=f"127.0.0.1:{dead_port}",
+                               server_endpoint=dead_endpoint(),
                                persistence_path=str(tmp_path / "t.csv"),
                                retry_backoff=0.001, connect_timeout=0.2))
     with pytest.raises(ServerUnreachable):
@@ -202,6 +210,76 @@ def test_latency_record_rejects_non_monotone():
     with pytest.raises(ValueError):
         LatencyRecord(frame_counter=0, node_id=0, t_frame_received=2.0,
                       t_request_sent=1.0, t_response_received=3.0)
+
+
+# -- trigger combining ---------------------------------------------------------------------
+
+
+def test_concurrent_triggers_coalesce_bit_identically(served_gateway, tmp_path):
+    gw, server = served_gateway
+    model = mlp.load_model(tmp_path / "model.json")
+    answered = []  # (rows, predictions) of every predict the server handled
+    handle_predict = server.handle_predict
+
+    def slow_handle_predict(request):
+        response = handle_predict(request)
+        answered.append((request.rows, response.predictions))
+        time.sleep(0.005)  # a round trip long enough for other nodes to queue
+        return response
+
+    server.handle_predict = slow_handle_predict
+
+    def node(node_id):
+        rng = np.random.default_rng(node_id)
+        for counter in range(50):
+            gw.ingest(frame(counter, tuple(rng.normal((47.0, 120.0), 1.0).tolist()), node_id))
+
+    nodes = [threading.Thread(target=node, args=(node_id,)) for node_id in range(3)]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in nodes:
+            t.start()
+        for t in nodes:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(t.is_alive() for t in nodes)
+
+    assert gw._pending == [] and gw._sending is False
+    answered_frames = sorted((r.node_id, r.frame_counter) for r in gw.latency_records)
+    assert answered_frames == [(n, c) for n in range(3) for c in range(50)]
+    assert sum(len(rows) for rows, _ in answered) == 150
+    assert len(answered) < 150
+    assert max(len(rows) for rows, _ in answered) > 1
+    for rows, predictions in answered:
+        assert [p.hex() for p in predictions] == [mlp.forward(model, r).hex() for r in rows]
+
+
+def test_failed_batch_leaves_nothing_pending(served_gateway, caplog):
+    gw, _ = served_gateway
+    request_prediction = gw.request_prediction
+    queued = []
+
+    def fail_once(rows):
+        # frames from another node arrive while this send is in flight
+        gw.request_prediction = request_prediction
+        other = threading.Thread(target=lambda: queued.extend(
+            gw.ingest(frame(counter, node_id=1)) for counter in range(3)))
+        other.start()
+        other.join(timeout=10)
+        raise ServerUnreachable("server down")
+
+    gw.request_prediction = fail_once
+    with caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
+        with pytest.raises(ServerUnreachable):
+            gw.ingest(frame(0))
+    assert queued == [True, True, True]  # queued behind the sender, returned at once
+    assert gw._pending == [] and gw._sending is False
+    assert gw.latency_records == []
+    assert "[(0, 0), (1, 0), (1, 1), (1, 2)]" in caplog.text
+    assert gw.ingest(frame(1)) is True  # the next trigger is sent inline again
+    assert [(r.node_id, r.frame_counter) for r in gw.latency_records] == [(0, 1)]
 
 
 # -- latency summary -----------------------------------------------------------------------
@@ -288,9 +366,6 @@ def test_serve_nodes_two_concurrent_streams(tmp_path):
 
 
 def test_read_node_stream_skips_undecodable_frames(tmp_path, offline_gateway):
-    from shmlink.gateway import read_node_stream
-    from shmlink.protocol import encode, send_message
-
     server, client = socket.socketpair()
     with client:
         send_message(client, encode(frame(0)))
@@ -299,6 +374,23 @@ def test_read_node_stream_skips_undecodable_frames(tmp_path, offline_gateway):
     with server:
         count = read_node_stream(server, offline_gateway)
     assert count == 2
+
+
+def test_read_node_stream_survives_unreachable_server(tmp_path):
+    gw = Gateway(GatewayConfig(node_endpoints=["127.0.0.1:0"],
+                               server_endpoint=dead_endpoint(),
+                               persistence_path=str(tmp_path / "t.csv"),
+                               retry_backoff=0.001, connect_timeout=0.2))
+    server, client = socket.socketpair()
+    with client:
+        for counter in range(5):
+            send_message(client, encode(frame(counter)))
+    with server:
+        count = read_node_stream(server, gw)
+    gw.close()
+    assert count == 5
+    rows = read_table_csv((tmp_path / "t.csv").read_text())
+    assert [r.t for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 def test_request_prediction_reconnects_after_server_restart(tmp_path):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shmlink import mlp
 from shmlink.mlp import (
@@ -23,6 +25,7 @@ from shmlink.mlp import (
     evaluate,
     fit_normalizer,
     forward,
+    forward_rows,
     grid_search,
     init_model,
     load_model,
@@ -119,6 +122,29 @@ def test_forward_dimension_mismatch():
     model = seeded_model(d_in=2)
     with pytest.raises(DimensionMismatch):
         forward(model, [1.0, 2.0, 3.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(d_in=st.integers(1, 16), width=st.integers(1, 64), n=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_forward_rows_bit_equal_to_single_row_predict(d_in, width, n, seed, data):
+    rng = np.random.default_rng(seed)
+    model = init_model(d_in, width, mu=rng.normal(0, 50, d_in),
+                       sigma=rng.uniform(0.5, 2.0, d_in), rng=rng)
+    model.biases = [rng.normal(0, 0.5, b.shape) for b in model.biases]
+    x = rng.normal(0, 50, (n, d_in))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6))) if n > 1 else []
+    batched = np.concatenate([forward_rows(model, chunk) for chunk in np.split(x, cuts)])
+    alone = [float(predict(model, row[None])[0]) for row in x]
+    assert [v.hex() for v in batched.tolist()] == [v.hex() for v in alone]
+
+
+def test_forward_rows_dimension_mismatch():
+    model = seeded_model(d_in=2)
+    with pytest.raises(DimensionMismatch):
+        forward_rows(model, np.ones((4, 3)))
+    with pytest.raises(DimensionMismatch):
+        forward_rows(model, np.ones(2))
 
 
 # -- backward ----------------------------------------------------------------------

@@ -115,6 +115,15 @@ def test_upload_data(running_server, tmp_path):
     assert (tmp_path / "uploads" / "batch1.csv").read_text() == "index,Time,Strain,t,R1,R2\n"
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "a\0b.csv"])
+def test_upload_rejects_names_that_are_not_files(running_server, tmp_path, name):
+    before = sorted(tmp_path.rglob("*"))
+    reply = roundtrip(running_server, {"type": "upload_data", "name": name,
+                                       "content": "index,Time,Strain,t,R1\n"})
+    assert reply["type"] == "error" and reply["error"] == "bad_message"
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written or replaced
+
+
 def test_load_model_inline_document(running_server):
     rng = np.random.default_rng(3)
     other = mlp.init_model(2, 4, mu=np.zeros(2), sigma=np.ones(2), rng=rng)
