@@ -93,7 +93,7 @@ def code_to_resistance(code: int, excitation: float = DEFAULT_EXCITATION) -> flo
     """Convert a 24-bit code back to ohms.
 
     Evaluates ``code * 2.5 / 16777216 / excitation`` in exactly that order,
-    matching the firmware's two-step voltage-then-resistance arithmetic.
+    volts then ohms; the node firmware converts every DATA reading with it.
     """
     if not 0 <= code < RESOLUTION:
         raise CodeOutOfRange(code)
@@ -302,7 +302,7 @@ class AdcEmulator:
         if ch.interference_amplitude != 0.0 or ch.noise_std != 0.0:
             # oversampled modulator stream ending at the current signal clock
             t = self._now - (n - 1 - np.arange(n)) / self.filter_config.modulator_rate
-            signal = np.full(n, ch.resistance)
+            signal = np.full(n, ch.resistance, dtype=float)
             if ch.interference_amplitude != 0.0:
                 signal += ch.interference_amplitude * np.sin(2 * math.pi * ch.interference_freq * t)
             if ch.noise_std > 0.0:

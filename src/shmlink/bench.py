@@ -10,10 +10,13 @@ them, so each trigger waits for the next scan.  Frames arrive on the node
 tick schedule, spreading arrivals across poll cycles; with the default 0.2 s
 tick, 200 triggers span several 5 s cycles and the measured mean approaches
 interval/2 plus the processing base, without serializing the waits.
+``stream_node`` is the node loop that ``shmlink simulate-node`` runs as well.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import socket
 import tempfile
@@ -44,9 +47,29 @@ def make_bench_model(channels: int, path, seed: int = 0) -> None:
     mlp.save_model(model, path)
 
 
+def stream_node(sock: socket.socket, firmware: NodeFirmware, tick: float,
+                resistances=None, frames: int | None = None) -> int:
+    """Tick the firmware at ``firmware.counter * tick``, send each frame, sleep.
+
+    Each vector of ``resistances``, if given, sets the emulated sensors for
+    one tick; the loop ends when they run out or after ``frames`` frames, and
+    returns the number sent.  A failed send raises OSError.
+    """
+    sent = 0
+    for vector in itertools.repeat(()) if resistances is None else resistances:
+        for ch, r in enumerate(vector):
+            firmware.bus.sensors.set_resistance(ch, r)
+        send_message(sock, encode(firmware.run_tick(now=firmware.counter * tick)))
+        sent += 1
+        if frames is not None and sent >= frames:
+            break
+        time.sleep(tick)
+    return sent
+
+
 def _node_stream(endpoint: tuple[str, int], frames: int, tick: float,
                  channels: int, seed: int, failures: list) -> None:
-    """Run the firmware loop and stream encoded frames to the gateway."""
+    """Stream ``frames`` fixture frames to the gateway; errors go to ``failures``."""
     try:
         sensors = SensorModel.from_resistances(FIXTURE_RESISTANCES[:channels])
         emulator = AdcEmulator(sensors, seed=seed)
@@ -54,10 +77,7 @@ def _node_stream(endpoint: tuple[str, int], frames: int, tick: float,
                                 trace=False)
         firmware.init()
         with socket.create_connection(endpoint, timeout=5.0) as sock:
-            for i in range(frames):
-                frame = firmware.run_tick(now=i * tick)
-                send_message(sock, encode(frame))
-                time.sleep(tick)
+            stream_node(sock, firmware, tick, frames=frames)
     except Exception as exc:
         failures.append(exc)
 
@@ -75,16 +95,9 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
         raise ValueError(f"unknown mode {mode!r}")
     if tick is None:
         tick = DEFAULT_PUSH_TICK if mode == "push" else DEFAULT_POLL_TICK
-    cleanup = None
-    if workdir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="shmlink-bench-")
-        workdir, cleanup = tmp.name, tmp
-    work = Path(workdir)
-    try:
-        return _run_bench(mode, frames, tick, poll_interval, channels, seed, work)
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
+    with (tempfile.TemporaryDirectory(prefix="shmlink-bench-") if workdir is None
+          else contextlib.nullcontext(workdir)) as work:
+        return _run_bench(mode, frames, tick, poll_interval, channels, seed, Path(work))
 
 
 def _run_bench(mode: str, frames: int, tick: float, poll_interval: float,

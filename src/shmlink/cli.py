@@ -11,7 +11,6 @@ import itertools
 import json
 import socket
 import sys
-import time
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -19,7 +18,6 @@ from . import dataset as ds
 from . import mlp
 from .adc import AdcEmulator, SensorModel
 from .firmware import NodeFirmware
-from .protocol import encode, send_message
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -148,20 +146,13 @@ def cmd_simulate_node(args) -> int:
         print(f"error: cannot connect to {args.connect}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    sent = 0
     try:
         with sock:
-            for resistances in profile:
-                for ch, r in enumerate(resistances):
-                    sensors.set_resistance(ch, r)
-                frame = firmware.run_tick(now=firmware.counter * args.tick)
-                send_message(sock, encode(frame))
-                sent += 1
-                if args.frames and sent >= args.frames:
-                    break
-                time.sleep(args.tick)
-    except (OSError, BrokenPipeError) as exc:
-        print(f"error: link lost after {sent} frames: {exc}", file=sys.stderr)
+            sent = bench_mod.stream_node(sock, firmware, args.tick, profile,
+                                         frames=args.frames or None)
+    except OSError as exc:
+        # the tick whose send failed already advanced the counter
+        print(f"error: link lost after {firmware.counter - 1} frames: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"streamed {sent} frames", file=sys.stderr)
     return EXIT_OK

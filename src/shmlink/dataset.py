@@ -5,7 +5,8 @@ on different clocks.  This module parses both exports, estimates the clock
 offset by cross-correlating strain against mean resistance change, joins the
 two series into aligned records, and reads/writes them in the canonical
 ``index,Time,Strain,t,R1..Rn`` layout (UTF-8, comma separator, shortest
-round-trip float rendering).
+round-trip float rendering).  Gateway rows come from ``table_csv_row``; upload
+and result files are written whole by ``write_atomic``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from pathlib import Path
 
 import numpy as np
 
@@ -80,6 +82,11 @@ class AlignedRecord:
 _SUMMARY_LABELS = ("mean", "standard deviation")
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    """The rows of CSV ``text``, blank rows dropped."""
+    return [r for r in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in r)]
+
+
 def _find_column(headers: list[str], predicate) -> int | None:
     for i, h in enumerate(headers):
         if predicate(h.strip().lower()):
@@ -95,8 +102,7 @@ def parse_mechanical_csv(text: str) -> list[MechanicalSample]:
     to dimensionless on ingest.  Summary rows labelled Mean / Standard
     deviation are skipped.
     """
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if any(cell.strip() for cell in r)]
+    rows = _csv_rows(text)
     if not rows:
         raise MissingColumn("time")
     headers = rows[0]
@@ -142,8 +148,7 @@ def parse_mechanical_csv(text: str) -> list[MechanicalSample]:
 
 def parse_resistance_csv(text: str) -> list[ResistanceSample]:
     """Parse a resistance log with header ``t,R1..Rn``."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if any(cell.strip() for cell in r)]
+    rows = _csv_rows(text)
     if not rows:
         raise MissingColumn("t")
     headers = [h.strip().lower() for h in rows[0]]
@@ -291,10 +296,7 @@ def write_table_csv(records: list[AlignedRecord]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(table_csv_header(n_channels))
     for i, rec in enumerate(records):
-        # float() first: repr of float is the shortest round-trip decimal,
-        # whatever numeric scalar type the caller handed us
-        writer.writerow([i, repr(float(rec.time)), repr(float(rec.strain)),
-                         repr(float(rec.t)), *(repr(float(r)) for r in rec.resistances)])
+        writer.writerow([i, *table_csv_row(rec.time, rec.strain, rec.t, rec.resistances)])
     return out.getvalue()
 
 
@@ -302,10 +304,26 @@ def table_csv_header(n_channels: int) -> list[str]:
     return ["index", "Time", "Strain", "t"] + [f"R{i + 1}" for i in range(n_channels)]
 
 
+def table_csv_row(time: float, strain: float, t: float, resistances) -> list[str]:
+    """The ``Time,Strain,t,R1..Rn`` cells of one row; the writer adds the index."""
+    # float() first: repr of float is the shortest round-trip decimal,
+    # whatever numeric scalar type the caller handed us
+    return [repr(float(time)), repr(float(strain)), repr(float(t)),
+            *(repr(float(r)) for r in resistances)]
+
+
+def write_atomic(path, text: str) -> None:
+    """Replace ``path`` with ``text`` by a rename, so no reader sees a partial file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    tmp.replace(path)
+
+
 def read_table_csv(text: str) -> list[AlignedRecord]:
     """Parse ``index,Time,Strain,t,R1..Rn`` text back into records."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if any(cell.strip() for cell in r)]
+    rows = _csv_rows(text)
     if not rows:
         raise MissingColumn("Time")
     headers = [h.strip() for h in rows[0]]

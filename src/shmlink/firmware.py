@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adc import DATA, IO_CONTROL_1, STATUS, STATUS_RDY_BIT
+from .adc import DATA, IO_CONTROL_1, STATUS, STATUS_RDY_BIT, code_to_resistance
 from .protocol import TelemetryFrame
 
 
@@ -120,9 +120,7 @@ class NodeFirmware:
                 break
         else:
             raise ConversionTimeout(channel, self.poll_budget)
-        data = self.bus.read_register(DATA)
-        volt = data * 2.5 / 16777216
-        resistance = volt / 0.001
+        resistance = code_to_resistance(self.bus.read_register(DATA))
         self._write(IO_CONTROL_1, step.io_control_off)
         self._write(step.channel_reg_addr, step.channel_disarm_value)
         return resistance

@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import AlignedRecord, table_csv_header, write_table_csv
+from .dataset import AlignedRecord, table_csv_header, table_csv_row, write_atomic, write_table_csv
 from .protocol import (
     ConnectionClosed,
     FrameError,
@@ -154,10 +154,9 @@ class CsvAppender:
         self.header = header
         self.next_index = 0
         self._recover()
-        new_file = not self.path.exists() or self.path.stat().st_size == 0
         self._fh = open(self.path, "a", encoding="utf-8", newline="")
         self._writer = csv.writer(self._fh, lineterminator="\n")
-        if new_file:
+        if self._fh.tell() == 0:
             self._writer.writerow(header)
             self._fh.flush()
 
@@ -276,8 +275,8 @@ class Gateway:
                                     table_csv_header(frame.channel_count))
         try:
             # Time = arrival wall clock, Strain unknown at ingest, t = node counter
-            self._csv.append([repr(time.time()), "nan", repr(float(frame.counter)),
-                              *(repr(r) for r in frame.resistances)])
+            self._csv.append(table_csv_row(time.time(), math.nan, frame.counter,
+                                           frame.resistances))
         except PersistenceFailure:
             log.exception("row for counter %d lost", frame.counter)
 
@@ -394,11 +393,9 @@ class Gateway:
         record = AlignedRecord(time=time.time(), strain=math.nan,
                                t=float(frame.counter), resistances=frame.resistances)
         dest = Path(self.config.upload_dir) / f"trigger_{frame.node_id:04d}_{frame.counter:08d}.csv"
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        tmp = dest.with_suffix(".tmp")
-        tmp.write_text(write_table_csv([record]), encoding="utf-8")
+        write_atomic(dest, write_table_csv([record]))
+        # the result cannot exist before the rename, so received <= sent <= done holds
         sent = time.perf_counter()
-        tmp.replace(dest)
         self._pending_polls[dest.with_suffix(".pred.json")] = (frame, received, sent)
 
     def poll_results_once(self) -> int:

@@ -134,28 +134,31 @@ def forward_rows(model: MlpModel, rows) -> np.ndarray:
     the number of rows beside it.  ``predict``'s single (n, d_in) product may
     round differently per batch shape.
     """
-    x = np.asarray(rows, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.d_in:
-        raise DimensionMismatch(f"expected (n, {model.d_in}) rows, got shape {x.shape}")
-    w1, w2, w3 = model.weights
-    b1, b2, b3 = model.biases
-    xn = ((x - model.feature_mean) / model.feature_std)[:, None, :]
-    a1 = _relu(xn @ w1.T + b1)
-    a2 = _relu(a1 @ w2.T + b2)
-    return (a2 @ w3.T + b3).reshape(-1)
+    return _layers(model, _standardized(model, rows)[:, None, :])[-1].reshape(-1)
 
 
 def predict(model: MlpModel, rows: np.ndarray) -> np.ndarray:
     """Predictions for a (n, d_in) feature matrix."""
+    return _layers(model, _standardized(model, rows))[-1].ravel()
+
+
+def _standardized(model: MlpModel, rows) -> np.ndarray:
+    """A (n, d_in) feature matrix mapped through the model's normalizer."""
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.d_in:
         raise DimensionMismatch(f"expected (n, {model.d_in}) rows, got shape {x.shape}")
+    return (x - model.feature_mean) / model.feature_std
+
+
+def _layers(model: MlpModel, xn: np.ndarray):
+    """(z1, a1, z2, a2, out) for standardized (n, d_in) rows or an (n, 1, d_in) stack."""
     w1, w2, w3 = model.weights
     b1, b2, b3 = model.biases
-    xn = (x - model.feature_mean) / model.feature_std
-    a1 = _relu(xn @ w1.T + b1)
-    a2 = _relu(a1 @ w2.T + b2)
-    return (a2 @ w3.T + b3).ravel()
+    z1 = xn @ w1.T + b1
+    a1 = _relu(z1)
+    z2 = a1 @ w2.T + b2
+    a2 = _relu(z2)
+    return z1, a1, z2, a2, a2 @ w3.T + b3
 
 
 def backward(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray):
@@ -163,25 +166,16 @@ def backward(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray):
 
     Returns (weight_grads, bias_grads) lists ordered like model.weights.
     """
-    x = np.asarray(batch_x, dtype=float)
+    xn = _standardized(model, batch_x)
     y = np.asarray(batch_y, dtype=float).ravel()
-    if x.ndim != 2 or x.shape[1] != model.d_in:
-        raise DimensionMismatch(f"expected (n, {model.d_in}) batch, got shape {x.shape}")
-    if x.shape[0] == 0 or y.shape[0] != x.shape[0]:
+    n = xn.shape[0]
+    if n == 0 or y.shape[0] != n:
         raise DimensionMismatch("batch features and targets disagree")
-    w1, w2, w3 = model.weights
-    b1, b2, b3 = model.biases
-    n = x.shape[0]
-
-    xn = (x - model.feature_mean) / model.feature_std
-    z1 = xn @ w1.T + b1
-    a1 = _relu(z1)
-    z2 = a1 @ w2.T + b2
-    a2 = _relu(z2)
-    pred = (a2 @ w3.T + b3).ravel()
+    z1, a1, z2, a2, pred = _layers(model, xn)
+    _, w2, w3 = model.weights
 
     # loss = mean((pred - y)^2); d loss / d pred = 2 (pred - y) / n
-    dpred = (2.0 / n) * (pred - y)[:, None]
+    dpred = (2.0 / n) * (pred.ravel() - y)[:, None]
     gw3 = dpred.T @ a2
     gb3 = dpred.sum(axis=0)
     da2 = dpred @ w3
@@ -339,13 +333,7 @@ def train(data: TrainData, config: TrainConfig) -> tuple[MlpModel, TrainReport]:
 
     mse, mae = evaluate(model, data.test_x, data.test_y) if data.test_x.shape[0] else (math.nan, math.nan)
     report = TrainReport(epoch_losses=losses,
-                         hyperparameters={"hidden_width": config.hidden_width,
-                                          "learning_rate": config.learning_rate,
-                                          "batch_size": config.batch_size,
-                                          "max_epochs": config.max_epochs,
-                                          "plateau_patience": config.plateau_patience,
-                                          "plateau_tolerance": config.plateau_tolerance,
-                                          "seed": config.seed},
+                         hyperparameters=asdict(config),
                          test_mse=mse, test_mae=mae, epochs_run=epochs_run)
     return model, report
 

@@ -128,8 +128,6 @@ def decode(data: bytes) -> TelemetryFrame:
     (stored,) = _CRC.unpack_from(data, total - _CRC.size)
     if zlib.crc32(body) != stored:
         raise CrcMismatch(f"stored 0x{stored:08X}")
-    if not 1 <= channel_count <= MAX_CHANNELS:
-        raise InvalidFrame(f"channel_count {channel_count} outside 1..{MAX_CHANNELS}")
     resistances = struct.unpack_from(f"<{channel_count}d", data, _HEADER.size)
     frame = TelemetryFrame(counter=counter, node_id=node_id, resistances=resistances)
     _validate(frame)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import socket
 import threading
 import time
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp
-from .dataset import read_table_csv
+from .dataset import read_table_csv, write_atomic
 from .protocol import ConnectionClosed, recv_message, send_message
 
 log = logging.getLogger(__name__)
@@ -88,9 +87,13 @@ class InferenceServer:
     def start(self) -> None:
         """Bind and serve; raises on an unbindable address."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.config.host, self.config.port))
-        listener.listen(32)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self.config.host, self.config.port))
+            listener.listen(32)
+        except OSError:
+            listener.close()
+            raise
         self._listener = listener
         accept = threading.Thread(target=self._accept_loop, daemon=True, name="shmlink-accept")
         accept.start()
@@ -142,10 +145,8 @@ class InferenceServer:
                 while not self._stop.is_set():
                     try:
                         raw = recv_message(conn)
-                    except (ConnectionClosed, OSError):
-                        return
-                    except ValueError:
-                        return  # framing broken beyond recovery
+                    except (ConnectionClosed, OSError, ValueError):
+                        return  # closed, or framing broken beyond recovery
                     try:
                         reply = self.handle_message(raw)
                     except Exception as exc:  # never let one client kill the worker
@@ -239,10 +240,7 @@ class InferenceServer:
             return {"type": "error", "error": "bad_message",
                     "detail": f"not a file name: {msg['name']!r}"}
         dest = Path(self.config.upload_dir) / name
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        tmp = dest.with_suffix(dest.suffix + ".tmp")
-        tmp.write_text(content, encoding="utf-8")
-        tmp.replace(dest)
+        write_atomic(dest, content)
         return {"type": "upload_ok", "path": str(dest)}
 
     def _on_load_model(self, msg: dict) -> dict:
@@ -329,9 +327,7 @@ class InferenceServer:
                 doc = {"name": path.name, "model_id": response.model_id,
                        "predictions": list(response.predictions),
                        "processing_time": response.processing_time}
-                tmp = result.with_suffix(".tmp")
-                tmp.write_text(json.dumps(doc), encoding="utf-8")
-                tmp.replace(result)  # atomic: watchers never see partial results
+                write_atomic(result, json.dumps(doc))
                 handled += 1
             except Exception:
                 log.exception("skipping upload %s", path)

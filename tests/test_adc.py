@@ -262,6 +262,18 @@ def test_seeded_noise_is_deterministic():
     assert run(42) != run(43)
 
 
+@pytest.mark.parametrize("disturbance", [{"noise_std": 0.01},
+                                         {"interference_amplitude": 0.3,
+                                          "interference_freq": 50.0}])
+def test_integer_resistance_converts_like_float(disturbance):
+    def code(r):
+        emu = armed_emulator([ChannelInput(resistance=r, **disturbance)] + [ChannelInput()] * 7,
+                             seed=3)
+        return emu.sample_channel(0, now=0.25)
+
+    assert code(100) == code(100.0)
+
+
 @settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=2**24 - 1))
 def test_code_round_trips_exactly(code):

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from shmlink.adc import AdcEmulator, SensorModel
+from shmlink.bench import stream_node
 from shmlink.dataset import write_table_csv
-from shmlink.protocol import decode, recv_message
+from shmlink.firmware import NodeFirmware
+from shmlink.protocol import decode, encode, recv_message
 from shmlink.synthetic import offset_pair, strain_records
 
 HALF_LSB = 0.5 * 2.5 / 16777216 / 0.001
@@ -119,6 +122,33 @@ def test_simulate_node_ramp_drifts():
     assert result.returncode == 0
     first = [f.resistances[0] for f in frames]
     assert first[1] - first[0] == pytest.approx(0.5, abs=1e-3)
+
+
+def seeded_node(tick):
+    sensors = SensorModel.from_resistances(FIXTURE8[:2], noise_std=0.02)
+    firmware = NodeFirmware(AdcEmulator(sensors, seed=9), channel_count=2, tick_period=tick,
+                            trace=False)
+    firmware.init()
+    return firmware
+
+
+@pytest.mark.parametrize("resistances,frames", [
+    (None, 4),
+    ([(50.0, 60.0), (51.0, 61.5), (52.0, 63.0)], None),
+])
+def test_stream_node_sends_the_firmware_frames(resistances, frames):
+    tick = 0.001
+    reference = seeded_node(tick)
+    expected = []
+    for i, vector in enumerate(resistances or [()] * frames):
+        for ch, r in enumerate(vector):
+            reference.bus.sensors.set_resistance(ch, r)
+        expected.append(encode(reference.run_tick(i * tick)))
+    node, gateway = socket.socketpair()
+    with node, gateway:
+        sent = stream_node(node, seeded_node(tick), tick, resistances, frames=frames)
+        assert sent == len(expected)
+        assert [recv_message(gateway) for _ in expected] == expected
 
 
 def test_simulate_node_bad_replay_file_exits_two(tmp_path):

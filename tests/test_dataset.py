@@ -22,6 +22,7 @@ from shmlink.dataset import (
     read_table_csv,
     split_chronological,
     synchronize,
+    write_atomic,
     write_table_csv,
 )
 from shmlink.synthetic import offset_pair
@@ -271,6 +272,15 @@ def test_eight_channel_header():
     rec = AlignedRecord(time=0.0, strain=0.0, t=0.0, resistances=tuple(range(8)))
     text = write_table_csv([rec])
     assert text.splitlines()[0] == "index,Time,Strain,t,R1,R2,R3,R4,R5,R6,R7,R8"
+
+
+def test_write_atomic_writes_then_replaces(tmp_path):
+    path = tmp_path / "uploads" / "trigger.pred.json"
+    write_atomic(path, "first")
+    assert path.read_text(encoding="utf-8") == "first"
+    write_atomic(path, "second\n")
+    assert path.read_text(encoding="utf-8") == "second\n"
+    assert [p.name for p in path.parent.iterdir()] == ["trigger.pred.json"]
 
 
 def test_read_rejects_malformed_rows():

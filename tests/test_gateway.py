@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from shmlink import mlp
-from shmlink.dataset import read_table_csv
+from shmlink.dataset import AlignedRecord, read_table_csv, write_table_csv
 from shmlink.gateway import (
     CsvAppender,
     Gateway,
@@ -123,6 +123,17 @@ def test_persistence_completeness_arrival_order(offline_gateway, tmp_path):
 
 
 HEADER = ["index", "Time", "Strain", "t", "R1"]
+
+
+def test_persisted_rows_are_table_csv_rows(offline_gateway, tmp_path, monkeypatch):
+    monkeypatch.setattr(time, "time", lambda: 1700000000.1234567)
+    resistances = (47.000123, 1 / 3)
+    offline_gateway.ingest(frame(7, resistances))
+    offline_gateway.ingest(frame(8, resistances))
+    expected = write_table_csv([AlignedRecord(time=1700000000.1234567, strain=float("nan"),
+                                              t=float(counter), resistances=resistances)
+                                for counter in (7, 8)])
+    assert (tmp_path / "telemetry.csv").read_bytes() == expected.encode("utf-8")
 
 
 def test_torn_final_line_quarantined(tmp_path):

@@ -1,8 +1,10 @@
 """Inference service: message protocol, prediction semantics, poll topology."""
 
+import gc
 import json
 import socket
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +199,16 @@ def test_unbindable_address_fails_startup(model_file):
                                           model_files={"default": str(model_file)}))
     with pytest.raises(OSError):
         server.start()
+
+
+def test_failed_bind_closes_listening_socket():
+    server = InferenceServer(ServerConfig(host="256.0.0.1", port=0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(OSError):
+            server.start()
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # -- poll topology ------------------------------------------------------------------------
