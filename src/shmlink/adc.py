@@ -137,10 +137,6 @@ class SensorModel:
     def set_resistance(self, channel: int, r: float) -> None:
         self.channels[channel].resistance = r
 
-    @property
-    def full_scale(self) -> float:
-        return VREF / self.excitation
-
 
 @dataclass(frozen=True)
 class Sinc3Config:
@@ -173,7 +169,6 @@ class Sinc3Config:
 
     def kernel(self) -> np.ndarray:
         """Impulse response of three cascaded boxcars, normalized to unit DC gain."""
-        global _KERNEL_CACHE
         cached = _KERNEL_CACHE.get(self.decimation)
         if cached is None:
             box = np.ones(self.decimation)

@@ -166,13 +166,11 @@ def _load_grid(path: str | None) -> mlp.HyperGrid:
         return mlp.HyperGrid()
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return mlp.HyperGrid(
-            hidden_widths=tuple(doc.get("hidden_widths", (8, 16, 32))),
-            learning_rates=tuple(doc.get("learning_rates", (1e-2, 1e-3, 1e-4))),
-            batch_sizes=tuple(doc.get("batch_sizes", (32, None))),
-            max_epochs=int(doc.get("max_epochs", 500)),
-            plateau_patience=int(doc.get("plateau_patience", 50)),
-            plateau_tolerance=doc.get("plateau_tolerance", 1e-4))
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        # keys left out keep HyperGrid's defaults; an unknown key is a TypeError
+        return mlp.HyperGrid(**{key: tuple(value) if isinstance(value, list) else value
+                                for key, value in doc.items()})
     except (OSError, ValueError, TypeError) as exc:
         raise UsageError(f"grid file {path}: {exc}") from exc
 

@@ -53,7 +53,6 @@ INIT_SEQUENCE = (
 )
 
 DEFAULT_TICK_PERIOD = 10.0
-FAST_TICK_PERIOD = 0.2  # sub-second response profile
 
 
 class NodeFirmware:

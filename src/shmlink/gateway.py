@@ -41,8 +41,10 @@ from .protocol import (
     FrameError,
     TelemetryFrame,
     decode,
+    listen,
     recv_message,
     send_message,
+    serve_connections,
 )
 
 log = logging.getLogger(__name__)
@@ -273,17 +275,20 @@ class Gateway:
         if self._csv is None:
             self._csv = CsvAppender(self.config.persistence_path,
                                     table_csv_header(frame.channel_count))
+        # Time = arrival wall clock, Strain unknown at ingest, t = node counter
+        wall = time.time()
         try:
-            # Time = arrival wall clock, Strain unknown at ingest, t = node counter
-            self._csv.append(table_csv_row(time.time(), math.nan, frame.counter,
-                                           frame.resistances))
+            self._csv.append(table_csv_row(wall, math.nan, frame.counter, frame.resistances))
         except PersistenceFailure:
             log.exception("row for counter %d lost", frame.counter)
 
         if not self._should_trigger(frame):
             return False
         self._baseline[frame.node_id] = frame.resistances
-        self._fire_trigger(frame, received)
+        if self.config.mode == "push":
+            self._pending.append((frame, received))
+        else:
+            self._submit_poll_upload(frame, received, wall)
         return True
 
     def _should_trigger(self, frame: TelemetryFrame) -> bool:
@@ -294,12 +299,6 @@ class Gateway:
             return True
         return any(abs(r - b) >= self.config.trigger.delta_ohm
                    for r, b in zip(frame.resistances, baseline))
-
-    def _fire_trigger(self, frame: TelemetryFrame, received: float) -> None:
-        if self.config.mode == "push":
-            self._pending.append((frame, received))
-        else:
-            self._submit_poll_upload(frame, received)
 
     # -- push topology ---------------------------------------------------------------
 
@@ -388,9 +387,10 @@ class Gateway:
 
     # -- poll-compat topology -----------------------------------------------------------
 
-    def _submit_poll_upload(self, frame: TelemetryFrame, received: float) -> None:
+    def _submit_poll_upload(self, frame: TelemetryFrame, received: float, wall: float) -> None:
+        """Write the triggered frame's persisted row, same ``Time``, as an upload file."""
         assert self.config.upload_dir, "poll-compat mode requires upload_dir"
-        record = AlignedRecord(time=time.time(), strain=math.nan,
+        record = AlignedRecord(time=wall, strain=math.nan,
                                t=float(frame.counter), resistances=frame.resistances)
         dest = Path(self.config.upload_dir) / f"trigger_{frame.node_id:04d}_{frame.counter:08d}.csv"
         write_atomic(dest, write_table_csv([record]))
@@ -445,11 +445,7 @@ class Gateway:
 
 def node_listener(bind_host: str, bind_port: int) -> socket.socket:
     """Bind a listening socket for node telemetry streams."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind((bind_host, bind_port))
-    sock.listen(8)
-    return sock
+    return listen(bind_host, bind_port)
 
 
 def read_node_stream(conn: socket.socket, gateway: Gateway,
@@ -486,34 +482,7 @@ def serve_nodes(listener: socket.socket, gateway: Gateway,
 
     Frames from all nodes funnel into the gateway, whose ingest is
     serialized internally (single CSV writer, triggers in arrival order).
-    Open connections are closed on stop.
+    On stop the open connections are shut down and their readers joined
+    (see ``protocol.serve_connections``).
     """
-    readers: list[threading.Thread] = []
-    connections: list[socket.socket] = []
-    listener.settimeout(0.2)
-    try:
-        while not stop.is_set():
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            connections.append(conn)
-            reader = threading.Thread(target=_read_until_eof, args=(conn, gateway),
-                                      daemon=True)
-            reader.start()
-            readers.append(reader)
-    finally:
-        for conn in connections:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for reader in readers:
-            reader.join(timeout=5)
-
-
-def _read_until_eof(conn: socket.socket, gateway: Gateway) -> None:
-    with conn:
-        read_node_stream(conn, gateway)
+    serve_connections(listener, lambda conn: read_node_stream(conn, gateway), stop)

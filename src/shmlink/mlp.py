@@ -17,6 +17,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 MODEL_FORMAT_VERSION = 1
+# what _layers computes, as model documents name it; no other value loads
+ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "identity"}
 
 
 class MlError(Exception):
@@ -79,8 +81,6 @@ class MlpModel:
     biases: list[np.ndarray]
     feature_mean: np.ndarray
     feature_std: np.ndarray
-    hidden_activation: str = "relu"
-    output_activation: str = "identity"
 
     def __post_init__(self):
         if len(self.layer_sizes) != 4 or self.layer_sizes[-1] != 1:
@@ -243,6 +243,9 @@ class HyperGrid:
     def __post_init__(self):
         if not (self.hidden_widths and self.learning_rates and self.batch_sizes):
             raise ValueError("all hyperparameter sets must be non-empty")
+        if not all(isinstance(n, int) for n in (*self.hidden_widths, self.max_epochs,
+                                                 self.plateau_patience)):
+            raise ValueError("hidden_widths, max_epochs and plateau_patience must be integers")
         if self.max_epochs < self.plateau_patience:
             raise ValueError("max_epochs must be >= plateau_patience")
 
@@ -389,8 +392,7 @@ def model_to_doc(model: MlpModel) -> dict:
         "biases": [b.tolist() for b in model.biases],
         "feature_mean": model.feature_mean.tolist(),
         "feature_std": model.feature_std.tolist(),
-        "hidden_activation": model.hidden_activation,
-        "output_activation": model.output_activation,
+        **ACTIVATIONS,
     }
 
 
@@ -405,15 +407,15 @@ def model_from_doc(doc: dict) -> MlpModel:
         biases = [np.array(b, dtype=float) for b in doc["biases"]]
         mean = np.array(doc["feature_mean"], dtype=float)
         std = np.array(doc["feature_std"], dtype=float)
-        hidden = str(doc["hidden_activation"])
-        output = str(doc["output_activation"])
+        activations = {key: doc[key] for key in ACTIVATIONS}
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelFile(str(exc)) from None
+    if activations != ACTIVATIONS:
+        raise CorruptModelFile(f"activations {activations}: the forward pass is {ACTIVATIONS}")
     for w in weights:
         if w.ndim != 2:
             raise ShapeMismatch(f"weight array with shape {w.shape} is not a matrix")
     if mean.shape != std.shape or (sizes and mean.shape != (sizes[0],)):
         raise ShapeMismatch("normalization statistics do not match d_in")
     return MlpModel(layer_sizes=sizes, weights=weights, biases=biases,
-                    feature_mean=mean, feature_std=std,
-                    hidden_activation=hidden, output_activation=output)
+                    feature_mean=mean, feature_std=std)

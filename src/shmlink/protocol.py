@@ -15,7 +15,8 @@ Frame layout, little-endian throughout:
 In live mode frames travel over TCP, one frame per length-prefixed message
 (u32 LE length); in simulation they cross in-process queues.  The decoder is
 total: any byte sequence yields a frame or a :class:`FrameError`, never a
-crash.
+crash.  The TCP services (gateway node intake, inference server) share one
+listen / accept / stop loop, :func:`listen` plus :func:`serve_connections`.
 
 Example:
     >>> from shmlink.protocol import TelemetryFrame, encode, decode
@@ -32,6 +33,7 @@ import math
 import random
 import socket
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 
@@ -222,3 +224,70 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
+
+
+# -- listening services ----------------------------------------------------------
+
+LISTEN_BACKLOG = 32
+ACCEPT_POLL_S = 0.2   # how often the accept loop looks at its stop event
+JOIN_TIMEOUT_S = 5.0  # per handler thread, on stop
+
+
+def listen(host: str, port: int) -> socket.socket:
+    """Bind a listening TCP socket; raises on an unbindable address."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind((host, port))
+        sock.listen(LISTEN_BACKLOG)
+    except OSError:
+        sock.close()
+        raise
+    return sock
+
+
+def serve_connections(listener: socket.socket, handle, stop: threading.Event) -> None:
+    """Accept connections until ``stop`` is set; ``handle(conn)`` runs on one
+    daemon thread per connection, which closes ``conn`` when it returns.
+
+    On stop every open connection is shut down, which wakes a handler blocked
+    in ``recv`` or ``sendall``, and every handler thread is joined (at most
+    JOIN_TIMEOUT_S each) before this returns.  The owner closes the listener
+    afterwards; shutting it down before that also ends the loop, at once.
+    """
+    lock = threading.Lock()  # guards open_conns
+    open_conns: set[socket.socket] = set()
+    handlers: list[threading.Thread] = []
+
+    def run(conn: socket.socket) -> None:
+        try:
+            handle(conn)
+        finally:
+            with lock:
+                open_conns.discard(conn)
+            conn.close()
+
+    listener.settimeout(ACCEPT_POLL_S)
+    try:
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return  # listener closed or shut down
+            with lock:
+                open_conns.add(conn)
+            handlers = [t for t in handlers if t.is_alive()]
+            handler = threading.Thread(target=run, args=(conn,), daemon=True)
+            handler.start()
+            handlers.append(handler)
+    finally:
+        with lock:  # a handler cannot close its connection while it is shut down
+            for conn in open_conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        for handler in handlers:
+            handler.join(timeout=JOIN_TIMEOUT_S)

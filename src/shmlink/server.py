@@ -2,7 +2,7 @@
 
 Two topologies are supported.  In the push topology clients connect over TCP
 and exchange length-prefixed (u32 LE) JSON messages with a ``type`` field of
-predict / upload_data / load_model / poll_config / health.  In the legacy
+predict / upload_data / load_model / health.  In the legacy
 poll topology the server periodically scans an upload directory for new data
 files and writes prediction results beside them; the bench compares the two.
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import mlp
 from .dataset import read_table_csv, write_atomic
-from .protocol import ConnectionClosed, recv_message, send_message
+from .protocol import ConnectionClosed, listen, recv_message, send_message, serve_connections
 
 log = logging.getLogger(__name__)
 
@@ -72,13 +72,8 @@ class InferenceServer:
         self._models: dict[str, mlp.MlpModel] = {}
         self._models_lock = threading.Lock()
         self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
+        self._threads: list[threading.Thread] = []  # accept and poll; stop() joins them
         self._stop = threading.Event()
-        self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
-        self._poll_thread: threading.Thread | None = None
-        self._poll_stop = threading.Event()
-        self._poll_interval = 0.0
         for model_id, path in config.model_files.items():
             self._models[model_id] = mlp.load_model(path)  # startup failure propagates
 
@@ -86,18 +81,14 @@ class InferenceServer:
 
     def start(self) -> None:
         """Bind and serve; raises on an unbindable address."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.config.host, self.config.port))
-            listener.listen(32)
-        except OSError:
-            listener.close()
-            raise
-        self._listener = listener
-        accept = threading.Thread(target=self._accept_loop, daemon=True, name="shmlink-accept")
-        accept.start()
-        self._threads.append(accept)
+        self._listener = listen(self.config.host, self.config.port)
+        self._start_thread("shmlink-accept", serve_connections,
+                           self._listener, self._serve_connection, self._stop)
+
+    def _start_thread(self, name: str, target, *args) -> None:
+        thread = threading.Thread(target=target, args=args, daemon=True, name=name)
+        thread.start()
+        self._threads.append(thread)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -105,60 +96,38 @@ class InferenceServer:
         return self._listener.getsockname()
 
     def stop(self) -> None:
-        """Close the listener and every live connection; port is free after."""
+        """Shut every connection, join every server thread, close the listener.
+
+        When this returns the port is free and the accept, connection and poll
+        threads have ended; only a handler still busy JOIN_TIMEOUT_S after its
+        connection was shut down is left behind, as a daemon thread.
+        """
         self._stop.set()
-        self._poll_stop.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
+            try:  # on Linux this wakes accept() at once, not after ACCEPT_POLL_S
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        with self._connections_lock:
-            open_conns = list(self._connections)
-        for conn in open_conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._poll_thread is not None:
-            self._poll_thread.join(timeout=5)
+        for thread in self._threads:
+            thread.join()
+        if self._listener is not None:
+            self._listener.close()
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+    def _serve_connection(self, conn: socket.socket) -> None:
+        while True:
             try:
-                conn, peer = self._listener.accept()
+                raw = recv_message(conn)
+            except (ConnectionClosed, OSError, ValueError):
+                return  # closed, shut down by stop(), or framing broken beyond recovery
+            try:
+                reply = self.handle_message(raw)
+            except Exception as exc:  # never let one client kill the worker
+                log.exception("unhandled error on %s", conn)
+                reply = {"type": "error", "error": "internal", "detail": str(exc)}
+            try:
+                send_message(conn, json.dumps(reply).encode())
             except OSError:
-                return  # listener closed
-            worker = threading.Thread(target=self._serve_connection, args=(conn, peer),
-                                      daemon=True)
-            worker.start()
-
-    def _serve_connection(self, conn: socket.socket, peer) -> None:
-        with self._connections_lock:
-            self._connections.add(conn)
-        try:
-            with conn:
-                while not self._stop.is_set():
-                    try:
-                        raw = recv_message(conn)
-                    except (ConnectionClosed, OSError, ValueError):
-                        return  # closed, or framing broken beyond recovery
-                    try:
-                        reply = self.handle_message(raw)
-                    except Exception as exc:  # never let one client kill the worker
-                        log.exception("unhandled error from %s", peer)
-                        reply = {"type": "error", "error": "internal", "detail": str(exc)}
-                    try:
-                        send_message(conn, json.dumps(reply).encode())
-                    except OSError:
-                        return
-        finally:
-            with self._connections_lock:
-                self._connections.discard(conn)
+                return
 
     # -- message handling ----------------------------------------------------------
 
@@ -181,8 +150,6 @@ class InferenceServer:
             return self._on_upload(msg)
         if mtype == "load_model":
             return self._on_load_model(msg)
-        if mtype == "poll_config":
-            return self._on_poll_config(msg)
         return {"type": "error", "error": "bad_message", "detail": f"unknown type {mtype!r}"}
 
     def _on_predict(self, msg: dict) -> dict:
@@ -258,35 +225,15 @@ class InferenceServer:
             self._models[model_id] = model
         return {"type": "load_model_ok", "model_id": model_id}
 
-    def _on_poll_config(self, msg: dict) -> dict:
-        enabled = bool(msg.get("enabled", self._poll_thread is not None))
-        interval = float(msg.get("interval", self._poll_interval or 5.0))
-        if enabled and self._poll_thread is None:
-            try:
-                self.start_poll_mode(self.config.upload_dir, interval)
-            except ValueError as exc:
-                return {"type": "error", "error": "bad_message", "detail": str(exc)}
-        elif not enabled and self._poll_thread is not None:
-            self._poll_stop.set()
-            self._poll_thread.join(timeout=5)
-            self._poll_thread = None
-        return {"type": "poll_config_ok", "enabled": self._poll_thread is not None,
-                "interval": self._poll_interval, "upload_dir": self.config.upload_dir}
-
     # -- legacy poll topology ----------------------------------------------------------
 
     def start_poll_mode(self, upload_dir, interval: float) -> None:
-        """Run poll_mode_run on a background thread until stop() or poll_config off."""
+        """Run poll_mode_run on a background thread until stop()."""
         if interval <= 0:
             raise ValueError("interval must be > 0")
         if upload_dir is None:
             raise ValueError("upload_dir required for poll mode")
-        self._poll_interval = interval
-        self._poll_stop.clear()
-        self._poll_thread = threading.Thread(
-            target=self.poll_mode_run, args=(upload_dir, interval), daemon=True,
-            name="shmlink-poll")
-        self._poll_thread.start()
+        self._start_thread("shmlink-poll", self.poll_mode_run, upload_dir, interval)
 
     def poll_mode_run(self, upload_dir, interval: float) -> None:
         """Every ``interval`` seconds, predict on new uploads and write results.
@@ -296,16 +243,14 @@ class InferenceServer:
         skipped, never fatal.
         """
         upload_dir = Path(upload_dir)
-        while not (self._stop.is_set() or self._poll_stop.is_set()):
+        while not self._stop.is_set():
             scan_started = time.perf_counter()
             try:
                 self.poll_scan_once(upload_dir)
             except OSError:
                 log.exception("poll scan failed")
             elapsed = time.perf_counter() - scan_started
-            self._poll_stop.wait(max(0.0, interval - elapsed))
-            if self._stop.is_set():
-                return
+            self._stop.wait(max(0.0, interval - elapsed))
 
     def poll_scan_once(self, upload_dir) -> int:
         """Process every pending upload once; returns the number handled."""

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from shmlink import cli, mlp
 from shmlink.adc import AdcEmulator, SensorModel
 from shmlink.bench import stream_node
 from shmlink.dataset import write_table_csv
@@ -216,6 +217,20 @@ def test_train_channel_mismatch_exits_two(tmp_path, small_dataset, small_grid):
     result = run_cli("train", "--data", str(small_dataset), "--channels", "8",
                      "--grid", str(small_grid), "--out", str(tmp_path / "m.json"))
     assert result.returncode == 2
+
+
+def test_load_grid_defaults_come_from_hypergrid(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"hidden_widths": [4], "batch_sizes": [None]}))
+    assert cli._load_grid(str(path)) == mlp.HyperGrid(hidden_widths=(4,), batch_sizes=(None,))
+
+
+@pytest.mark.parametrize("doc", [{"max_epoch": 3}, [1, 2], {"max_epochs": 40.0}])
+def test_load_grid_rejects_unknown_keys_and_bad_values(tmp_path, doc):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))  # a typo must not silently run 500 epochs
+    with pytest.raises(cli.UsageError):
+        cli._load_grid(str(path))
 
 
 # -- sync ----------------------------------------------------------------------------

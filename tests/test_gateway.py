@@ -1,14 +1,18 @@
 """Gateway: ingest/dedupe/trigger rules, persistence, latency statistics."""
 
+import gc
 import logging
 import socket
 import sys
 import threading
 import time
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from shmlink import gateway as gateway_mod
 from shmlink import mlp
 from shmlink.dataset import AlignedRecord, read_table_csv, write_table_csv
 from shmlink.gateway import (
@@ -21,7 +25,9 @@ from shmlink.gateway import (
     ShapeMismatch,
     TriggerRule,
     latency_summary,
+    node_listener,
     read_node_stream,
+    serve_nodes,
 )
 from shmlink.protocol import TelemetryFrame, encode, send_message
 from shmlink.server import ServerConfig, serve
@@ -117,6 +123,17 @@ def test_persistence_completeness_arrival_order(offline_gateway, tmp_path):
     rows = read_table_csv((tmp_path / "telemetry.csv").read_text())
     assert [r.t for r in rows] == [float(i) for i in range(20)]
     assert [r.resistances[0] for r in rows] == [47.0 + i for i in range(20)]
+
+
+def test_poll_upload_time_is_persisted_time(offline_gateway, tmp_path, monkeypatch):
+    ticks = iter(range(1000, 1100))  # every wall-clock reading differs
+    monkeypatch.setattr(gateway_mod, "time", SimpleNamespace(
+        time=lambda: float(next(ticks)), perf_counter=time.perf_counter))
+    assert offline_gateway.ingest(frame(5)) is True
+    offline_gateway.close()
+    persisted = read_table_csv((tmp_path / "telemetry.csv").read_text())
+    uploaded = read_table_csv((tmp_path / "uploads" / "trigger_0000_00000005.csv").read_text())
+    assert [r.time for r in uploaded] == [r.time for r in persisted] == [1000.0]
 
 
 # -- crash-safe persistence ----------------------------------------------------------------
@@ -331,9 +348,6 @@ def test_summary_no_records():
 
 
 def test_serve_nodes_two_concurrent_streams(tmp_path):
-    from shmlink.gateway import node_listener, serve_nodes
-    from shmlink.protocol import encode, send_message
-
     listener = node_listener("127.0.0.1", 0)
     endpoint = listener.getsockname()
     gw = Gateway(GatewayConfig(node_endpoints=[f"{endpoint[0]}:{endpoint[1]}"],
@@ -374,6 +388,39 @@ def test_serve_nodes_two_concurrent_streams(tmp_path):
     for r in rows:
         by_node[r.resistances[0]] += 1
     assert by_node == {48.0: 25, 49.0: 25}
+
+
+def test_serve_nodes_stops_promptly_with_idle_node(offline_gateway):
+    before = set(threading.enumerate())
+    listener = node_listener("127.0.0.1", 0)
+    stop = threading.Event()
+    acceptor = threading.Thread(target=serve_nodes, args=(listener, offline_gateway, stop))
+    acceptor.start()
+    try:
+        with socket.create_connection(listener.getsockname(), timeout=5) as node:
+            send_message(node, encode(frame(0)))
+            deadline = time.perf_counter() + 5
+            while not offline_gateway._seen and time.perf_counter() < deadline:
+                time.sleep(0.01)
+            assert offline_gateway._seen  # the reader is up, now idle in recv
+            stopped = time.perf_counter()
+            stop.set()
+            acceptor.join(timeout=10)
+            assert time.perf_counter() - stopped < 1.0
+    finally:
+        stop.set()
+        acceptor.join(timeout=10)
+        listener.close()
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_node_listener_failed_bind_closes_socket():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(OSError):
+            node_listener("256.0.0.1", 0)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_read_node_stream_skips_undecodable_frames(tmp_path, offline_gateway):

@@ -448,3 +448,13 @@ def test_unsupported_version(tmp_path):
 def test_missing_file_corrupt(tmp_path):
     with pytest.raises(CorruptModelFile):
         load_model(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize("key,value", [("hidden_activation", "tanh"),
+                                       ("output_activation", "sigmoid")])
+def test_activation_other_than_forward_pass_rejected(key, value):
+    doc = mlp.model_to_doc(seeded_model())
+    assert (doc["hidden_activation"], doc["output_activation"]) == ("relu", "identity")
+    doc[key] = value  # would load and then predict as relu/identity
+    with pytest.raises(CorruptModelFile):
+        mlp.model_from_doc(doc)

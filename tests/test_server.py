@@ -137,13 +137,9 @@ def test_load_model_inline_document(running_server):
     assert predict_reply["predictions"][0] == mlp.forward(other, [0.0, 0.0])
 
 
-def test_poll_config_message(running_server):
-    reply = roundtrip(running_server, {"type": "poll_config", "enabled": True,
-                                       "interval": 0.05})
-    assert reply["type"] == "poll_config_ok"
-    assert reply["enabled"] is True
-    off = roundtrip(running_server, {"type": "poll_config", "enabled": False})
-    assert off["enabled"] is False
+def test_poll_config_is_an_unknown_type(running_server):
+    reply = roundtrip(running_server, {"type": "poll_config", "enabled": True})
+    assert reply["error"] == "bad_message"
 
 
 # -- prediction semantics -----------------------------------------------------------
@@ -182,6 +178,22 @@ def test_handle_predict_model_not_loaded():
     with pytest.raises(ModelNotLoaded):
         server.handle_predict(PredictRequest(request_id=0, model_id="default",
                                              rows=np.zeros((1, 2)), timestamp=0.0))
+
+
+# -- lifecycle ---------------------------------------------------------------------------
+
+
+def test_stop_ends_every_server_thread_with_client_connected(tmp_path, model_file):
+    before = set(threading.enumerate())
+    server = serve(ServerConfig(host="127.0.0.1", port=0,
+                                model_files={"default": str(model_file)}))
+    server.start_poll_mode(tmp_path / "uploads", 10.0)
+    client = socket.create_connection(server.address, timeout=5)
+    with client:
+        assert roundtrip(server, {"type": "health"}, sock=client)["type"] == "health_ok"
+        server.stop()  # the client's handler is idle in recv
+        assert [t for t in threading.enumerate() if t not in before] == []
+        assert client.recv(1) == b""  # the server shut the connection
 
 
 # -- startup failures ------------------------------------------------------------------
