@@ -15,6 +15,7 @@ the DATA register holds the filtered, quantized code.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -138,22 +139,17 @@ class SensorModel:
         self.channels[channel].resistance = r
 
 
-@dataclass(frozen=True)
 class Sinc3Config:
-    """Triple-boxcar decimation filter parameters.
+    """Triple-boxcar decimation filter of the converter.
 
     Spectral nulls fall at every multiple of ``output_rate`` =
-    modulator_rate / decimation; the 10 Hz default therefore rejects both
+    modulator_rate / decimation; the 10 Hz rate therefore rejects both
     50 Hz and 60 Hz mains interference.  One settled conversion consumes a
     window of 3*decimation - 2 modulator samples.
     """
 
-    modulator_rate: float = 19200.0
-    decimation: int = 1920
-
-    def __post_init__(self):
-        if self.modulator_rate <= 0 or self.decimation < 1:
-            raise ValueError("modulator_rate must be > 0 and decimation >= 1")
+    modulator_rate = 19200.0
+    decimation = 1920
 
     @property
     def output_rate(self) -> float:
@@ -167,15 +163,12 @@ class Sinc3Config:
     def settle_time(self) -> float:
         return self.window_len / self.modulator_rate
 
-    def kernel(self) -> np.ndarray:
-        """Impulse response of three cascaded boxcars, normalized to unit DC gain."""
-        cached = _KERNEL_CACHE.get(self.decimation)
-        if cached is None:
-            box = np.ones(self.decimation)
-            w = np.convolve(np.convolve(box, box), box)
-            cached = w / float(self.decimation) ** 3
-            _KERNEL_CACHE[self.decimation] = cached
-        return cached
+    @staticmethod
+    @functools.cache
+    def kernel() -> np.ndarray:
+        """Impulse response of three cascaded boxcars, normalized to unit DC gain; built once."""
+        box = np.ones(Sinc3Config.decimation)
+        return np.convolve(np.convolve(box, box), box) / float(Sinc3Config.decimation) ** 3
 
     def frequency_response(self, f: float) -> float:
         """|H(f)| of the triple boxcar at modulator rate fs: |sin(pi f N/fs) / (N sin(pi f/fs))|^3."""
@@ -188,7 +181,8 @@ class Sinc3Config:
         return abs(math.sin(math.pi * f * n / fs) / den) ** 3
 
 
-_KERNEL_CACHE: dict[int, np.ndarray] = {}
+SINC3 = Sinc3Config()
+POLLS_TO_READY = 2  # STATUS reads until an armed conversion completes
 
 
 class AdcEmulator:
@@ -196,17 +190,13 @@ class AdcEmulator:
 
     Single-threaded per instance.  The host sets the signal clock with
     :meth:`set_time`; conversions triggered through the register interface
-    complete after ``polls_to_ready`` STATUS reads and consume one filter
+    complete after POLLS_TO_READY STATUS reads and consume one filter
     window of signal ending at the internal clock, which then advances by the
     window's duration so back-to-back channel scans see consecutive signal.
     """
 
-    def __init__(self, sensors: SensorModel | None = None,
-                 filter_config: Sinc3Config | None = None,
-                 seed: int | None = None, polls_to_ready: int = 2):
+    def __init__(self, sensors: SensorModel | None = None, seed: int | None = None):
         self.sensors = sensors if sensors is not None else SensorModel()
-        self.filter_config = filter_config if filter_config is not None else Sinc3Config()
-        self.polls_to_ready = polls_to_ready
         self._rng = np.random.default_rng(seed)
         self._now = 0.0
         self.reset()
@@ -272,7 +262,7 @@ class AdcEmulator:
 
     def _arm(self, channel: int) -> None:
         self._pending_channel = channel
-        self._polls_left = self.polls_to_ready
+        self._polls_left = POLLS_TO_READY
         self._rdy = 1
 
     def _poll(self) -> None:
@@ -292,11 +282,11 @@ class AdcEmulator:
         if not self.registers[IO_CONTROL_1] & 0xFF00:
             raise ExcitationOff("IO_CONTROL_1 excitation bits are clear")
         ch = self.sensors.channels[channel]
-        kernel = self.filter_config.kernel()
+        kernel = SINC3.kernel()
         n = kernel.size
         if ch.interference_amplitude != 0.0 or ch.noise_std != 0.0:
             # oversampled modulator stream ending at the current signal clock
-            t = self._now - (n - 1 - np.arange(n)) / self.filter_config.modulator_rate
+            t = self._now - (n - 1 - np.arange(n)) / SINC3.modulator_rate
             signal = np.full(n, ch.resistance, dtype=float)
             if ch.interference_amplitude != 0.0:
                 signal += ch.interference_amplitude * np.sin(2 * math.pi * ch.interference_freq * t)
@@ -310,5 +300,5 @@ class AdcEmulator:
         self._rdy = 0
         self._pending_channel = None
         self._polls_left = 0
-        self._now += self.filter_config.settle_time
+        self._now += SINC3.settle_time
         return code

@@ -1,8 +1,10 @@
 """Push-vs-poll latency benchmark over a real in-process loopback stack.
 
 Spins up the full chain — emulated node firmware streaming framed telemetry
-over TCP, gateway ingesting and triggering, inference server answering — and
-measures trigger-to-response time per frame on the monotonic clock.
+over TCP into the gateway's ``serve_nodes`` intake, gateway ingesting and
+triggering, inference server answering — and measures trigger-to-response
+time per frame on the monotonic clock.  The calling thread waits for the last
+latency record, collecting poll results as they appear.
 
 Push mode: every frame triggers an immediate TCP predict round trip.
 Poll mode: triggers become upload files; the server's periodic scan answers
@@ -15,7 +17,6 @@ interval/2 plus the processing base, without serializing the waits.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import socket
@@ -28,8 +29,9 @@ import numpy as np
 
 from . import mlp
 from .adc import AdcEmulator, SensorModel
+from .dataset import read_table_csv
 from .firmware import NodeFirmware
-from .gateway import Gateway, GatewayConfig, TriggerRule, latency_summary, node_listener, read_node_stream
+from .gateway import Gateway, GatewayConfig, TriggerRule, latency_summary, node_listener, serve_nodes
 from .protocol import encode, send_message
 from .server import InferenceServer, ServerConfig
 
@@ -47,14 +49,16 @@ def make_bench_model(channels: int, path, seed: int = 0) -> None:
     mlp.save_model(model, path)
 
 
-def stream_node(sock: socket.socket, firmware: NodeFirmware, tick: float,
+def stream_node(sock: socket.socket, firmware: NodeFirmware,
                 resistances=None, frames: int | None = None) -> int:
-    """Tick the firmware at ``firmware.counter * tick``, send each frame, sleep.
+    """Tick the firmware every ``firmware.tick_period`` seconds and send each frame.
 
-    Each vector of ``resistances``, if given, sets the emulated sensors for
-    one tick; the loop ends when they run out or after ``frames`` frames, and
-    returns the number sent.  A failed send raises OSError.
+    Tick i runs at ``i * tick_period`` on the signal clock.  Each vector of
+    ``resistances``, if given, sets the emulated sensors for one tick; the
+    loop ends when they run out or after ``frames`` frames, and returns the
+    number sent.  A failed send raises OSError.
     """
+    tick = firmware.tick_period
     sent = 0
     for vector in itertools.repeat(()) if resistances is None else resistances:
         for ch, r in enumerate(vector):
@@ -77,106 +81,88 @@ def _node_stream(endpoint: tuple[str, int], frames: int, tick: float,
                                 trace=False)
         firmware.init()
         with socket.create_connection(endpoint, timeout=5.0) as sock:
-            stream_node(sock, firmware, tick, frames=frames)
+            stream_node(sock, firmware, frames=frames)
     except Exception as exc:
         failures.append(exc)
 
 
 def run_bench(mode: str, frames: int = 200, tick: float | None = None,
-              poll_interval: float = 5.0, channels: int = 2, seed: int = 0,
-              workdir: str | None = None) -> dict:
+              poll_interval: float = 5.0, channels: int = 2, seed: int = 0) -> dict:
     """Run one benchmark; returns the latency report document.
 
     ``mode`` is "push" or "poll".  All components run in-process over
-    loopback TCP; temporary state lives under ``workdir`` (a fresh temp
-    directory by default).
+    loopback TCP, with their files in a fresh temporary directory.
     """
     if mode not in ("push", "poll"):
         raise ValueError(f"unknown mode {mode!r}")
     if tick is None:
         tick = DEFAULT_PUSH_TICK if mode == "push" else DEFAULT_POLL_TICK
-    with (tempfile.TemporaryDirectory(prefix="shmlink-bench-") if workdir is None
-          else contextlib.nullcontext(workdir)) as work:
-        return _run_bench(mode, frames, tick, poll_interval, channels, seed, Path(work))
+    with tempfile.TemporaryDirectory(prefix="shmlink-bench-") as tmp:
+        work = Path(tmp)
+        model_path = work / "bench_model.json"
+        make_bench_model(channels, model_path, seed=seed)
+        upload_dir = work / "uploads"
+        upload_dir.mkdir()
 
+        server = InferenceServer(ServerConfig(host="127.0.0.1", port=0,
+                                              model_files={"default": str(model_path)},
+                                              upload_dir=str(upload_dir)))
+        server.start()
+        host, port = server.address
+        if mode == "poll":
+            server.start_poll_mode(poll_interval)
 
-def _run_bench(mode: str, frames: int, tick: float, poll_interval: float,
-               channels: int, seed: int, work: Path) -> dict:
-    model_path = work / "bench_model.json"
-    make_bench_model(channels, model_path, seed=seed)
-    upload_dir = work / "uploads"
-    upload_dir.mkdir(exist_ok=True)
+        listener = node_listener("127.0.0.1", 0)
+        node_endpoint = listener.getsockname()
+        gateway = Gateway(GatewayConfig(
+            node_endpoints=[f"{node_endpoint[0]}:{node_endpoint[1]}"],
+            server_endpoint=f"{host}:{port}",
+            mode="push" if mode == "push" else "poll-compat",
+            persistence_path=str(work / "telemetry.csv"),
+            trigger=TriggerRule(every_frame=True),
+            latency_log_path=str(work / "latency.csv"),
+            upload_dir=str(upload_dir)))
 
-    server = InferenceServer(ServerConfig(host="127.0.0.1", port=0,
-                                          model_files={"default": str(model_path)},
-                                          upload_dir=str(upload_dir)))
-    server.start()
-    host, port = server.address
-    if mode == "poll":
-        server.start_poll_mode(upload_dir, poll_interval)
+        stop = threading.Event()
+        intake = threading.Thread(target=serve_nodes, args=(listener, gateway, stop),
+                                  daemon=True, name="bench-intake")
+        failures: list = []
+        node = threading.Thread(target=_node_stream,
+                                args=(node_endpoint, frames, tick, channels, seed, failures),
+                                daemon=True, name="bench-node")
 
-    listener = node_listener("127.0.0.1", 0)
-    node_endpoint = listener.getsockname()
-
-    gateway = Gateway(GatewayConfig(
-        node_endpoints=[f"{node_endpoint[0]}:{node_endpoint[1]}"],
-        server_endpoint=f"{host}:{port}",
-        mode="push" if mode == "push" else "poll-compat",
-        persistence_path=str(work / "telemetry.csv"),
-        trigger=TriggerRule(every_frame=True),
-        latency_log_path=str(work / "latency.csv"),
-        upload_dir=str(upload_dir)))
-
-    failures: list = []
-    node = threading.Thread(target=_node_stream,
-                            args=(node_endpoint, frames, tick, channels, seed, failures),
-                            daemon=True, name="bench-node")
-
-    # poll-compat results must be noticed as they appear, not after the run
-    watcher_stop = threading.Event()
-
-    def watch_results() -> None:
-        while not watcher_stop.is_set():
+        started = time.perf_counter()
+        intake.start()
+        node.start()
+        # the node streams for frames * tick; a poll trigger is answered by
+        # the scan after it, so poll results are collected as they appear
+        deadline = started + frames * tick + 30
+        if mode == "poll":
+            deadline += poll_interval * 2 + 10
+        while (len(gateway.latency_records) < frames and not failures
+               and time.perf_counter() < deadline):
             gateway.poll_results_once()
             time.sleep(0.002)
+        stop.set()
+        intake.join()
+        node.join()
 
-    watcher = threading.Thread(target=watch_results, daemon=True, name="bench-watch")
+        listener.close()
+        gateway.close()
+        server.stop()
+        if failures:
+            raise failures[0]
+        records = gateway.latency_records
+        if len(records) != frames:
+            telemetry = work / "telemetry.csv"
+            ingested = (len(read_table_csv(telemetry.read_text(encoding="utf-8")))
+                        if telemetry.exists() else 0)
+            raise RuntimeError(f"expected {frames} triggers, measured {len(records)} "
+                               f"({ingested} frames ingested)")
 
-    started = time.perf_counter()
-    node.start()
-    if mode == "poll":
-        watcher.start()
-    listener.settimeout(30.0)
-    try:
-        conn, _ = listener.accept()
-    except socket.timeout:
-        raise (failures[0] if failures
-               else RuntimeError("node never connected")) from None
-    with conn:
-        ingested = read_node_stream(conn, gateway, max_frames=frames)
-    node.join(timeout=frames * tick + 30)
-
-    if mode == "poll":
-        # wait for the scan following the last trigger
-        deadline = time.perf_counter() + poll_interval * 2 + 10
-        while gateway.pending_poll_count and time.perf_counter() < deadline:
-            time.sleep(0.01)
-        watcher_stop.set()
-        watcher.join(timeout=5)
-
-    listener.close()
-    gateway.close()
-    server.stop()
-    if failures:
-        raise failures[0]
-    if ingested != frames or len(gateway.latency_records) != frames:
-        raise RuntimeError(f"expected {frames} triggers, measured {len(gateway.latency_records)} "
-                           f"({ingested} frames ingested)")
-
-    summary = latency_summary(gateway.latency_records)
-    return {"mode": mode, "frames": frames, "tick": tick, "channels": channels,
-            "poll_interval": poll_interval if mode == "poll" else None,
-            "wall_time": time.perf_counter() - started, **summary}
+        return {"mode": mode, "frames": frames, "tick": tick, "channels": channels,
+                "poll_interval": poll_interval if mode == "poll" else None,
+                "wall_time": time.perf_counter() - started, **latency_summary(records)}
 
 
 def write_report(report: dict, path) -> None:

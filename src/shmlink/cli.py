@@ -148,8 +148,7 @@ def cmd_simulate_node(args) -> int:
 
     try:
         with sock:
-            sent = bench_mod.stream_node(sock, firmware, args.tick, profile,
-                                         frames=args.frames or None)
+            sent = bench_mod.stream_node(sock, firmware, profile, frames=args.frames or None)
     except OSError as exc:
         # the tick whose send failed already advanced the counter
         print(f"error: link lost after {firmware.counter - 1} frames: {exc}", file=sys.stderr)

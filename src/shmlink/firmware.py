@@ -53,6 +53,7 @@ INIT_SEQUENCE = (
 )
 
 DEFAULT_TICK_PERIOD = 10.0
+POLL_BUDGET = 1000  # STATUS reads per channel before a conversion times out
 
 
 class NodeFirmware:
@@ -60,12 +61,12 @@ class NodeFirmware:
 
     ``bus`` is anything exposing write_register/read_register (and optionally
     reset / set_time, as the emulator does).  ``channel_count`` is 2 or 8; the
-    2-sensor configuration scans channels 0-1 only.
+    2-sensor configuration scans channels 0-1 only.  ``tick_period`` is the
+    acquisition period in seconds, which ``bench.stream_node`` ticks at.
     """
 
     def __init__(self, bus, node_id: int = 0, channel_count: int = 8,
-                 tick_period: float = DEFAULT_TICK_PERIOD,
-                 poll_budget: int = 1000, trace: bool = True):
+                 tick_period: float = DEFAULT_TICK_PERIOD, trace: bool = True):
         if channel_count not in (2, 8):
             raise ValueError("channel_count must be 2 or 8")
         if tick_period <= 0:
@@ -74,7 +75,6 @@ class NodeFirmware:
         self.node_id = node_id
         self.channel_count = channel_count
         self.tick_period = tick_period
-        self.poll_budget = poll_budget
         self.counter = 0
         self.last_resistances: tuple[float, ...] = ()
         self._trace_enabled = trace
@@ -114,11 +114,11 @@ class NodeFirmware:
     def _acquire(self, step: ChannelStep, channel: int) -> float:
         self._write(IO_CONTROL_1, step.io_control_on)
         self._write(step.channel_reg_addr, step.channel_arm_value)
-        for _ in range(self.poll_budget):
+        for _ in range(POLL_BUDGET):
             if not self.bus.read_register(STATUS) & STATUS_RDY_BIT:
                 break
         else:
-            raise ConversionTimeout(channel, self.poll_budget)
+            raise ConversionTimeout(channel, POLL_BUDGET)
         resistance = code_to_resistance(self.bus.read_register(DATA))
         self._write(IO_CONTROL_1, step.io_control_off)
         self._write(step.channel_reg_addr, step.channel_disarm_value)

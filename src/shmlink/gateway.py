@@ -107,6 +107,8 @@ class GatewayConfig:
             raise ValueError("at least one node endpoint required")
         if self.mode not in ("push", "poll-compat"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "poll-compat" and not self.upload_dir:
+            raise ValueError("poll-compat mode requires upload_dir")
 
 
 @dataclass(frozen=True)
@@ -348,8 +350,7 @@ class Gateway:
         with self._request_lock:
             self._request_id += 1
             request = {"type": "predict", "request_id": self._request_id,
-                       "model_id": self.config.model_id, "rows": rows,
-                       "timestamp": time.time()}
+                       "model_id": self.config.model_id, "rows": rows}
             payload = json.dumps(request).encode()
             last_error: Exception | None = None
             for attempt in range(5):
@@ -388,12 +389,20 @@ class Gateway:
     # -- poll-compat topology -----------------------------------------------------------
 
     def _submit_poll_upload(self, frame: TelemetryFrame, received: float, wall: float) -> None:
-        """Write the triggered frame's persisted row, same ``Time``, as an upload file."""
-        assert self.config.upload_dir, "poll-compat mode requires upload_dir"
+        """Write the triggered frame's persisted row, same ``Time``, as an upload file.
+
+        An upload that cannot be written loses that frame's prediction only
+        (logged); monitoring continues.
+        """
         record = AlignedRecord(time=wall, strain=math.nan,
                                t=float(frame.counter), resistances=frame.resistances)
         dest = Path(self.config.upload_dir) / f"trigger_{frame.node_id:04d}_{frame.counter:08d}.csv"
-        write_atomic(dest, write_table_csv([record]))
+        try:
+            write_atomic(dest, write_table_csv([record]))
+        except OSError:
+            log.exception("poll upload failed; prediction lost for (node, counter) (%d, %d)",
+                          frame.node_id, frame.counter)
+            return
         # the result cannot exist before the rename, so received <= sent <= done holds
         sent = time.perf_counter()
         self._pending_polls[dest.with_suffix(".pred.json")] = (frame, received, sent)
@@ -448,8 +457,7 @@ def node_listener(bind_host: str, bind_port: int) -> socket.socket:
     return listen(bind_host, bind_port)
 
 
-def read_node_stream(conn: socket.socket, gateway: Gateway,
-                     max_frames: int | None = None) -> int:
+def read_node_stream(conn: socket.socket, gateway: Gateway) -> int:
     """Ingest length-prefixed frames from one node connection until EOF.
 
     Undecodable frames are logged and skipped, and so is a trigger that
@@ -457,7 +465,7 @@ def read_node_stream(conn: socket.socket, gateway: Gateway,
     returns the number ingested.
     """
     count = 0
-    while max_frames is None or count < max_frames:
+    while True:
         try:
             raw = recv_message(conn)
         except (ConnectionClosed, OSError, ValueError):

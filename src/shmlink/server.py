@@ -44,7 +44,6 @@ class PredictRequest:
     request_id: int
     model_id: str
     rows: np.ndarray
-    timestamp: float
 
 
 @dataclass(frozen=True)
@@ -154,16 +153,18 @@ class InferenceServer:
 
     def _on_predict(self, msg: dict) -> dict:
         request_id = msg.get("request_id", 0)
+        if not isinstance(request_id, int) or isinstance(request_id, bool):
+            return {"type": "error", "error": "bad_message",
+                    "detail": f"request_id {request_id!r} is not an integer"}
         try:
             rows = msg["rows"]
         except KeyError:
             return {"type": "error", "error": "bad_message", "detail": "missing 'rows'",
                     "request_id": request_id}
         try:
-            request = PredictRequest(request_id=int(request_id),
+            request = PredictRequest(request_id=request_id,
                                      model_id=str(msg.get("model_id") or self.config.default_model_id),
-                                     rows=np.array(rows, dtype=float),
-                                     timestamp=float(msg.get("timestamp", 0.0)))
+                                     rows=np.array(rows, dtype=float))
             response = self.handle_predict(request)
         except ModelNotLoaded as exc:
             return {"type": "error", "error": "model_not_loaded", "detail": str(exc),
@@ -227,34 +228,33 @@ class InferenceServer:
 
     # -- legacy poll topology ----------------------------------------------------------
 
-    def start_poll_mode(self, upload_dir, interval: float) -> None:
+    def start_poll_mode(self, interval: float) -> None:
         """Run poll_mode_run on a background thread until stop()."""
         if interval <= 0:
             raise ValueError("interval must be > 0")
-        if upload_dir is None:
+        if self.config.upload_dir is None:
             raise ValueError("upload_dir required for poll mode")
-        self._start_thread("shmlink-poll", self.poll_mode_run, upload_dir, interval)
+        self._start_thread("shmlink-poll", self.poll_mode_run, interval)
 
-    def poll_mode_run(self, upload_dir, interval: float) -> None:
+    def poll_mode_run(self, interval: float) -> None:
         """Every ``interval`` seconds, predict on new uploads and write results.
 
         Response delay for a file landing between scans is therefore in
         (0, interval] plus processing.  Per-file failures are logged and
         skipped, never fatal.
         """
-        upload_dir = Path(upload_dir)
         while not self._stop.is_set():
             scan_started = time.perf_counter()
             try:
-                self.poll_scan_once(upload_dir)
+                self.poll_scan_once()
             except OSError:
                 log.exception("poll scan failed")
             elapsed = time.perf_counter() - scan_started
             self._stop.wait(max(0.0, interval - elapsed))
 
-    def poll_scan_once(self, upload_dir) -> int:
-        """Process every pending upload once; returns the number handled."""
-        upload_dir = Path(upload_dir)
+    def poll_scan_once(self) -> int:
+        """Answer every pending upload in ``config.upload_dir`` once; returns the count."""
+        upload_dir = Path(self.config.upload_dir)
         if not upload_dir.is_dir():
             return 0
         handled = 0
@@ -265,9 +265,8 @@ class InferenceServer:
             try:
                 records = read_table_csv(path.read_text(encoding="utf-8"))
                 rows = np.array([r.resistances for r in records])
-                request = PredictRequest(request_id=0,
-                                         model_id=self.config.default_model_id,
-                                         rows=rows, timestamp=time.time())
+                request = PredictRequest(request_id=0, model_id=self.config.default_model_id,
+                                         rows=rows)
                 response = self.handle_predict(request)
                 doc = {"name": path.name, "model_id": response.model_id,
                        "predictions": list(response.predictions),

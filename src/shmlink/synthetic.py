@@ -16,6 +16,9 @@ from .dataset import AlignedRecord, MechanicalSample, ResistanceSample
 # Nominal channel resistances (ohm), test-fixture style values.
 BASE_RESISTANCES = (51.0, 43.0, 100.0, 98.0, 120.0, 121.0, 119.0, 122.0)
 
+LOAD_CYCLES = 6.0       # load-unload cycles per strain_records series
+SAMPLE_INTERVAL = 0.1   # seconds between strain_records rows
+
 # Fixed broadband tones (amplitude, hertz, phase) giving the offset-pair
 # latent its fine structure; frequencies stay under the 5 Hz Nyquist of the
 # default 0.1 s sampling.
@@ -26,23 +29,23 @@ _DETAIL_TONES = tuple(
                     _DETAIL_RNG.uniform(0.0, 2 * np.pi, 24)))
 
 
-def load_cycle_strain(t: np.ndarray, cycles: float = 6.0, period: float | None = None) -> np.ndarray:
-    """Cyclic load-unload latent strain over the span of ``t``, range [0, 1]."""
+def load_cycle_strain(t: np.ndarray) -> np.ndarray:
+    """LOAD_CYCLES load-unload cycles of latent strain over the span of ``t``, range [0, 1]."""
     span = t[-1] - t[0] if t.size > 1 else 1.0
-    period = period if period is not None else span / cycles
+    period = span / LOAD_CYCLES
     phase = 2 * np.pi * (t - t[0]) / period
     return 0.5 * (1.0 - np.cos(phase)) * (1.0 + 0.1 * np.sin(0.37 * phase))
 
 
 def strain_records(n: int = 2400, channels: int = 2, noise: float = 0.01,
-                   seed: int = 0, sample_interval: float = 0.1) -> list[AlignedRecord]:
-    """Aligned records with standardized-strain target and resistance features.
+                   seed: int = 0) -> list[AlignedRecord]:
+    """Aligned records SAMPLE_INTERVAL apart: standardized-strain target, resistance features.
 
     Resistances respond smoothly (mildly nonlinear) to the latent strain;
     ``noise`` is the target noise std relative to the unit target std.
     """
     rng = np.random.default_rng(seed)
-    t = np.arange(n) * sample_interval
+    t = np.arange(n) * SAMPLE_INTERVAL
     latent = load_cycle_strain(t)
     target = (latent - latent.mean()) / latent.std()
     target = target + rng.normal(0.0, noise, n)

@@ -147,7 +147,7 @@ def test_stream_node_sends_the_firmware_frames(resistances, frames):
         expected.append(encode(reference.run_tick(i * tick)))
     node, gateway = socket.socketpair()
     with node, gateway:
-        sent = stream_node(node, seeded_node(tick), tick, resistances, frames=frames)
+        sent = stream_node(node, seeded_node(tick), resistances, frames=frames)
         assert sent == len(expected)
         assert [recv_message(gateway) for _ in expected] == expected
 

@@ -161,14 +161,14 @@ class StuckBus:
 
 
 def test_conversion_timeout():
-    fw = NodeFirmware(StuckBus(), poll_budget=50)
+    fw = NodeFirmware(StuckBus())
     fw.init()
     with pytest.raises(ConversionTimeout):
         fw.run_tick(now=0.0)
 
 
 def test_failed_tick_does_not_increment_counter():
-    fw = NodeFirmware(StuckBus(), poll_budget=10)
+    fw = NodeFirmware(StuckBus())
     fw.init()
     for _ in range(3):
         with pytest.raises(ConversionTimeout):

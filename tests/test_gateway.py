@@ -451,6 +451,30 @@ def test_read_node_stream_survives_unreachable_server(tmp_path):
     assert [r.t for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
+def test_poll_compat_without_upload_dir_rejected(tmp_path):
+    with pytest.raises(ValueError, match="upload_dir"):
+        GatewayConfig(mode="poll-compat", persistence_path=str(tmp_path / "t.csv"))
+
+
+def test_read_node_stream_survives_unwritable_upload(tmp_path, caplog):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    gw = Gateway(GatewayConfig(mode="poll-compat", upload_dir=str(blocker),
+                               persistence_path=str(tmp_path / "t.csv")))
+    server, client = socket.socketpair()
+    with client:
+        for counter in range(5):
+            send_message(client, encode(frame(counter)))
+    with server, caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
+        count = read_node_stream(server, gw)
+    gw.close()
+    assert count == 5
+    rows = read_table_csv((tmp_path / "t.csv").read_text())
+    assert [r.t for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert gw.pending_poll_count == 0
+    assert "prediction lost for (node, counter) (0, 4)" in caplog.text
+
+
 def test_request_prediction_reconnects_after_server_restart(tmp_path):
     rng = np.random.default_rng(0)
     model = mlp.init_model(2, 4, mu=np.zeros(2), sigma=np.ones(2), rng=rng)

@@ -77,6 +77,18 @@ def test_wrong_width_keeps_connection_open(running_server):
         assert good["type"] == "predict_ok"
 
 
+@pytest.mark.parametrize("fields,answer", [
+    ({"timestamp": "soon"}, "predict_ok"),
+    ({"timestamp": None}, "predict_ok"),
+    ({"request_id": "abc"}, "bad_message"),
+    ({"request_id": 1.5}, "bad_message"),
+])
+def test_predict_fields_other_than_rows_are_not_a_shape_mismatch(running_server, fields, answer):
+    reply = roundtrip(running_server, {"type": "predict", "request_id": 1,
+                                       "rows": [[51.0, 43.0]], **fields})
+    assert answer in (reply["type"], reply.get("error"))
+
+
 def test_unknown_model_id(running_server):
     reply = roundtrip(running_server, {"type": "predict", "request_id": 1,
                                        "model_id": "ghost", "rows": [[1.0, 2.0]]})
@@ -149,7 +161,7 @@ def test_handle_predict_matches_local_forward(running_server, model_file):
     local = mlp.load_model(model_file)
     rows = np.array([[51.4, 42.9], [50.1, 43.3]])
     response = running_server.handle_predict(
-        PredictRequest(request_id=1, model_id="default", rows=rows, timestamp=0.0))
+        PredictRequest(request_id=1, model_id="default", rows=rows))
     assert list(response.predictions) == [mlp.forward(local, r) for r in rows]
 
 
@@ -177,7 +189,7 @@ def test_handle_predict_model_not_loaded():
     server = InferenceServer(ServerConfig(port=0))
     with pytest.raises(ModelNotLoaded):
         server.handle_predict(PredictRequest(request_id=0, model_id="default",
-                                             rows=np.zeros((1, 2)), timestamp=0.0))
+                                             rows=np.zeros((1, 2))))
 
 
 # -- lifecycle ---------------------------------------------------------------------------
@@ -186,8 +198,9 @@ def test_handle_predict_model_not_loaded():
 def test_stop_ends_every_server_thread_with_client_connected(tmp_path, model_file):
     before = set(threading.enumerate())
     server = serve(ServerConfig(host="127.0.0.1", port=0,
-                                model_files={"default": str(model_file)}))
-    server.start_poll_mode(tmp_path / "uploads", 10.0)
+                                model_files={"default": str(model_file)},
+                                upload_dir=str(tmp_path / "uploads")))
+    server.start_poll_mode(10.0)
     client = socket.create_connection(server.address, timeout=5)
     with client:
         assert roundtrip(server, {"type": "health"}, sock=client)["type"] == "health_ok"
@@ -226,6 +239,11 @@ def test_failed_bind_closes_listening_socket():
 # -- poll topology ------------------------------------------------------------------------
 
 
+def test_poll_mode_requires_upload_dir():
+    with pytest.raises(ValueError, match="upload_dir"):
+        InferenceServer(ServerConfig(port=0)).start_poll_mode(1.0)
+
+
 def upload_record_csv(tmp_path, name, resistances):
     rec = AlignedRecord(time=0.0, strain=float("nan"), t=0.0, resistances=resistances)
     path = tmp_path / "uploads" / name
@@ -236,27 +254,27 @@ def upload_record_csv(tmp_path, name, resistances):
 
 def test_poll_scan_predicts_new_files(running_server, tmp_path, model_file):
     path = upload_record_csv(tmp_path, "t1.csv", (51.0, 43.0))
-    handled = running_server.poll_scan_once(tmp_path / "uploads")
+    handled = running_server.poll_scan_once()
     assert handled == 1
     doc = json.loads(path.with_suffix(".pred.json").read_text())
     local = mlp.load_model(model_file)
     assert doc["predictions"] == [mlp.forward(local, [51.0, 43.0])]
     # second scan leaves answered files alone
-    assert running_server.poll_scan_once(tmp_path / "uploads") == 0
+    assert running_server.poll_scan_once() == 0
 
 
 def test_poll_scan_skips_bad_files_and_continues(running_server, tmp_path):
     (tmp_path / "uploads").mkdir(exist_ok=True)
     (tmp_path / "uploads" / "broken.csv").write_text("not,a,table\n1,2,3\n")
     upload_record_csv(tmp_path, "good.csv", (51.0, 43.0))
-    assert running_server.poll_scan_once(tmp_path / "uploads") == 1
+    assert running_server.poll_scan_once() == 1
     assert (tmp_path / "uploads" / "good.pred.json").exists()
     assert not (tmp_path / "uploads" / "broken.pred.json").exists()
 
 
 def test_poll_empty_dir_no_outputs(running_server, tmp_path):
     (tmp_path / "uploads").mkdir(exist_ok=True)
-    assert running_server.poll_scan_once(tmp_path / "uploads") == 0
+    assert running_server.poll_scan_once() == 0
     assert list((tmp_path / "uploads").iterdir()) == []
 
 
@@ -264,7 +282,7 @@ def test_poll_mode_answers_on_next_scan(running_server, tmp_path):
     import time
 
     interval = 0.1
-    running_server.start_poll_mode(tmp_path / "uploads", interval)
+    running_server.start_poll_mode(interval)
     time.sleep(interval / 2)  # land between scans
     path = upload_record_csv(tmp_path, "timed.csv", (51.0, 43.0))
     submitted = time.perf_counter()
