@@ -31,7 +31,7 @@ from .dataset import (
     write_table_csv,
 )
 from .firmware import CHANNEL_PLAN, INIT_SEQUENCE, NodeFirmware
-from .gateway import Gateway, GatewayConfig, LatencyRecord, TriggerRule, latency_summary
+from .gateway import Gateway, GatewayConfig, TriggerRule, latency_summary
 from .mlp import (
     HyperGrid,
     MlpModel,
@@ -47,7 +47,7 @@ from .mlp import (
     save_model,
     train,
 )
-from .protocol import LinkConfig, LinkSimulator, TelemetryFrame, decode, encode, link_send
+from .protocol import LinkConfig, TelemetryFrame, decode, encode, link_send
 from .server import InferenceServer, ServerConfig, serve
 
 __all__ = [
@@ -57,10 +57,10 @@ __all__ = [
     "estimate_offset", "parse_mechanical_csv", "parse_resistance_csv",
     "read_table_csv", "split_chronological", "synchronize", "write_table_csv",
     "CHANNEL_PLAN", "INIT_SEQUENCE", "NodeFirmware",
-    "Gateway", "GatewayConfig", "LatencyRecord", "TriggerRule", "latency_summary",
+    "Gateway", "GatewayConfig", "TriggerRule", "latency_summary",
     "HyperGrid", "MlpModel", "TrainConfig", "TrainData", "TrainReport",
     "evaluate", "fit_normalizer", "forward", "grid_search", "load_model",
     "predict", "save_model", "train",
-    "LinkConfig", "LinkSimulator", "TelemetryFrame", "decode", "encode", "link_send",
+    "LinkConfig", "TelemetryFrame", "decode", "encode", "link_send",
     "InferenceServer", "ServerConfig", "serve",
 ]

@@ -4,7 +4,8 @@ Spins up the full chain — emulated node firmware streaming framed telemetry
 over TCP into the gateway's ``serve_nodes`` intake, gateway ingesting and
 triggering, inference server answering — and measures trigger-to-response
 time per frame on the monotonic clock.  The calling thread waits for the last
-latency record, collecting poll results as they appear.
+answer, collecting poll results as they appear, and the report is computed
+from the gateway's latency log.
 
 Push mode: every frame triggers an immediate TCP predict round trip.
 Poll mode: triggers become upload files; the server's periodic scan answers
@@ -17,6 +18,7 @@ interval/2 plus the processing base, without serializing the waits.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import socket
@@ -139,7 +141,7 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
         deadline = started + frames * tick + 30
         if mode == "poll":
             deadline += poll_interval * 2 + 10
-        while (len(gateway.latency_records) < frames and not failures
+        while (gateway.answered < frames and not failures
                and time.perf_counter() < deadline):
             gateway.poll_results_once()
             time.sleep(0.002)
@@ -152,17 +154,18 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
         server.stop()
         if failures:
             raise failures[0]
-        records = gateway.latency_records
-        if len(records) != frames:
+        with open(work / "latency.csv", encoding="utf-8", newline="") as fh:
+            end_to_end = [float(row["end_to_end"]) for row in csv.DictReader(fh)]
+        if len(end_to_end) != frames:
             telemetry = work / "telemetry.csv"
             ingested = (len(read_table_csv(telemetry.read_text(encoding="utf-8")))
                         if telemetry.exists() else 0)
-            raise RuntimeError(f"expected {frames} triggers, measured {len(records)} "
+            raise RuntimeError(f"expected {frames} triggers, measured {len(end_to_end)} "
                                f"({ingested} frames ingested)")
 
         return {"mode": mode, "frames": frames, "tick": tick, "channels": channels,
                 "poll_interval": poll_interval if mode == "poll" else None,
-                "wall_time": time.perf_counter() - started, **latency_summary(records)}
+                "wall_time": time.perf_counter() - started, **latency_summary(end_to_end)}
 
 
 def write_report(report: dict, path) -> None:

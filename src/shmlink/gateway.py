@@ -5,8 +5,9 @@ decoded frame is appended to a crash-safe CSV (canonical
 ``index,Time,Strain,t,R1..Rn`` layout; strain is unknown at ingest and stored
 as nan, t carries the node counter), duplicate counters are dropped, and a
 configurable event rule decides when a frame triggers a prediction request.
-Every trigger produces a latency record stamped on the monotonic clock:
-frame received <= request sent <= response received.
+Every answered trigger appends one row to the latency log, stamped on the
+monotonic clock in program order: frame received <= request sent <= response
+received.
 
 In push mode triggers go to the server over TCP by flat combining (Hendler
 et al., SPAA 2010).  Ingest only queues a triggered frame under the ingest
@@ -111,30 +112,11 @@ class GatewayConfig:
             raise ValueError("poll-compat mode requires upload_dir")
 
 
-@dataclass(frozen=True)
-class LatencyRecord:
-    """Trigger-to-response timing for one frame, monotonic-clock seconds."""
-
-    frame_counter: int
-    node_id: int
-    t_frame_received: float
-    t_request_sent: float
-    t_response_received: float
-
-    def __post_init__(self):
-        if not (self.t_frame_received <= self.t_request_sent <= self.t_response_received):
-            raise ValueError("latency timestamps must be monotone")
-
-    @property
-    def end_to_end(self) -> float:
-        return self.t_response_received - self.t_frame_received
-
-
-def latency_summary(records: list[LatencyRecord]) -> dict[str, float]:
-    """Mean, nearest-rank p50/p95, and max of end-to-end latencies."""
-    if not records:
+def latency_summary(end_to_end: list[float]) -> dict[str, float]:
+    """Mean, nearest-rank p50/p95, and max of end-to-end latencies in seconds."""
+    if not end_to_end:
         raise NoRecords("no latency records")
-    values = sorted(r.end_to_end for r in records)
+    values = sorted(end_to_end)
     n = len(values)
 
     def nearest_rank(p: float) -> float:
@@ -165,30 +147,34 @@ class CsvAppender:
             self._fh.flush()
 
     def _recover(self) -> None:
+        """Quarantine the torn tail and resume the index, reading back from the end.
+
+        Only the lines after the last row that parses are read, so a restart
+        costs the same whatever the file's size.  The header line is never
+        quarantined.
+        """
         if not self.path.exists():
             if self.path.parent != Path(""):
                 self.path.parent.mkdir(parents=True, exist_ok=True)
             return
-        data = self.path.read_bytes()
-        if not data:
-            return
-        torn = b""
-        if not data.endswith(b"\n"):
-            cut = data.rfind(b"\n") + 1
-            torn, data = data[cut:], data[:cut]
-        lines = data.split(b"\n")  # trailing newline leaves a final empty element
-        while len(lines) > 2 and not self._parses(lines[-2]):
-            torn = lines[-2] + b"\n" + torn
-            del lines[-2]
-        if torn:
-            with open(self.path.with_suffix(self.path.suffix + ".quarantine"), "ab") as q:
-                q.write(torn)
-            self.path.write_bytes(b"\n".join(lines))
-            log.warning("quarantined torn row(s) in %s", self.path)
-        for line in reversed(lines[:-1]):
-            if self._parses(line):
-                self.next_index = int(line.split(b",", 1)[0].decode()) + 1
-                break
+        with open(self.path, "r+b") as fh:
+            end = fh.seek(0, io.SEEK_END)
+            keep = end
+            for offset, line in _lines_backward(fh, end):
+                if line.endswith(b"\n"):
+                    if self._parses(line[:-1]):
+                        self.next_index = int(line.split(b",", 1)[0].decode()) + 1
+                        break
+                    if offset == 0:
+                        break
+                keep = offset
+            if keep < end:
+                fh.seek(keep)
+                torn = fh.read()
+                with open(self.path.with_suffix(self.path.suffix + ".quarantine"), "ab") as q:
+                    q.write(torn)
+                fh.truncate(keep)
+                log.warning("quarantined torn row(s) in %s", self.path)
 
     def _parses(self, line: bytes) -> bool:
         try:
@@ -219,6 +205,30 @@ class CsvAppender:
         self._fh.close()
 
 
+def _lines_backward(fh, end: int):
+    """Yield ``(offset, line)`` for each line of the file's first ``end`` bytes, last first.
+
+    A line keeps its newline; only the last one can lack it.
+    """
+    pos, buf = end, b""
+    while True:
+        stop = len(buf)
+        cut = buf.rfind(b"\n", 0, stop - 1)
+        while cut >= 0:  # buf[cut + 1:stop] starts a line
+            yield pos + cut + 1, buf[cut + 1:stop]
+            stop = cut + 1
+            cut = buf.rfind(b"\n", 0, stop - 1)
+        buf = buf[:stop]
+        if pos == 0:
+            if buf:
+                yield 0, buf
+            return
+        step = min(io.DEFAULT_BUFFER_SIZE, pos)
+        pos -= step
+        fh.seek(pos)
+        buf = fh.read(step) + buf
+
+
 class Gateway:
     """Single-owner ingest/trigger pipeline; one instance per deployment."""
 
@@ -236,7 +246,9 @@ class Gateway:
         self._pending: list[tuple[TelemetryFrame, float]] = []
         self._sending = False
         self._pending_polls: dict[Path, tuple[TelemetryFrame, float, float]] = {}
-        self.latency_records: list[LatencyRecord] = []
+        # triggers answered so far, each one a latency-log row; only the one
+        # sender or poll watcher writes it
+        self.answered = 0
         self._latency_fh = None
         if config.latency_log_path:
             self._latency_fh = open(config.latency_log_path, "a", encoding="utf-8", newline="")
@@ -246,19 +258,18 @@ class Gateway:
 
     # -- ingest -------------------------------------------------------------------
 
-    def ingest(self, frame: TelemetryFrame, now: float | None = None) -> bool:
+    def ingest(self, frame: TelemetryFrame) -> bool:
         """Persist one decoded frame; returns True when the trigger rule fired.
 
-        ``now`` is the arrival time on the monotonic clock (defaults to the
-        current reading).  Duplicate counters from one node are dropped
-        without persisting or triggering.  A persistence failure loses that
-        row only (logged); monitoring continues.  Safe to call from several
-        node-reader threads: rows are serialized internally, and push triggers
-        are sent in arrival order by whichever caller is the sender (see the
-        module docstring).  A failed send raises ServerUnreachable or
-        ShapeMismatch in the sender's call; the frame itself stays persisted.
+        Duplicate counters from one node are dropped without persisting or
+        triggering.  A persistence failure loses that row only (logged);
+        monitoring continues.  Safe to call from several node-reader threads:
+        rows are serialized internally, and push triggers are sent in arrival
+        order by whichever caller is the sender (see the module docstring).
+        A failed send raises ServerUnreachable or ShapeMismatch in the
+        sender's call; the frame itself stays persisted.
         """
-        received = time.perf_counter() if now is None else now
+        received = time.perf_counter()
         with self._ingest_lock:
             fired = self._ingest_locked(frame, received)
             if self._sending or not self._pending:
@@ -422,22 +433,14 @@ class Gateway:
             del self._pending_polls[path]
         return len(completed)
 
-    @property
-    def pending_poll_count(self) -> int:
-        return len(self._pending_polls)
-
     # -- latency -----------------------------------------------------------------------
 
     def _record_latency(self, frame: TelemetryFrame, received: float,
                         sent: float, done: float) -> None:
-        record = LatencyRecord(frame_counter=frame.counter, node_id=frame.node_id,
-                               t_frame_received=received, t_request_sent=sent,
-                               t_response_received=done)
-        self.latency_records.append(record)
+        self.answered += 1
         if self._latency_fh is not None:
-            self._latency_fh.write(f"{record.frame_counter},{record.node_id},"
-                                   f"{record.t_frame_received!r},{record.t_request_sent!r},"
-                                   f"{record.t_response_received!r},{record.end_to_end!r}\n")
+            self._latency_fh.write(f"{frame.counter},{frame.node_id},{received!r},{sent!r},"
+                                   f"{done!r},{done - received!r}\n")
             self._latency_fh.flush()
 
     def close(self) -> None:

@@ -35,7 +35,7 @@ import socket
 import struct
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAGIC = b"SHM1"
 VERSION = 1
@@ -175,20 +175,6 @@ def link_send(frame: TelemetryFrame, config: LinkConfig, now: float,
         if draw < config.loss:
             return None
     return Delivery(time=now + config.latency + len(data) * 8 / config.throughput, data=data)
-
-
-@dataclass
-class LinkSimulator:
-    """Single-owner virtual link preserving per-node frame order."""
-
-    config: LinkConfig = field(default_factory=LinkConfig)
-    seed: int | None = None
-
-    def __post_init__(self):
-        self._rng = random.Random(self.seed)
-
-    def send(self, frame: TelemetryFrame, now: float) -> Delivery | None:
-        return link_send(frame, self.config, now, rng=self._rng)
 
 
 # -- length-prefixed TCP transport ----------------------------------------------

@@ -2,26 +2,27 @@
 
 Two topologies are supported.  In the push topology clients connect over TCP
 and exchange length-prefixed (u32 LE) JSON messages with a ``type`` field of
-predict / upload_data / load_model / health.  In the legacy
-poll topology the server periodically scans an upload directory for new data
-files and writes prediction results beside them; the bench compares the two.
+predict / load_model / health.  In the legacy poll topology the server
+periodically scans an upload directory, which the gateway writes into
+directly, for new data files and writes prediction results beside them; the
+bench compares the two.
 
 A malformed message earns an error response on its own connection and never
-disturbs other clients.  Model state is read-shared and replaced atomically
-by load_model.
+disturbs other clients: ``bad_message`` for an unknown type, a missing field or
+a cell that is not a finite number, ``shape_mismatch`` for rows of the wrong
+width.  Model state is read-shared and replaced atomically by load_model.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import mlp
 from .dataset import read_table_csv, write_atomic
@@ -37,21 +38,6 @@ class ModelNotLoaded(Exception):
     def __init__(self, model_id: str):
         super().__init__(f"no model loaded under id {model_id!r}")
         self.model_id = model_id
-
-
-@dataclass(frozen=True)
-class PredictRequest:
-    request_id: int
-    model_id: str
-    rows: np.ndarray
-
-
-@dataclass(frozen=True)
-class PredictResponse:
-    request_id: int
-    predictions: tuple[float, ...]
-    model_id: str
-    processing_time: float
 
 
 @dataclass
@@ -145,8 +131,6 @@ class InferenceServer:
                     "models": sorted(self._models)}
         if mtype == "predict":
             return self._on_predict(msg)
-        if mtype == "upload_data":
-            return self._on_upload(msg)
         if mtype == "load_model":
             return self._on_load_model(msg)
         return {"type": "error", "error": "bad_message", "detail": f"unknown type {mtype!r}"}
@@ -161,55 +145,40 @@ class InferenceServer:
         except KeyError:
             return {"type": "error", "error": "bad_message", "detail": "missing 'rows'",
                     "request_id": request_id}
+        cell_error = _cell_error(rows)
+        if cell_error is not None:
+            return {"type": "error", "error": "bad_message", "detail": cell_error,
+                    "request_id": request_id}
         try:
-            request = PredictRequest(request_id=request_id,
-                                     model_id=str(msg.get("model_id") or self.config.default_model_id),
-                                     rows=np.array(rows, dtype=float))
-            response = self.handle_predict(request)
+            result = self.handle_predict(str(msg.get("model_id") or self.config.default_model_id),
+                                         rows)
         except ModelNotLoaded as exc:
             return {"type": "error", "error": "model_not_loaded", "detail": str(exc),
                     "request_id": request_id}
         except (mlp.DimensionMismatch, TypeError, ValueError) as exc:
             return {"type": "error", "error": "shape_mismatch", "detail": str(exc),
                     "request_id": request_id}
-        return {"type": "predict_ok", "request_id": response.request_id,
-                "model_id": response.model_id,
-                "predictions": list(response.predictions),
-                "processing_time": response.processing_time}
+        return {"type": "predict_ok", "request_id": request_id, **result}
 
-    def handle_predict(self, request: PredictRequest) -> PredictResponse:
-        """Pure model application; raises ModelNotLoaded / DimensionMismatch.
+    def handle_predict(self, model_id: str, rows) -> dict:
+        """Pure model application: ``{"model_id", "predictions", "processing_time"}``.
 
-        The result for a given row is bit-identical however clients batch
-        their requests, so a gateway may coalesce triggers freely.  A single
-        (n, d_in) matrix product may round differently per batch shape;
-        ``mlp.forward_rows`` instead multiplies a stack of 1-row matrices, and
-        numpy applies the same 1-row kernel to every slice of the stack.
+        Raises ModelNotLoaded, or DimensionMismatch / ValueError when ``rows``
+        is not an (n, d_in) matrix.  The result for a given row is
+        bit-identical however clients batch their requests, so a gateway may
+        coalesce triggers freely.  A single (n, d_in) matrix product may round
+        differently per batch shape; ``mlp.forward_rows`` instead multiplies a
+        stack of 1-row matrices, and numpy applies the same 1-row kernel to
+        every slice of the stack.
         """
         with self._models_lock:
-            model = self._models.get(request.model_id)
+            model = self._models.get(model_id)
         if model is None:
-            raise ModelNotLoaded(request.model_id)
+            raise ModelNotLoaded(model_id)
         started = time.perf_counter()
-        predictions = tuple(mlp.forward_rows(model, request.rows).tolist())
-        return PredictResponse(request_id=request.request_id, predictions=predictions,
-                               model_id=request.model_id,
-                               processing_time=time.perf_counter() - started)
-
-    def _on_upload(self, msg: dict) -> dict:
-        if self.config.upload_dir is None:
-            return {"type": "error", "error": "bad_message", "detail": "no upload_dir configured"}
-        try:
-            name = Path(str(msg["name"])).name  # strip any directory parts
-            content = str(msg["content"])
-        except KeyError as exc:
-            return {"type": "error", "error": "bad_message", "detail": f"missing {exc}"}
-        if name in ("", "..") or "\0" in name:
-            return {"type": "error", "error": "bad_message",
-                    "detail": f"not a file name: {msg['name']!r}"}
-        dest = Path(self.config.upload_dir) / name
-        write_atomic(dest, content)
-        return {"type": "upload_ok", "path": str(dest)}
+        predictions = mlp.forward_rows(model, rows).tolist()
+        return {"model_id": model_id, "predictions": predictions,
+                "processing_time": time.perf_counter() - started}
 
     def _on_load_model(self, msg: dict) -> dict:
         try:
@@ -264,18 +233,30 @@ class InferenceServer:
                 continue
             try:
                 records = read_table_csv(path.read_text(encoding="utf-8"))
-                rows = np.array([r.resistances for r in records])
-                request = PredictRequest(request_id=0, model_id=self.config.default_model_id,
-                                         rows=rows)
-                response = self.handle_predict(request)
-                doc = {"name": path.name, "model_id": response.model_id,
-                       "predictions": list(response.predictions),
-                       "processing_time": response.processing_time}
-                write_atomic(result, json.dumps(doc))
+                answer = self.handle_predict(self.config.default_model_id,
+                                             [r.resistances for r in records])
+                write_atomic(result, json.dumps({"name": path.name, **answer}))
                 handled += 1
             except Exception:
                 log.exception("skipping upload %s", path)
         return handled
+
+
+def _cell_error(rows) -> str | None:
+    """Names the first cell of a list row that is not a finite JSON number.
+
+    A bool is not a number here.  Whether ``rows`` is an (n, d_in) matrix is
+    left to the shape check.
+    """
+    for row in rows if isinstance(rows, list) else ():
+        for v in row if isinstance(row, list) else ():
+            try:
+                if type(v) in (int, float) and math.isfinite(v):
+                    continue
+            except OverflowError:  # an int beyond float range
+                pass
+            return f"cell {v!r} is not a finite number"
+    return None
 
 
 def serve(config: ServerConfig) -> InferenceServer:

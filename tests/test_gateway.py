@@ -1,12 +1,15 @@
 """Gateway: ingest/dedupe/trigger rules, persistence, latency statistics."""
 
+import csv
 import gc
 import logging
 import socket
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +22,6 @@ from shmlink.gateway import (
     CsvAppender,
     Gateway,
     GatewayConfig,
-    LatencyRecord,
     NoRecords,
     ServerUnreachable,
     ShapeMismatch,
@@ -35,6 +37,13 @@ from shmlink.server import ServerConfig, serve
 
 def frame(counter, resistances=(47.0, 120.0), node_id=0):
     return TelemetryFrame(counter=counter, node_id=node_id, resistances=resistances)
+
+
+def latency_log(gw) -> list[dict]:
+    """The rows of ``gw``'s latency log: counter and node as int, times as float."""
+    with open(gw.config.latency_log_path, encoding="utf-8", newline="") as fh:
+        return [{k: int(v) if k in ("frame_counter", "node_id") else float(v)
+                 for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
 def dead_endpoint() -> str:
@@ -87,7 +96,7 @@ def test_every_frame_rule_requests_once_per_frame(served_gateway):
     gw, _ = served_gateway
     for i in range(5):
         assert gw.ingest(frame(i)) is True
-    assert len(gw.latency_records) == 5
+    assert len(latency_log(gw)) == 5
 
 
 def test_delta_rule_hand_trace(tmp_path, served_gateway):
@@ -111,7 +120,7 @@ def test_duplicate_does_not_trigger(served_gateway):
     gw, _ = served_gateway
     gw.ingest(frame(3))
     gw.ingest(frame(3))
-    assert len(gw.latency_records) == 1
+    assert len(latency_log(gw)) == 1
 
 
 def test_persistence_completeness_arrival_order(offline_gateway, tmp_path):
@@ -184,6 +193,22 @@ def test_unparseable_complete_line_quarantined(tmp_path):
     assert len(read_table_csv(path.read_text())) == 1
 
 
+def test_restart_reads_only_the_tail(tmp_path):
+    path = tmp_path / "t.csv"
+    body = "".join(f"{i},1700000000.0,nan,{i}.0,47.0\n" for i in range(100_000))
+    path.write_text(",".join(HEADER) + "\n" + body + "100000,1700000000.1,na")
+    tracemalloc.start()
+    try:
+        appender = CsvAppender(path, HEADER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    appender.close()
+    assert peak < 1 << 20
+    assert appender.next_index == 100_000
+    assert (tmp_path / "t.csv.quarantine").read_text() == "100000,1700000000.1,na"
+
+
 def test_index_resumes_after_restart(tmp_path):
     path = tmp_path / "t.csv"
     a = CsvAppender(path, HEADER)
@@ -208,7 +233,7 @@ def test_request_prediction_round_trip(served_gateway):
 def test_loopback_end_to_end_under_one_second(served_gateway):
     gw, _ = served_gateway
     gw.ingest(frame(0))
-    assert gw.latency_records[0].end_to_end < 1.0
+    assert latency_log(gw)[0]["end_to_end"] < 1.0
 
 
 def test_server_down_unreachable_after_retries(tmp_path):
@@ -230,14 +255,20 @@ def test_wrong_width_raises_shape_mismatch(served_gateway):
 def test_latency_fields_monotone(served_gateway):
     gw, _ = served_gateway
     gw.ingest(frame(0))
-    rec = gw.latency_records[0]
-    assert rec.t_frame_received <= rec.t_request_sent <= rec.t_response_received
+    rec = latency_log(gw)[0]
+    assert rec["t_frame_received"] <= rec["t_request_sent"] <= rec["t_response_received"]
 
 
-def test_latency_record_rejects_non_monotone():
-    with pytest.raises(ValueError):
-        LatencyRecord(frame_counter=0, node_id=0, t_frame_received=2.0,
-                      t_request_sent=1.0, t_response_received=3.0)
+def test_latency_log_layout(served_gateway):
+    gw, _ = served_gateway
+    gw.ingest(frame(4, node_id=2))
+    header, row = Path(gw.config.latency_log_path).read_text(encoding="utf-8").splitlines()
+    assert header == ("frame_counter,node_id,t_frame_received,t_request_sent,"
+                      "t_response_received,end_to_end")
+    counter, node, received, _, done, end_to_end = row.split(",")
+    assert (counter, node) == ("4", "2")
+    assert end_to_end == repr(float(done) - float(received))
+    assert gw.answered == 1
 
 
 # -- trigger combining ---------------------------------------------------------------------
@@ -249,11 +280,11 @@ def test_concurrent_triggers_coalesce_bit_identically(served_gateway, tmp_path):
     answered = []  # (rows, predictions) of every predict the server handled
     handle_predict = server.handle_predict
 
-    def slow_handle_predict(request):
-        response = handle_predict(request)
-        answered.append((request.rows, response.predictions))
+    def slow_handle_predict(model_id, rows):
+        result = handle_predict(model_id, rows)
+        answered.append((rows, result["predictions"]))
         time.sleep(0.005)  # a round trip long enough for other nodes to queue
-        return response
+        return result
 
     server.handle_predict = slow_handle_predict
 
@@ -275,7 +306,7 @@ def test_concurrent_triggers_coalesce_bit_identically(served_gateway, tmp_path):
     assert not any(t.is_alive() for t in nodes)
 
     assert gw._pending == [] and gw._sending is False
-    answered_frames = sorted((r.node_id, r.frame_counter) for r in gw.latency_records)
+    answered_frames = sorted((r["node_id"], r["frame_counter"]) for r in latency_log(gw))
     assert answered_frames == [(n, c) for n in range(3) for c in range(50)]
     assert sum(len(rows) for rows, _ in answered) == 150
     assert len(answered) < 150
@@ -304,36 +335,31 @@ def test_failed_batch_leaves_nothing_pending(served_gateway, caplog):
             gw.ingest(frame(0))
     assert queued == [True, True, True]  # queued behind the sender, returned at once
     assert gw._pending == [] and gw._sending is False
-    assert gw.latency_records == []
+    assert latency_log(gw) == []
     assert "[(0, 0), (1, 0), (1, 1), (1, 2)]" in caplog.text
     assert gw.ingest(frame(1)) is True  # the next trigger is sent inline again
-    assert [(r.node_id, r.frame_counter) for r in gw.latency_records] == [(0, 1)]
+    assert [(r["node_id"], r["frame_counter"]) for r in latency_log(gw)] == [(0, 1)]
 
 
 # -- latency summary -----------------------------------------------------------------------
 
 
-def rec(value):
-    return LatencyRecord(frame_counter=0, node_id=0, t_frame_received=0.0,
-                         t_request_sent=0.0, t_response_received=value)
-
-
 def test_summary_hand_values():
-    summary = latency_summary([rec(0.1), rec(0.2), rec(0.3)])
+    summary = latency_summary([0.1, 0.2, 0.3])
     assert summary["mean"] == pytest.approx(0.2)
     assert summary["p50"] == 0.2
     assert summary["max"] == 0.3
 
 
 def test_summary_single_record():
-    summary = latency_summary([rec(0.42)])
+    summary = latency_summary([0.42])
     assert summary["mean"] == summary["p50"] == summary["p95"] == summary["max"] == 0.42
 
 
 def test_summary_nearest_rank_matches_sort_oracle():
     rng = np.random.default_rng(1)
     values = rng.exponential(0.2, 100)
-    summary = latency_summary([rec(float(v)) for v in values])
+    summary = latency_summary([float(v) for v in values])
     ordered = sorted(values)
     assert summary["p95"] == ordered[94]   # nearest-rank: ceil(0.95*100) = 95th value
     assert summary["p50"] == ordered[49]
@@ -471,7 +497,7 @@ def test_read_node_stream_survives_unwritable_upload(tmp_path, caplog):
     assert count == 5
     rows = read_table_csv((tmp_path / "t.csv").read_text())
     assert [r.t for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
-    assert gw.pending_poll_count == 0
+    assert gw._pending_polls == {}
     assert "prediction lost for (node, counter) (0, 4)" in caplog.text
 
 

@@ -1,5 +1,6 @@
 """Frame codec: pinned bytes, CRC oracle, totality, link simulation."""
 
+import random
 import struct
 
 import pytest
@@ -13,7 +14,6 @@ from shmlink.protocol import (
     FrameError,
     InvalidFrame,
     LinkConfig,
-    LinkSimulator,
     TelemetryFrame,
     Truncated,
     UnsupportedVersion,
@@ -202,16 +202,17 @@ def test_latency_adds_exactly():
 
 def test_full_loss_always_drops():
     frame = TelemetryFrame(counter=0, node_id=0, resistances=(1.0,))
-    link = LinkSimulator(LinkConfig(loss=1.0), seed=1)
-    assert all(link.send(frame, now=float(i)) is None for i in range(50))
+    rng = random.Random(1)
+    assert all(link_send(frame, LinkConfig(loss=1.0), now=float(i), rng=rng) is None
+               for i in range(50))
 
 
 def test_lossless_link_preserves_counter_order():
-    link = LinkSimulator(LinkConfig(loss=0.0, latency=0.003), seed=0)
+    config, rng = LinkConfig(loss=0.0, latency=0.003), random.Random(0)
     deliveries = []
     for i in range(100):
         frame = TelemetryFrame(counter=i, node_id=1, resistances=(47.0, 120.0))
-        deliveries.append(link.send(frame, now=i * 0.01))
+        deliveries.append(link_send(frame, config, now=i * 0.01, rng=rng))
     times = [d.time for d in deliveries]
     counters = [decode(d.data).counter for d in deliveries]
     assert times == sorted(times)
@@ -222,8 +223,8 @@ def test_loss_probability_seeded_and_plausible():
     frame = TelemetryFrame(counter=0, node_id=0, resistances=(1.0,))
 
     def run(seed):
-        link = LinkSimulator(LinkConfig(loss=0.3), seed=seed)
-        return [link.send(frame, now=0.0) is None for _ in range(1000)]
+        config, rng = LinkConfig(loss=0.3), random.Random(seed)
+        return [link_send(frame, config, now=0.0, rng=rng) is None for _ in range(1000)]
 
     outcomes = run(5)
     assert outcomes == run(5)

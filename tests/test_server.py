@@ -12,7 +12,7 @@ import pytest
 from shmlink import mlp
 from shmlink.dataset import AlignedRecord, write_table_csv
 from shmlink.protocol import recv_message, send_message
-from shmlink.server import InferenceServer, ModelNotLoaded, PredictRequest, ServerConfig, serve
+from shmlink.server import InferenceServer, ModelNotLoaded, ServerConfig, serve
 
 
 @pytest.fixture
@@ -82,11 +82,24 @@ def test_wrong_width_keeps_connection_open(running_server):
     ({"timestamp": None}, "predict_ok"),
     ({"request_id": "abc"}, "bad_message"),
     ({"request_id": 1.5}, "bad_message"),
+    ({"rows": [[None, 43.0]]}, "bad_message"),
+    ({"rows": [[51.0, "x"]]}, "bad_message"),
+    ({"rows": [["51", 43.0]]}, "bad_message"),
+    ({"rows": [[True, 43.0]]}, "bad_message"),
+    ({"rows": [[float("nan"), 43.0]]}, "bad_message"),
+    ({"rows": [[51.0, float("inf")]]}, "bad_message"),
+    ({"rows": [[float("-inf"), 43.0]]}, "bad_message"),
 ])
 def test_predict_fields_other_than_rows_are_not_a_shape_mismatch(running_server, fields, answer):
     reply = roundtrip(running_server, {"type": "predict", "request_id": 1,
                                        "rows": [[51.0, 43.0]], **fields})
     assert answer in (reply["type"], reply.get("error"))
+
+
+def test_ragged_rows_are_a_shape_mismatch(running_server):
+    reply = roundtrip(running_server, {"type": "predict", "request_id": 1,
+                                       "rows": [[51.0, 43.0], [51.0]]})
+    assert reply["error"] == "shape_mismatch"
 
 
 def test_unknown_model_id(running_server):
@@ -122,22 +135,6 @@ def test_malformed_message_does_not_disturb_other_connections(running_server):
     assert results == ["health_ok"] * 20
 
 
-def test_upload_data(running_server, tmp_path):
-    reply = roundtrip(running_server, {"type": "upload_data", "name": "batch1.csv",
-                                       "content": "index,Time,Strain,t,R1,R2\n"})
-    assert reply["type"] == "upload_ok"
-    assert (tmp_path / "uploads" / "batch1.csv").read_text() == "index,Time,Strain,t,R1,R2\n"
-
-
-@pytest.mark.parametrize("name", ["", ".", "..", "a\0b.csv"])
-def test_upload_rejects_names_that_are_not_files(running_server, tmp_path, name):
-    before = sorted(tmp_path.rglob("*"))
-    reply = roundtrip(running_server, {"type": "upload_data", "name": name,
-                                       "content": "index,Time,Strain,t,R1\n"})
-    assert reply["type"] == "error" and reply["error"] == "bad_message"
-    assert sorted(tmp_path.rglob("*")) == before  # nothing written or replaced
-
-
 def test_load_model_inline_document(running_server):
     rng = np.random.default_rng(3)
     other = mlp.init_model(2, 4, mu=np.zeros(2), sigma=np.ones(2), rng=rng)
@@ -149,9 +146,16 @@ def test_load_model_inline_document(running_server):
     assert predict_reply["predictions"][0] == mlp.forward(other, [0.0, 0.0])
 
 
-def test_poll_config_is_an_unknown_type(running_server):
-    reply = roundtrip(running_server, {"type": "poll_config", "enabled": True})
+@pytest.mark.parametrize("message", [
+    {"type": "poll_config", "enabled": True},
+    # a fake poll answer: the server would skip its upload and the gateway count it
+    {"type": "upload_data", "name": "trigger_0000_00000001.pred.json", "content": "{}"},
+], ids=["poll_config", "upload_data"])
+def test_poll_config_is_an_unknown_type(running_server, tmp_path, message):
+    before = sorted(tmp_path.rglob("*"))
+    reply = roundtrip(running_server, message)
     assert reply["error"] == "bad_message"
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 
 # -- prediction semantics -----------------------------------------------------------
@@ -160,9 +164,9 @@ def test_poll_config_is_an_unknown_type(running_server):
 def test_handle_predict_matches_local_forward(running_server, model_file):
     local = mlp.load_model(model_file)
     rows = np.array([[51.4, 42.9], [50.1, 43.3]])
-    response = running_server.handle_predict(
-        PredictRequest(request_id=1, model_id="default", rows=rows))
-    assert list(response.predictions) == [mlp.forward(local, r) for r in rows]
+    result = running_server.handle_predict("default", rows)
+    assert result["model_id"] == "default"
+    assert result["predictions"] == [mlp.forward(local, r) for r in rows]
 
 
 def test_identical_rows_identical_predictions(running_server):
@@ -188,8 +192,7 @@ def test_purity_across_restarts(tmp_path, model_file):
 def test_handle_predict_model_not_loaded():
     server = InferenceServer(ServerConfig(port=0))
     with pytest.raises(ModelNotLoaded):
-        server.handle_predict(PredictRequest(request_id=0, model_id="default",
-                                             rows=np.zeros((1, 2))))
+        server.handle_predict("default", [[0.0, 0.0]])
 
 
 # -- lifecycle ---------------------------------------------------------------------------
