@@ -4,8 +4,12 @@ Three weight layers (two rectified hidden layers, identity output) map
 feature vectors of resistance readings to a scalar strain estimate.  Features
 are standardized by a normalizer fitted on training data; the target is used
 as ingested.  Training is plain mini-batch gradient descent with a fixed rate
-and a plateau stop, deterministic under a fixed seed.  Models persist as a
-versioned JSON document that reproduces forward outputs bit-identically.
+and a plateau stop, deterministic under a fixed seed.  It standardizes the
+training rows once, takes each batch as a slice of one per-epoch gather, and
+keeps the weights and their gradients in two flat vectors, so a step is one
+vector update; the result is bit-identical to standardizing each batch,
+calling ``backward`` on it and updating each array in place.  Models persist
+as a versioned JSON document that reproduces forward outputs bit-identically.
 """
 
 from __future__ import annotations
@@ -171,26 +175,51 @@ def backward(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray):
     n = xn.shape[0]
     if n == 0 or y.shape[0] != n:
         raise DimensionMismatch("batch features and targets disagree")
+    size = sum(w.size + b.size for w, b in zip(model.weights, model.biases))
+    grads = _parameter_views(np.empty(size), model.layer_sizes)
+    _gradients(model, xn, y, grads)
+    return grads
+
+
+def _gradients(model: MlpModel, xn: np.ndarray, y: np.ndarray, out) -> None:
+    """Gradients for standardized rows ``xn``, written into ``out`` = (weight views, bias views).
+
+    ``np.add.reduce`` is the reduction ``ndarray.sum`` runs, so each gradient
+    has the bits of the plain ``dz.T @ a`` and ``dz.sum(axis=0)``.
+    """
+    (gw1, gw2, gw3), (gb1, gb2, gb3) = out
     z1, a1, z2, a2, pred = _layers(model, xn)
     _, w2, w3 = model.weights
 
     # loss = mean((pred - y)^2); d loss / d pred = 2 (pred - y) / n
-    dpred = (2.0 / n) * (pred.ravel() - y)[:, None]
-    gw3 = dpred.T @ a2
-    gb3 = dpred.sum(axis=0)
-    da2 = dpred @ w3
-    dz2 = da2 * (z2 > 0)
-    gw2 = dz2.T @ a1
-    gb2 = dz2.sum(axis=0)
-    da1 = dz2 @ w2
-    dz1 = da1 * (z1 > 0)
-    gw1 = dz1.T @ xn
-    gb1 = dz1.sum(axis=0)
-    return [gw1, gw2, gw3], [gb1, gb2, gb3]
+    dpred = (2.0 / xn.shape[0]) * (pred.ravel() - y)[:, None]
+    np.matmul(dpred.T, a2, out=gw3)
+    np.add.reduce(dpred, axis=0, out=gb3)
+    dz2 = (dpred @ w3) * (z2 > 0)
+    np.matmul(dz2.T, a1, out=gw2)
+    np.add.reduce(dz2, axis=0, out=gb2)
+    dz1 = (dz2 @ w2) * (z1 > 0)
+    np.matmul(dz1.T, xn, out=gw1)
+    np.add.reduce(dz1, axis=0, out=gb1)
+
+
+def _parameter_views(flat: np.ndarray, sizes: list[int]):
+    """(weights, biases) as views into one flat vector laid out W1, b1, W2, b2, W3, b3."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    return weights, biases
 
 
 def mse_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    residual = predict(model, x) - np.asarray(y, dtype=float).ravel()
+    return _mse(model, _standardized(model, x), y)
+
+
+def _mse(model: MlpModel, xn: np.ndarray, y: np.ndarray) -> float:
+    residual = _layers(model, xn)[-1].ravel() - np.asarray(y, dtype=float).ravel()
     return float(np.mean(residual * residual))
 
 
@@ -223,8 +252,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_width < 1 or self.max_epochs < 1 or self.learning_rate <= 0:
-            raise ValueError("hidden_width, max_epochs, and learning_rate must be positive")
+        if self.hidden_width < 1 or self.max_epochs < 1:
+            raise ValueError("hidden_width and max_epochs must be positive")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"learning_rate {self.learning_rate!r} is not positive and finite")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be None (full) or >= 1")
 
@@ -243,11 +274,15 @@ class HyperGrid:
     def __post_init__(self):
         if not (self.hidden_widths and self.learning_rates and self.batch_sizes):
             raise ValueError("all hyperparameter sets must be non-empty")
-        if not all(isinstance(n, int) for n in (*self.hidden_widths, self.max_epochs,
-                                                 self.plateau_patience)):
-            raise ValueError("hidden_widths, max_epochs and plateau_patience must be integers")
+        batch_sizes = [b for b in self.batch_sizes if b is not None]
+        if not all(isinstance(n, int) for n in (*self.hidden_widths, *batch_sizes,
+                                                 self.max_epochs, self.plateau_patience)):
+            raise ValueError("hidden_widths, batch_sizes, max_epochs and plateau_patience "
+                             "must be integers")
         if self.max_epochs < self.plateau_patience:
             raise ValueError("max_epochs must be >= plateau_patience")
+        # TrainConfig checks each combination here, before grid_search trains the first
+        list(self.combinations())
 
     def combinations(self, seed: int = 0):
         for width in self.hidden_widths:
@@ -299,6 +334,15 @@ class TrainData:
 def train(data: TrainData, config: TrainConfig) -> tuple[MlpModel, TrainReport]:
     """Mini-batch gradient descent until max_epochs or plateau.
 
+    The features are standardized once.  Each epoch gathers the rows in its
+    seeded order once, and its batches are contiguous slices of that gather.
+    Weights and biases are views into one flat vector, their gradients views
+    into a second, so a step's update is one vector operation.  Standardizing
+    is elementwise and every product and sum is the one the per-batch loop
+    runs, so the model and report are bit-identical to standardizing each
+    batch, calling ``backward`` on it and updating each array in place
+    (``tests/test_mlp.py`` keeps that loop as the reference).
+
     The plateau stop fires when the relative full-train loss improvement over
     the last ``plateau_patience`` epochs drops below ``plateau_tolerance``.
     Raises NonFiniteLoss on divergence.
@@ -306,24 +350,27 @@ def train(data: TrainData, config: TrainConfig) -> tuple[MlpModel, TrainReport]:
     rng = np.random.default_rng(config.seed)
     mu, sigma = fit_normalizer(data.train_x)
     model = init_model(data.train_x.shape[1], config.hidden_width, mu, sigma, rng)
-    x, y = np.asarray(data.train_x, dtype=float), np.asarray(data.train_y, dtype=float).ravel()
-    n = x.shape[0]
+    sizes = model.layer_sizes
+    params = np.concatenate([a.ravel() for pair in zip(model.weights, model.biases) for a in pair])
+    model.weights, model.biases = _parameter_views(params, sizes)
+    grads = np.empty_like(params)
+    grad_views = _parameter_views(grads, sizes)
+    xn = _standardized(model, data.train_x)
+    y = np.asarray(data.train_y, dtype=float).ravel()
+    n = xn.shape[0]
     batch = n if config.batch_size is None else min(config.batch_size, n)
 
-    losses = [mse_loss(model, x, y)]
+    losses = [_mse(model, xn, y)]
     epochs_run = 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
+        xs, ys = xn[order], y[order]
         # overflow while diverging is expected; the loss check below handles it
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, batch):
-                idx = order[start:start + batch]
-                wg, bg = backward(model, x[idx], y[idx])
-                for w, g in zip(model.weights, wg):
-                    w -= config.learning_rate * g
-                for b, g in zip(model.biases, bg):
-                    b -= config.learning_rate * g
-            loss = mse_loss(model, x, y)
+                _gradients(model, xs[start:start + batch], ys[start:start + batch], grad_views)
+                params -= config.learning_rate * grads
+            loss = _mse(model, xn, y)
         if not math.isfinite(loss):
             raise NonFiniteLoss(f"epoch {epoch}: loss {loss}")
         losses.append(loss)

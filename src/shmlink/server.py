@@ -5,7 +5,8 @@ and exchange length-prefixed (u32 LE) JSON messages with a ``type`` field of
 predict / load_model / health.  In the legacy poll topology the server
 periodically scans an upload directory, which the gateway writes into
 directly, for new data files and writes prediction results beside them; the
-bench compares the two.
+bench compares the two.  An upload holding a cell that is not a finite
+number is logged and skipped, and gets no result.
 
 A malformed message earns an error response on its own connection and never
 disturbs other clients: ``bad_message`` for an unknown type, a missing field or
@@ -233,9 +234,13 @@ class InferenceServer:
                 continue
             try:
                 records = read_table_csv(path.read_text(encoding="utf-8"))
-                answer = self.handle_predict(self.config.default_model_id,
-                                             [r.resistances for r in records])
-                write_atomic(result, json.dumps({"name": path.name, **answer}))
+                rows = [list(r.resistances) for r in records]
+                cell_error = _cell_error(rows)
+                if cell_error is not None:
+                    raise ValueError(cell_error)
+                answer = self.handle_predict(self.config.default_model_id, rows)
+                # strict JSON: a prediction that overflowed to inf is refused, not written
+                write_atomic(result, json.dumps({"name": path.name, **answer}, allow_nan=False))
                 handled += 1
             except Exception:
                 log.exception("skipping upload %s", path)

@@ -219,6 +219,18 @@ def test_train_channel_mismatch_exits_two(tmp_path, small_dataset, small_grid):
     assert result.returncode == 2
 
 
+def test_train_bad_grid_value_exits_two_before_training(tmp_path, small_dataset):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"hidden_widths": [8], "learning_rates": [1e-2, -1],
+                                "batch_sizes": [32], "max_epochs": 40,
+                                "plateau_patience": 20}))
+    out = tmp_path / "m.json"
+    result = run_cli("train", "--data", str(small_dataset), "--channels", "2",
+                     "--grid", str(grid), "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert "learning_rate" in result.stderr and not out.exists()
+
+
 def test_load_grid_defaults_come_from_hypergrid(tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"hidden_widths": [4], "batch_sizes": [None]}))

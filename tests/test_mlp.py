@@ -321,6 +321,90 @@ def test_normalization_invariance():
     assert np.allclose(ra.epoch_losses, rb.epoch_losses, rtol=1e-6, atol=1e-12)
 
 
+def reference_backward(model, batch_x, batch_y):
+    """Gradients as separate arrays from plain products and sums, per batch."""
+    xn = (np.asarray(batch_x, dtype=float) - model.feature_mean) / model.feature_std
+    y = np.asarray(batch_y, dtype=float).ravel()
+    w1, w2, w3 = model.weights
+    b1, b2, b3 = model.biases
+    z1 = xn @ w1.T + b1
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ w2.T + b2
+    a2 = np.maximum(z2, 0.0)
+    dpred = (2.0 / xn.shape[0]) * ((a2 @ w3.T + b3).ravel() - y)[:, None]
+    dz2 = (dpred @ w3) * (z2 > 0)
+    dz1 = (dz2 @ w2) * (z1 > 0)
+    return [dz1.T @ xn, dz2.T @ a1, dpred.T @ a2], [dz1.sum(axis=0), dz2.sum(axis=0),
+                                                     dpred.sum(axis=0)]
+
+
+def reference_train(data, config):
+    """The per-batch loop ``train`` must equal bit for bit: gather and standardize
+    each batch, compute its gradients, update the six arrays in place."""
+    rng = np.random.default_rng(config.seed)
+    mu, sigma = fit_normalizer(data.train_x)
+    model = init_model(data.train_x.shape[1], config.hidden_width, mu, sigma, rng)
+    x, y = np.asarray(data.train_x, dtype=float), np.asarray(data.train_y, dtype=float).ravel()
+    n = x.shape[0]
+    batch = n if config.batch_size is None else min(config.batch_size, n)
+
+    def loss():
+        residual = predict(model, x) - y
+        return float(np.mean(residual * residual))
+
+    losses = [loss()]
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, batch):
+                idx = order[start:start + batch]
+                wg, bg = reference_backward(model, x[idx], y[idx])
+                for w, g in zip(model.weights, wg):
+                    w -= config.learning_rate * g
+                for b, g in zip(model.biases, bg):
+                    b -= config.learning_rate * g
+            losses.append(loss())
+        if not math.isfinite(losses[-1]):
+            raise NonFiniteLoss(f"epoch {epoch}: loss {losses[-1]}")
+        if config.plateau_tolerance is not None and epoch >= config.plateau_patience:
+            ref = losses[epoch - config.plateau_patience]
+            if ((ref - losses[-1]) / ref if ref > 0 else 0.0) < config.plateau_tolerance:
+                break
+    mse, mae = evaluate(model, data.test_x, data.test_y)
+    return model, mlp.TrainReport(epoch_losses=losses, test_mse=mse, test_mae=mae,
+                                  epochs_run=len(losses) - 1)
+
+
+def training_outcome(run, data, config):
+    try:
+        model, report = run(data, config)
+    except NonFiniteLoss as exc:
+        return str(exc)  # names the epoch and the loss
+    return ([a.tobytes() for a in (*model.weights, *model.biases)],
+            [v.hex() for v in report.epoch_losses], report.test_mse.hex(),
+            report.test_mae.hex(), report.epochs_run)
+
+
+# a run that ends with huge finite weights overflows on the test rows; both sides report inf
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(d_in=st.integers(1, 6), width=st.integers(1, 32), n=st.integers(8, 70),
+       seed=st.integers(0, 2**32 - 1), rate=st.sampled_from([1e-2, 0.2, 50.0]),
+       plateau=st.sampled_from([None, 1e-3]), data=st.data())
+def test_train_bit_equal_to_per_batch_reference(d_in, width, n, seed, rate, plateau, data):
+    batch = data.draw(st.one_of(st.just(1), st.none(),
+                                st.integers(2, n + 3).filter(lambda b: n % b)), label="batch")
+    rng = np.random.default_rng(seed)
+    x = rng.normal(50.0, 2.0, (n + 5, d_in))
+    y = x @ rng.normal(0, 1, d_in) + rng.normal(0, 0.1, n + 5)
+    split = TrainData(train_x=x[:n], train_y=y[:n], test_x=x[n:], test_y=y[n:])
+    config = TrainConfig(hidden_width=width, learning_rate=rate, batch_size=batch,
+                         max_epochs=12, plateau_patience=3, plateau_tolerance=plateau,
+                         seed=seed)
+    assert training_outcome(train, split, config) == training_outcome(reference_train, split,
+                                                                      config)
+
+
 # -- grid search --------------------------------------------------------------------
 
 
@@ -362,6 +446,21 @@ def test_grid_validation():
         HyperGrid(hidden_widths=())
     with pytest.raises(ValueError):
         HyperGrid(max_epochs=10, plateau_patience=50)
+
+
+@pytest.mark.parametrize("fields", [{"learning_rates": (1e-2, -1.0)}, {"learning_rates": (0.0,)},
+                                    {"learning_rates": (math.nan,)},
+                                    {"learning_rates": (math.inf,)},
+                                    {"batch_sizes": (32, 0)}, {"batch_sizes": (None, 7.5)}])
+def test_grid_rejects_every_bad_combination_at_construction(fields):
+    with pytest.raises(ValueError):
+        HyperGrid(**fields)
+
+
+@pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan, math.inf])
+def test_train_config_rejects_rate_that_is_not_positive_and_finite(rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=rate)
 
 
 # -- evaluate -----------------------------------------------------------------------

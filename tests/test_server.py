@@ -275,6 +275,34 @@ def test_poll_scan_skips_bad_files_and_continues(running_server, tmp_path):
     assert not (tmp_path / "uploads" / "broken.pred.json").exists()
 
 
+def strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("cell", [float("nan"), float("inf"), float("-inf")])
+def test_poll_scan_skips_uploads_with_non_finite_cells(running_server, tmp_path, cell):
+    upload_record_csv(tmp_path, "bad.csv", (cell, 43.0))
+    good = upload_record_csv(tmp_path, "good.csv", (51.0, 43.0))
+    assert running_server.poll_scan_once() == 1
+    assert not (tmp_path / "uploads" / "bad.pred.json").exists()
+    assert len(strict_json(good.with_suffix(".pred.json").read_text())["predictions"]) == 1
+
+
+def test_poll_scan_refuses_a_prediction_that_overflows(tmp_path):
+    gain = [np.array([[10.0, 0.0]]), np.array([[10.0]]), np.array([[10.0]])]
+    model = mlp.MlpModel(layer_sizes=[2, 1, 1, 1], weights=gain, biases=[np.zeros(1)] * 3,
+                         feature_mean=np.zeros(2), feature_std=np.ones(2))
+    mlp.save_model(model, tmp_path / "gain.json")
+    server = InferenceServer(ServerConfig(model_files={"default": str(tmp_path / "gain.json")},
+                                          upload_dir=str(tmp_path / "uploads")))
+    upload_record_csv(tmp_path, "huge.csv", (1e306, 43.0))  # finite cell, 1e309 prediction
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert server.poll_scan_once() == 0
+    assert not (tmp_path / "uploads" / "huge.pred.json").exists()
+
+
 def test_poll_empty_dir_no_outputs(running_server, tmp_path):
     (tmp_path / "uploads").mkdir(exist_ok=True)
     assert running_server.poll_scan_once() == 0
