@@ -24,7 +24,7 @@ import numpy as np
 VREF = 2.5
 RESOLUTION = 1 << 24       # 24-bit full scale
 MAX_CODE = RESOLUTION - 1
-DEFAULT_EXCITATION = 0.001  # ampere
+DEFAULT_EXCITATION = 0.001  # ampere; the firmware converts every reading back at it
 
 # Register addresses
 STATUS = 0x00
@@ -79,26 +79,26 @@ class CodeOutOfRange(ValueError):
         self.code = code
 
 
-def resistance_to_code(r: float, excitation: float = DEFAULT_EXCITATION) -> int:
+def resistance_to_code(r: float) -> int:
     """Quantize a resistance (ohm) to a 24-bit code.
 
     Rounds half away from zero and clamps to [0, 2^24 - 1]; out-of-range
     inputs saturate like a physical converter, they never fail.
     """
-    x = r * excitation / VREF * RESOLUTION
+    x = r * DEFAULT_EXCITATION / VREF * RESOLUTION
     code = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
     return min(max(code, 0), MAX_CODE)
 
 
-def code_to_resistance(code: int, excitation: float = DEFAULT_EXCITATION) -> float:
+def code_to_resistance(code: int) -> float:
     """Convert a 24-bit code back to ohms.
 
-    Evaluates ``code * 2.5 / 16777216 / excitation`` in exactly that order,
+    Evaluates ``code * 2.5 / 16777216 / 0.001`` in exactly that order,
     volts then ohms; the node firmware converts every DATA reading with it.
     """
     if not 0 <= code < RESOLUTION:
         raise CodeOutOfRange(code)
-    return code * VREF / RESOLUTION / excitation
+    return code * VREF / RESOLUTION / DEFAULT_EXCITATION
 
 
 @dataclass
@@ -122,14 +122,13 @@ class ChannelInput:
 
 @dataclass
 class SensorModel:
-    """Per-channel inputs plus the excitation/reference electrical model.
+    """Per-channel inputs to the converter.
 
     Representable resistance spans [0, Vref/I_exc) = [0, 2500) ohm at the
-    default 1 mA excitation; values outside clamp to the nearest code.
+    1 mA excitation; values outside clamp to the nearest code.
     """
 
     channels: list[ChannelInput] = field(default_factory=lambda: [ChannelInput() for _ in range(8)])
-    excitation: float = DEFAULT_EXCITATION
 
     @classmethod
     def from_resistances(cls, resistances, noise_std: float = 0.0) -> "SensorModel":
@@ -295,7 +294,7 @@ class AdcEmulator:
             filtered = float(kernel @ signal)
         else:
             filtered = ch.resistance  # DC input: unit-gain filter is exact
-        code = resistance_to_code(filtered, self.sensors.excitation)
+        code = resistance_to_code(filtered)
         self.registers[DATA] = code
         self._rdy = 0
         self._pending_channel = None

@@ -18,9 +18,9 @@ interval/2 plus the processing base, without serializing the waits.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
-import json
 import socket
 import tempfile
 import threading
@@ -99,22 +99,25 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
         raise ValueError(f"unknown mode {mode!r}")
     if tick is None:
         tick = DEFAULT_PUSH_TICK if mode == "push" else DEFAULT_POLL_TICK
-    with tempfile.TemporaryDirectory(prefix="shmlink-bench-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="shmlink-bench-") as tmp, \
+            contextlib.ExitStack() as running:
         work = Path(tmp)
         model_path = work / "bench_model.json"
         make_bench_model(channels, model_path, seed=seed)
         upload_dir = work / "uploads"
         upload_dir.mkdir()
 
+        # each part is stopped on the way out, also when a later one fails to start
         server = InferenceServer(ServerConfig(host="127.0.0.1", port=0,
                                               model_files={"default": str(model_path)},
                                               upload_dir=str(upload_dir)))
         server.start()
+        running.callback(server.stop)
         host, port = server.address
         if mode == "poll":
             server.start_poll_mode(poll_interval)
 
-        listener = node_listener("127.0.0.1", 0)
+        listener = running.enter_context(node_listener("127.0.0.1", 0))
         node_endpoint = listener.getsockname()
         gateway = Gateway(GatewayConfig(
             node_endpoints=[f"{node_endpoint[0]}:{node_endpoint[1]}"],
@@ -124,6 +127,7 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
             trigger=TriggerRule(every_frame=True),
             latency_log_path=str(work / "latency.csv"),
             upload_dir=str(upload_dir)))
+        running.callback(gateway.close)
 
         stop = threading.Event()
         intake = threading.Thread(target=serve_nodes, args=(listener, gateway, stop),
@@ -135,7 +139,10 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
 
         started = time.perf_counter()
         intake.start()
+        running.callback(intake.join)
+        running.callback(stop.set)  # before the join above: callbacks run last first
         node.start()
+        running.callback(node.join)
         # the node streams for frames * tick; a poll trigger is answered by
         # the scan after it, so poll results are collected as they appear
         deadline = started + frames * tick + 30
@@ -145,13 +152,8 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
                and time.perf_counter() < deadline):
             gateway.poll_results_once()
             time.sleep(0.002)
-        stop.set()
-        intake.join()
-        node.join()
+        running.close()
 
-        listener.close()
-        gateway.close()
-        server.stop()
         if failures:
             raise failures[0]
         with open(work / "latency.csv", encoding="utf-8", newline="") as fh:
@@ -166,7 +168,3 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
         return {"mode": mode, "frames": frames, "tick": tick, "channels": channels,
                 "poll_interval": poll_interval if mode == "poll" else None,
                 "wall_time": time.perf_counter() - started, **latency_summary(end_to_end)}
-
-
-def write_report(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

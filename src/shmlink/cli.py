@@ -11,6 +11,7 @@ import itertools
 import json
 import socket
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -188,7 +189,7 @@ def cmd_train(args) -> int:
     config, model, report = mlp.grid_search(data, grid, seed=args.seed)
     mlp.save_model(model, args.out)
     report_path = Path(args.out).with_suffix(".report.json")
-    report_path.write_text(json.dumps(report.to_dict(), indent=1) + "\n", encoding="utf-8")
+    ds.write_atomic(report_path, json.dumps(asdict(report), indent=1) + "\n")
     print(f"selected width={config.hidden_width} rate={config.learning_rate} "
           f"batch={config.batch_size}")
     print(f"test MSE {report.test_mse:.6g}  test MAE {report.test_mae:.6g}")
@@ -203,7 +204,7 @@ def cmd_bench_latency(args) -> int:
     report = bench_mod.run_bench(mode=args.mode, frames=args.frames, tick=args.tick,
                                  poll_interval=args.poll_interval,
                                  channels=args.channels, seed=args.seed)
-    bench_mod.write_report(report, args.out)
+    ds.write_atomic(args.out, json.dumps(report, indent=1) + "\n")
     print(f"{args.mode}: mean {report['mean']:.4f}s  p50 {report['p50']:.4f}s  "
           f"p95 {report['p95']:.4f}s  max {report['max']:.4f}s over {args.frames} triggers")
     print(f"report -> {args.out}")
@@ -224,7 +225,7 @@ def cmd_sync(args) -> int:
         offset = ds.estimate_offset(mech, res)
         print(f"estimated offset: {offset:.3f} s")
     records = ds.synchronize(mech, res, offset)
-    Path(args.out).write_text(ds.write_table_csv(records), encoding="utf-8")
+    ds.write_atomic(args.out, ds.write_table_csv(records))
     print(f"{len(records)} aligned records -> {args.out}")
     return EXIT_OK
 

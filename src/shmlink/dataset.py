@@ -5,8 +5,8 @@ on different clocks.  This module parses both exports, estimates the clock
 offset by cross-correlating strain against mean resistance change, joins the
 two series into aligned records, and reads/writes them in the canonical
 ``index,Time,Strain,t,R1..Rn`` layout (UTF-8, comma separator, shortest
-round-trip float rendering).  Gateway rows come from ``table_csv_row``; upload
-and result files are written whole by ``write_atomic``.
+round-trip float rendering).  Gateway rows come from ``table_csv_row``; every
+whole file the package writes goes through ``write_atomic``.
 """
 
 from __future__ import annotations

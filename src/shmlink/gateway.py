@@ -7,7 +7,8 @@ as nan, t carries the node counter), duplicate counters are dropped, and a
 configurable event rule decides when a frame triggers a prediction request.
 Every answered trigger appends one row to the latency log, stamped on the
 monotonic clock in program order: frame received <= request sent <= response
-received.
+received.  Both files are ``CsvAppender`` logs: a torn tail is quarantined on
+restart, and a row whose write fails is logged as lost.
 
 In push mode triggers go to the server over TCP by flat combining (Hendler
 et al., SPAA 2010).  Ingest only queues a triggered frame under the ingest
@@ -49,6 +50,9 @@ from .protocol import (
 )
 
 log = logging.getLogger(__name__)
+
+LATENCY_HEADER = ["frame_counter", "node_id", "t_frame_received", "t_request_sent",
+                  "t_response_received", "end_to_end"]
 
 
 class GatewayError(Exception):
@@ -127,27 +131,26 @@ def latency_summary(end_to_end: list[float]) -> dict[str, float]:
 
 
 class CsvAppender:
-    """Append-only CSV persistence with torn-line quarantine on restart.
+    """Append-only CSV log with torn-line quarantine on restart.
 
     On open, a final line that is incomplete (no newline) or unparseable is
-    moved to ``<path>.quarantine`` rather than silently accepted, and the
-    running row index resumes from the last valid row.  Appends are flushed
-    per row.
+    moved to ``<path>.quarantine`` rather than silently accepted, and
+    ``last_row`` holds the cells of the last row kept, or None.  A new file
+    gets ``header``; each row is written as given and flushed, and a failed
+    write raises PersistenceFailure.
     """
 
     def __init__(self, path, header: list[str]):
         self.path = Path(path)
         self.header = header
-        self.next_index = 0
-        self._recover()
+        self.last_row = self._recover()
         self._fh = open(self.path, "a", encoding="utf-8", newline="")
         self._writer = csv.writer(self._fh, lineterminator="\n")
         if self._fh.tell() == 0:
-            self._writer.writerow(header)
-            self._fh.flush()
+            self.append(header)
 
-    def _recover(self) -> None:
-        """Quarantine the torn tail and resume the index, reading back from the end.
+    def _recover(self) -> list[str] | None:
+        """Quarantine the torn tail and return the last row kept, reading back from the end.
 
         Only the lines after the last row that parses are read, so a restart
         costs the same whatever the file's size.  The header line is never
@@ -156,16 +159,15 @@ class CsvAppender:
         if not self.path.exists():
             if self.path.parent != Path(""):
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-            return
+            return None
+        last = None
         with open(self.path, "r+b") as fh:
             end = fh.seek(0, io.SEEK_END)
             keep = end
             for offset, line in _lines_backward(fh, end):
                 if line.endswith(b"\n"):
-                    if self._parses(line[:-1]):
-                        self.next_index = int(line.split(b",", 1)[0].decode()) + 1
-                        break
-                    if offset == 0:
+                    last = self._parsed(line[:-1])
+                    if last is not None or offset == 0:
                         break
                 keep = offset
             if keep < end:
@@ -175,31 +177,27 @@ class CsvAppender:
                     q.write(torn)
                 fh.truncate(keep)
                 log.warning("quarantined torn row(s) in %s", self.path)
+        return last
 
-    def _parses(self, line: bytes) -> bool:
+    def _parsed(self, line: bytes) -> list[str] | None:
+        """The cells of a data row: an int, then floats, as many as the header; else None."""
         try:
             row = next(csv.reader(io.StringIO(line.decode("utf-8"))))
-        except (StopIteration, UnicodeDecodeError, csv.Error):
-            return False
-        if len(row) != len(self.header):
-            return False
-        try:
+            if len(row) != len(self.header):
+                return None
             int(row[0])
             for v in row[1:]:
                 float(v)
-        except ValueError:
-            return False
-        return True
+        except (StopIteration, UnicodeDecodeError, csv.Error, ValueError):
+            return None
+        return row
 
-    def append(self, values: list) -> int:
-        index = self.next_index
+    def append(self, row: list) -> None:
         try:
-            self._writer.writerow([index, *values])
+            self._writer.writerow(row)
             self._fh.flush()
         except OSError as exc:
             raise PersistenceFailure(str(exc)) from exc
-        self.next_index += 1
-        return index
 
     def close(self) -> None:
         self._fh.close()
@@ -235,6 +233,7 @@ class Gateway:
     def __init__(self, config: GatewayConfig):
         self.config = config
         self._csv: CsvAppender | None = None
+        self._next_index = 0  # the telemetry CSV's running row index
         self._seen: dict[int, set[int]] = {}               # node_id -> counters
         self._baseline: dict[int, tuple[float, ...]] = {}  # node_id -> last triggering R
         self._server_sock: socket.socket | None = None
@@ -249,12 +248,8 @@ class Gateway:
         # triggers answered so far, each one a latency-log row; only the one
         # sender or poll watcher writes it
         self.answered = 0
-        self._latency_fh = None
-        if config.latency_log_path:
-            self._latency_fh = open(config.latency_log_path, "a", encoding="utf-8", newline="")
-            if self._latency_fh.tell() == 0:
-                self._latency_fh.write("frame_counter,node_id,t_frame_received,"
-                                       "t_request_sent,t_response_received,end_to_end\n")
+        self._latency = (CsvAppender(config.latency_log_path, LATENCY_HEADER)
+                         if config.latency_log_path else None)
 
     # -- ingest -------------------------------------------------------------------
 
@@ -288,10 +283,13 @@ class Gateway:
         if self._csv is None:
             self._csv = CsvAppender(self.config.persistence_path,
                                     table_csv_header(frame.channel_count))
+            self._next_index = int(self._csv.last_row[0]) + 1 if self._csv.last_row else 0
         # Time = arrival wall clock, Strain unknown at ingest, t = node counter
         wall = time.time()
         try:
-            self._csv.append(table_csv_row(wall, math.nan, frame.counter, frame.resistances))
+            self._csv.append([self._next_index,
+                              *table_csv_row(wall, math.nan, frame.counter, frame.resistances)])
+            self._next_index += 1
         except PersistenceFailure:
             log.exception("row for counter %d lost", frame.counter)
 
@@ -438,18 +436,22 @@ class Gateway:
     def _record_latency(self, frame: TelemetryFrame, received: float,
                         sent: float, done: float) -> None:
         self.answered += 1
-        if self._latency_fh is not None:
-            self._latency_fh.write(f"{frame.counter},{frame.node_id},{received!r},{sent!r},"
-                                   f"{done!r},{done - received!r}\n")
-            self._latency_fh.flush()
+        if self._latency is None:
+            return
+        try:
+            self._latency.append([frame.counter, frame.node_id, received, sent, done,
+                                  done - received])
+        except PersistenceFailure:
+            log.exception("latency row for counter %d from node %d lost",
+                          frame.counter, frame.node_id)
 
     def close(self) -> None:
         with self._request_lock:
             self._drop_server_connection()
         if self._csv is not None:
             self._csv.close()
-        if self._latency_fh is not None:
-            self._latency_fh.close()
+        if self._latency is not None:
+            self._latency.close()
 
 
 # -- live node intake ------------------------------------------------------------------

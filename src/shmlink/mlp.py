@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .dataset import split_chronological, write_atomic
+
 MODEL_FORMAT_VERSION = 1
 # what _layers computes, as model documents name it; no other value loads
 ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "identity"}
@@ -252,6 +254,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        counts = (self.hidden_width, self.batch_size, self.max_epochs, self.plateau_patience)
+        if not all(isinstance(n, int) for n in counts if n is not None):
+            raise ValueError("hidden_width, batch_size, max_epochs and plateau_patience "
+                             "must be integers")
         if self.hidden_width < 1 or self.max_epochs < 1:
             raise ValueError("hidden_width and max_epochs must be positive")
         if not 0 < self.learning_rate < math.inf:  # NaN fails both comparisons
@@ -274,11 +280,6 @@ class HyperGrid:
     def __post_init__(self):
         if not (self.hidden_widths and self.learning_rates and self.batch_sizes):
             raise ValueError("all hyperparameter sets must be non-empty")
-        batch_sizes = [b for b in self.batch_sizes if b is not None]
-        if not all(isinstance(n, int) for n in (*self.hidden_widths, *batch_sizes,
-                                                 self.max_epochs, self.plateau_patience)):
-            raise ValueError("hidden_widths, batch_sizes, max_epochs and plateau_patience "
-                             "must be integers")
         if self.max_epochs < self.plateau_patience:
             raise ValueError("max_epochs must be >= plateau_patience")
         # TrainConfig checks each combination here, before grid_search trains the first
@@ -308,9 +309,6 @@ class TrainReport:
     test_mae: float = math.nan
     epochs_run: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class TrainData:
@@ -323,7 +321,6 @@ class TrainData:
 
     @classmethod
     def from_records(cls, records, train_fraction: float = 0.8) -> "TrainData":
-        from .dataset import split_chronological
         train, test = split_chronological(records, train_fraction)
         return cls(train_x=np.array([r.resistances for r in train]),
                    train_y=np.array([r.strain for r in train]),
@@ -414,11 +411,8 @@ def grid_search(data: TrainData, grid: HyperGrid,
 
 
 def save_model(model: MlpModel, path) -> None:
-    """Write the versioned JSON model document."""
-    doc = model_to_doc(model)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    """Write the versioned JSON model document; a failed save keeps the old file."""
+    write_atomic(path, json.dumps(model_to_doc(model), indent=1) + "\n")
 
 
 def load_model(path) -> MlpModel:

@@ -6,12 +6,14 @@ predict / load_model / health.  In the legacy poll topology the server
 periodically scans an upload directory, which the gateway writes into
 directly, for new data files and writes prediction results beside them; the
 bench compares the two.  An upload holding a cell that is not a finite
-number is logged and skipped, and gets no result.
+number, or whose prediction overflows, is logged and skipped, and gets no
+result.
 
 A malformed message earns an error response on its own connection and never
-disturbs other clients: ``bad_message`` for an unknown type, a missing field or
-a cell that is not a finite number, ``shape_mismatch`` for rows of the wrong
-width.  Model state is read-shared and replaced atomically by load_model.
+disturbs other clients: ``bad_message`` for an unknown type, a missing field, a
+cell that is not a finite number or a prediction that overflows,
+``shape_mismatch`` for rows of the wrong width.  Model state is read-shared and
+replaced atomically by load_model.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ class ModelNotLoaded(Exception):
     def __init__(self, model_id: str):
         super().__init__(f"no model loaded under id {model_id!r}")
         self.model_id = model_id
+
+
+class NotFinite(Exception):
+    """A row cell or a prediction is not a finite number; answered ``bad_message``."""
 
 
 @dataclass
@@ -146,13 +152,12 @@ class InferenceServer:
         except KeyError:
             return {"type": "error", "error": "bad_message", "detail": "missing 'rows'",
                     "request_id": request_id}
-        cell_error = _cell_error(rows)
-        if cell_error is not None:
-            return {"type": "error", "error": "bad_message", "detail": cell_error,
-                    "request_id": request_id}
         try:
             result = self.handle_predict(str(msg.get("model_id") or self.config.default_model_id),
                                          rows)
+        except NotFinite as exc:
+            return {"type": "error", "error": "bad_message", "detail": str(exc),
+                    "request_id": request_id}
         except ModelNotLoaded as exc:
             return {"type": "error", "error": "model_not_loaded", "detail": str(exc),
                     "request_id": request_id}
@@ -164,20 +169,25 @@ class InferenceServer:
     def handle_predict(self, model_id: str, rows) -> dict:
         """Pure model application: ``{"model_id", "predictions", "processing_time"}``.
 
-        Raises ModelNotLoaded, or DimensionMismatch / ValueError when ``rows``
-        is not an (n, d_in) matrix.  The result for a given row is
+        Raises NotFinite when a cell of ``rows`` or a prediction is not a
+        finite number, so every answer is strict JSON; ModelNotLoaded; or
+        DimensionMismatch / ValueError when ``rows`` is not an (n, d_in)
+        matrix.  The result for a given row is
         bit-identical however clients batch their requests, so a gateway may
         coalesce triggers freely.  A single (n, d_in) matrix product may round
         differently per batch shape; ``mlp.forward_rows`` instead multiplies a
         stack of 1-row matrices, and numpy applies the same 1-row kernel to
         every slice of the stack.
         """
+        _check_cells(rows)
         with self._models_lock:
             model = self._models.get(model_id)
         if model is None:
             raise ModelNotLoaded(model_id)
         started = time.perf_counter()
         predictions = mlp.forward_rows(model, rows).tolist()
+        if not all(map(math.isfinite, predictions)):
+            raise NotFinite("a prediction overflowed")
         return {"model_id": model_id, "predictions": predictions,
                 "processing_time": time.perf_counter() - started}
 
@@ -234,21 +244,17 @@ class InferenceServer:
                 continue
             try:
                 records = read_table_csv(path.read_text(encoding="utf-8"))
-                rows = [list(r.resistances) for r in records]
-                cell_error = _cell_error(rows)
-                if cell_error is not None:
-                    raise ValueError(cell_error)
-                answer = self.handle_predict(self.config.default_model_id, rows)
-                # strict JSON: a prediction that overflowed to inf is refused, not written
-                write_atomic(result, json.dumps({"name": path.name, **answer}, allow_nan=False))
+                answer = self.handle_predict(self.config.default_model_id,
+                                             [list(r.resistances) for r in records])
+                write_atomic(result, json.dumps({"name": path.name, **answer}))
                 handled += 1
             except Exception:
                 log.exception("skipping upload %s", path)
         return handled
 
 
-def _cell_error(rows) -> str | None:
-    """Names the first cell of a list row that is not a finite JSON number.
+def _check_cells(rows) -> None:
+    """Raises NotFinite at the first cell of a list row that is not a finite JSON number.
 
     A bool is not a number here.  Whether ``rows`` is an (n, d_in) matrix is
     left to the shape check.
@@ -260,8 +266,7 @@ def _cell_error(rows) -> str | None:
                     continue
             except OverflowError:  # an int beyond float range
                 pass
-            return f"cell {v!r} is not a finite number"
-    return None
+            raise NotFinite(f"cell {v!r} is not a finite number")
 
 
 def serve(config: ServerConfig) -> InferenceServer:

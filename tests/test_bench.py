@@ -21,3 +21,10 @@ def test_run_bench_measures_every_frame_and_leaves_no_thread(mode):
     assert report["poll_interval"] == (0.3 if mode == "poll" else None)
     assert report["count"] == 5.0
     assert 0.0 < report["p50"] <= report["p95"] <= report["max"] < report["wall_time"]
+
+
+def test_run_bench_stops_what_it_started_when_setup_fails():
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="interval"):
+        run_bench("poll", frames=2, poll_interval=0)
+    assert [t for t in threading.enumerate() if t not in before] == []

@@ -1,8 +1,10 @@
 """Gateway: ingest/dedupe/trigger rules, persistence, latency statistics."""
 
 import csv
+import errno
 import gc
 import logging
+import os
 import socket
 import sys
 import threading
@@ -165,14 +167,15 @@ def test_persisted_rows_are_table_csv_rows(offline_gateway, tmp_path, monkeypatc
 def test_torn_final_line_quarantined(tmp_path):
     path = tmp_path / "t.csv"
     appender = CsvAppender(path, HEADER)
-    appender.append(["1.0", "nan", "0.0", "47.0"])
-    appender.append(["2.0", "nan", "1.0", "47.1"])
+    appender.append([0, "1.0", "nan", "0.0", "47.0"])
+    appender.append([1, "2.0", "nan", "1.0", "47.1"])
     appender.close()
     # simulate a crash mid-append
     with open(path, "a") as fh:
         fh.write("2,3.0,nan,2.0,4")
     reopened = CsvAppender(path, HEADER)
-    reopened.append(["4.0", "nan", "3.0", "47.3"])
+    assert reopened.last_row == ["1", "2.0", "nan", "1.0", "47.1"]
+    reopened.append([2, "4.0", "nan", "3.0", "47.3"])
     reopened.close()
 
     rows = read_table_csv(path.read_text())
@@ -183,12 +186,13 @@ def test_torn_final_line_quarantined(tmp_path):
 def test_unparseable_complete_line_quarantined(tmp_path):
     path = tmp_path / "t.csv"
     appender = CsvAppender(path, HEADER)
-    appender.append(["1.0", "nan", "0.0", "47.0"])
+    appender.append([0, "1.0", "nan", "0.0", "47.0"])
     appender.close()
     with open(path, "a") as fh:
         fh.write("not,a,valid,row,x\n")
     reopened = CsvAppender(path, HEADER)
     reopened.close()
+    assert reopened.last_row == ["0", "1.0", "nan", "0.0", "47.0"]
     assert "not,a,valid" in (tmp_path / "t.csv.quarantine").read_text()
     assert len(read_table_csv(path.read_text())) == 1
 
@@ -205,20 +209,24 @@ def test_restart_reads_only_the_tail(tmp_path):
         tracemalloc.stop()
     appender.close()
     assert peak < 1 << 20
-    assert appender.next_index == 100_000
+    assert appender.last_row == ["99999", "1700000000.0", "nan", "99999.0", "47.0"]
     assert (tmp_path / "t.csv.quarantine").read_text() == "100000,1700000000.1,na"
 
 
-def test_index_resumes_after_restart(tmp_path):
-    path = tmp_path / "t.csv"
-    a = CsvAppender(path, HEADER)
-    a.append(["1.0", "nan", "0.0", "47.0"])
-    a.append(["1.1", "nan", "1.0", "47.0"])
-    a.close()
-    b = CsvAppender(path, HEADER)
-    assert b.append(["1.2", "nan", "2.0", "47.0"]) == 2
-    b.close()
-    assert [r.time for r in read_table_csv(path.read_text())] == [1.0, 1.1, 1.2]
+def test_index_resumes_after_restart(offline_gateway, tmp_path, monkeypatch):
+    monkeypatch.setattr(time, "time", lambda: 1700000000.5)
+    offline_gateway.ingest(frame(0))
+    offline_gateway.ingest(frame(1))
+    offline_gateway.close()
+    path = tmp_path / "telemetry.csv"
+    with open(path, "a") as fh:
+        fh.write("2,1700000000.5,nan,2.0,4")  # a crash mid-append
+    restarted = Gateway(offline_gateway.config)
+    restarted.ingest(frame(3))
+    restarted.close()
+    lines = path.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+    assert [r.t for r in read_table_csv(path.read_text())] == [0.0, 1.0, 3.0]
 
 
 # -- prediction requests ---------------------------------------------------------------------
@@ -257,6 +265,23 @@ def test_latency_fields_monotone(served_gateway):
     gw.ingest(frame(0))
     rec = latency_log(gw)[0]
     assert rec["t_frame_received"] <= rec["t_request_sent"] <= rec["t_response_received"]
+
+
+def test_latency_log_torn_tail_quarantined_on_restart(served_gateway):
+    gw, _ = served_gateway
+    gw.ingest(frame(0))
+    gw.close()
+    path = Path(gw.config.latency_log_path)
+    with open(path, "a") as fh:
+        fh.write("1,0,12.5,12.6")  # a crash mid-row
+    restarted = Gateway(gw.config)
+    restarted.ingest(frame(1))
+    restarted.close()
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [6, 6, 6]
+    assert [row[0] for row in rows[1:]] == ["0", "1"]
+    assert (path.parent / "latency.csv.quarantine").read_text() == "1,0,12.5,12.6"
 
 
 def test_latency_log_layout(served_gateway):
@@ -475,6 +500,48 @@ def test_read_node_stream_survives_unreachable_server(tmp_path):
     assert count == 5
     rows = read_table_csv((tmp_path / "t.csv").read_text())
     assert [r.t for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+def test_read_node_stream_survives_unwritable_latency_log(served_gateway, tmp_path,
+                                                         monkeypatch, caplog):
+    _, server = served_gateway
+
+    class FullDisk:
+        """A text file on a full disk: only the latency-log header gets written."""
+
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def write(self, text):
+            if not text.startswith("frame_counter"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self._fh.write(text)
+
+    def open_on_full_disk(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return FullDisk(fh) if Path(file).name == "full.csv" and "a" in mode else fh
+
+    monkeypatch.setattr(gateway_mod, "open", open_on_full_disk, raising=False)
+    gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % server.address,
+                               persistence_path=str(tmp_path / "t.csv"),
+                               latency_log_path=str(tmp_path / "full.csv"),
+                               retry_backoff=0.001))
+    reader, client = socket.socketpair()
+    with client:
+        for counter in range(5):
+            send_message(client, encode(frame(counter)))
+    with reader, caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
+        count = read_node_stream(reader, gw)
+    gw.close()
+    assert count == 5
+    rows = read_table_csv((tmp_path / "t.csv").read_text())
+    assert [r.t for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert gw.answered == 5
+    assert "latency row for counter 4 from node 0 lost" in caplog.text
+    assert (tmp_path / "full.csv").read_text().startswith("frame_counter,")
 
 
 def test_poll_compat_without_upload_dir_rejected(tmp_path):

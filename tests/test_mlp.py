@@ -463,6 +463,14 @@ def test_train_config_rejects_rate_that_is_not_positive_and_finite(rate):
         TrainConfig(learning_rate=rate)
 
 
+@pytest.mark.parametrize("fields", [{"hidden_width": 8.0}, {"batch_size": 7.5},
+                                    {"max_epochs": 5.0}, {"plateau_patience": 2.0},
+                                    {"hidden_width": "8"}])
+def test_train_config_rejects_counts_that_are_not_integers(fields):
+    with pytest.raises(ValueError, match="integers"):
+        TrainConfig(**fields)
+
+
 # -- evaluate -----------------------------------------------------------------------
 
 
@@ -510,6 +518,24 @@ def test_save_load_forward_bit_exact(tmp_path):
     for _ in range(100):
         x = rng.normal(0, 3, 2)
         assert forward(model, x) == forward(loaded, x)
+
+
+def test_failed_save_keeps_the_previous_model(tmp_path, monkeypatch):
+    model = seeded_model(d_in=2, width=8, seed=6)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    monkeypatch.setattr(mlp, "model_to_doc", lambda m: {"format_version": 1, "weights": object()})
+    with pytest.raises(TypeError):
+        save_model(seeded_model(d_in=2, width=8, seed=7), path)
+    x = np.array([0.3, -1.2])
+    assert forward(load_model(path), x) == forward(model, x)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_save_creates_the_parent_directory(tmp_path):
+    path = tmp_path / "models" / "model.json"
+    save_model(seeded_model(), path)
+    assert load_model(path).layer_sizes == seeded_model().layer_sizes
 
 
 def test_truncated_file_corrupt(tmp_path):

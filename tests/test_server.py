@@ -290,17 +290,31 @@ def test_poll_scan_skips_uploads_with_non_finite_cells(running_server, tmp_path,
     assert len(strict_json(good.with_suffix(".pred.json").read_text())["predictions"]) == 1
 
 
-def test_poll_scan_refuses_a_prediction_that_overflows(tmp_path):
+def gain_server(tmp_path) -> InferenceServer:
+    """A server whose 2-1-1-1 model multiplies the first cell by 1000."""
     gain = [np.array([[10.0, 0.0]]), np.array([[10.0]]), np.array([[10.0]])]
     model = mlp.MlpModel(layer_sizes=[2, 1, 1, 1], weights=gain, biases=[np.zeros(1)] * 3,
                          feature_mean=np.zeros(2), feature_std=np.ones(2))
     mlp.save_model(model, tmp_path / "gain.json")
-    server = InferenceServer(ServerConfig(model_files={"default": str(tmp_path / "gain.json")},
-                                          upload_dir=str(tmp_path / "uploads")))
+    return InferenceServer(ServerConfig(model_files={"default": str(tmp_path / "gain.json")},
+                                        upload_dir=str(tmp_path / "uploads")))
+
+
+def test_poll_scan_refuses_a_prediction_that_overflows(tmp_path):
+    server = gain_server(tmp_path)
     upload_record_csv(tmp_path, "huge.csv", (1e306, 43.0))  # finite cell, 1e309 prediction
     with pytest.warns(RuntimeWarning, match="overflow"):
         assert server.poll_scan_once() == 0
     assert not (tmp_path / "uploads" / "huge.pred.json").exists()
+
+
+def test_predict_that_overflows_is_a_bad_message(tmp_path):
+    request = {"type": "predict", "request_id": 5, "rows": [[1e306, 43.0]]}
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        reply = gain_server(tmp_path).handle_message(json.dumps(request).encode())
+    # serialized as the connection handler sends it; a gateway must be able to parse it
+    doc = strict_json(json.dumps(reply))
+    assert (doc["type"], doc["error"], doc["request_id"]) == ("error", "bad_message", 5)
 
 
 def test_poll_empty_dir_no_outputs(running_server, tmp_path):
