@@ -8,7 +8,12 @@ configurable event rule decides when a frame triggers a prediction request.
 Every answered trigger appends one row to the latency log, stamped on the
 monotonic clock in program order: frame received <= request sent <= response
 received.  Both files are ``CsvAppender`` logs: a torn tail is quarantined on
-restart, and a row whose write fails is logged as lost.
+restart, and rows whose write fails are cut off again and logged as lost.
+
+Node intake works in batches: one ``recv`` per arrival, and the frames it
+completed are ingested in one pass under the ingest lock and written to the
+telemetry CSV with one write.  The frames of one batch share one ``Time`` and
+one ``t_frame_received``; a frame that arrives alone is a batch of one.
 
 In push mode triggers go to the server over TCP by flat combining (Hendler
 et al., SPAA 2010).  Ingest only queues a triggered frame under the ingest
@@ -19,7 +24,8 @@ queued during the previous round trip as one multi-row predict per channel
 count, in arrival order, so an uncontended trigger is still answered before
 ``ingest`` returns, while under load the other nodes keep persisting during a
 round trip or a retry backoff.  A coalesced frame's ``t_request_sent`` is the
-time its batch was sent.  In poll-compat mode (the legacy topology kept for
+time its batch was sent, and each batch's latency rows are written with one
+write.  In poll-compat mode (the legacy topology kept for
 benchmarking) triggers are written as upload files that the server's periodic
 scan will answer.
 """
@@ -39,11 +45,13 @@ from pathlib import Path
 
 from .dataset import AlignedRecord, table_csv_header, table_csv_row, write_atomic, write_table_csv
 from .protocol import (
+    MAX_FRAME_SIZE,
     ConnectionClosed,
     FrameError,
     TelemetryFrame,
     decode,
     listen,
+    recv_batches,
     recv_message,
     send_message,
     serve_connections,
@@ -136,18 +144,26 @@ class CsvAppender:
     On open, a final line that is incomplete (no newline) or unparseable is
     moved to ``<path>.quarantine`` rather than silently accepted, and
     ``last_row`` holds the cells of the last row kept, or None.  A new file
-    gets ``header``; each row is written as given and flushed, and a failed
-    write raises PersistenceFailure.
+    gets ``header``.  ``append`` renders its rows to text and writes them with
+    one unbuffered write; a failed or short write is cut back off the file
+    and raises PersistenceFailure, so the rows are lost whole and nothing of
+    them is written later.
     """
 
     def __init__(self, path, header: list[str]):
         self.path = Path(path)
         self.header = header
         self.last_row = self._recover()
-        self._fh = open(self.path, "a", encoding="utf-8", newline="")
-        self._writer = csv.writer(self._fh, lineterminator="\n")
-        if self._fh.tell() == 0:
-            self.append(header)
+        self._lines = _Lines()
+        self._writer = csv.writer(self._lines, lineterminator="\n")
+        self._fh = open(self.path, "ab", buffering=0)
+        try:
+            self._size = self._fh.seek(0, io.SEEK_END)
+            if self._size == 0:
+                self.append([header])
+        except BaseException:
+            self._fh.close()
+            raise
 
     def _recover(self) -> list[str] | None:
         """Quarantine the torn tail and return the last row kept, reading back from the end.
@@ -192,15 +208,34 @@ class CsvAppender:
             return None
         return row
 
-    def append(self, row: list) -> None:
+    def append(self, rows) -> None:
+        """Write an iterable of rows with one write, all of them or none."""
         try:
-            self._writer.writerow(row)
-            self._fh.flush()
+            for row in rows:  # writerow per row: faster than writerows for a batch of one
+                self._writer.writerow(row)
+            data = "".join(self._lines).encode("utf-8")
+        finally:
+            self._lines.clear()
+        try:
+            written = self._fh.write(data)
+            if written != len(data):
+                raise OSError(f"short write: {written} of {len(data)} bytes")
         except OSError as exc:
+            try:
+                self._fh.truncate(self._size)
+            except OSError:
+                log.exception("could not cut a failed write off %s", self.path)
             raise PersistenceFailure(str(exc)) from exc
+        self._size += len(data)
 
     def close(self) -> None:
         self._fh.close()
+
+
+class _Lines(list):
+    """The lines a ``csv.writer`` renders, kept for one write of all of them."""
+
+    write = list.append
 
 
 def _lines_backward(fh, end: int):
@@ -254,53 +289,81 @@ class Gateway:
     # -- ingest -------------------------------------------------------------------
 
     def ingest(self, frame: TelemetryFrame) -> bool:
-        """Persist one decoded frame; returns True when the trigger rule fired.
+        """Ingest one decoded frame, a batch of one; True when the trigger rule fired."""
+        return self.ingest_frames([frame])[0]
 
-        Duplicate counters from one node are dropped without persisting or
-        triggering.  A persistence failure loses that row only (logged);
-        monitoring continues.  Safe to call from several node-reader threads:
-        rows are serialized internally, and push triggers are sent in arrival
-        order by whichever caller is the sender (see the module docstring).
-        A failed send raises ServerUnreachable or ShapeMismatch in the
-        sender's call; the frame itself stays persisted.
+    def ingest_frames(self, frames: list[TelemetryFrame]) -> list[bool]:
+        """Persist decoded frames, in order; returns per frame whether the rule fired.
+
+        The frames share one pass under the ingest lock, one ``Time`` and one
+        ``t_frame_received``.  Duplicate counters from one node are dropped
+        without persisting or triggering; the trigger rule runs frame by frame
+        in order.  The rows kept are written with one write; if that fails
+        they are lost (logged) and monitoring continues.  Safe to call from
+        several node-reader threads: rows are serialized internally, and push
+        triggers are sent in arrival order by whichever caller is the sender
+        (see the module docstring).  A failed send raises ServerUnreachable or
+        ShapeMismatch in the sender's call; the frames stay persisted.
         """
         received = time.perf_counter()
         with self._ingest_lock:
-            fired = self._ingest_locked(frame, received)
+            fired = self._ingest_locked(frames, received)
             if self._sending or not self._pending:
                 return fired
             self._sending = True
         self._send_pending()
         return fired
 
-    def _ingest_locked(self, frame: TelemetryFrame, received: float) -> bool:
-        seen = self._seen.setdefault(frame.node_id, set())
-        if frame.counter in seen:
-            log.debug("dropping duplicate counter %d from node %d", frame.counter, frame.node_id)
-            return False
-        seen.add(frame.counter)
-
-        if self._csv is None:
-            self._csv = CsvAppender(self.config.persistence_path,
-                                    table_csv_header(frame.channel_count))
-            self._next_index = int(self._csv.last_row[0]) + 1 if self._csv.last_row else 0
-        # Time = arrival wall clock, Strain unknown at ingest, t = node counter
+    def _ingest_locked(self, frames: list[TelemetryFrame], received: float) -> list[bool]:
+        # Time = arrival wall clock, stamped under the lock so the rows keep time order
         wall = time.time()
+        fresh, fired, triggered = [], [], []
+        for frame in frames:
+            seen = self._seen.setdefault(frame.node_id, set())
+            if frame.counter in seen:
+                log.debug("dropping duplicate counter %d from node %d",
+                          frame.counter, frame.node_id)
+                fired.append(False)
+                continue
+            seen.add(frame.counter)
+            fresh.append(frame)
+            hit = self._should_trigger(frame)
+            if hit:
+                self._baseline[frame.node_id] = frame.resistances
+                triggered.append(frame)
+            fired.append(hit)
+        if not fresh:
+            return fired
         try:
-            self._csv.append([self._next_index,
-                              *table_csv_row(wall, math.nan, frame.counter, frame.resistances)])
-            self._next_index += 1
-        except PersistenceFailure:
-            log.exception("row for counter %d lost", frame.counter)
-
-        if not self._should_trigger(frame):
-            return False
-        self._baseline[frame.node_id] = frame.resistances
+            self._persist(fresh, wall)
+        except PersistenceFailure as exc:
+            for frame in fresh:
+                log.error("row for counter %d from node %d lost: %s",
+                          frame.counter, frame.node_id, exc)
         if self.config.mode == "push":
-            self._pending.append((frame, received))
+            self._pending.extend((frame, received) for frame in triggered)
         else:
-            self._submit_poll_upload(frame, received, wall)
-        return True
+            for frame in triggered:
+                self._submit_poll_upload(frame, received, wall)
+        return fired
+
+    def _persist(self, frames: list[TelemetryFrame], wall: float) -> None:
+        """Append one row per frame: Time ``wall``, Strain unknown (nan), t the node counter.
+
+        The log opens on the first call that can open it.
+        """
+        if self._csv is None:
+            try:
+                self._csv = CsvAppender(self.config.persistence_path,
+                                        table_csv_header(frames[0].channel_count))
+            except OSError as exc:
+                raise PersistenceFailure(f"cannot open {self.config.persistence_path}: {exc}") \
+                    from exc
+            self._next_index = int(self._csv.last_row[0]) + 1 if self._csv.last_row else 0
+        first = self._next_index
+        self._csv.append([first + k, *table_csv_row(wall, math.nan, f.counter, f.resistances)]
+                         for k, f in enumerate(frames))
+        self._next_index = first + len(frames)
 
     def _should_trigger(self, frame: TelemetryFrame) -> bool:
         if self.config.trigger.every_frame:
@@ -336,8 +399,7 @@ class Gateway:
                     sent = time.perf_counter()
                     self.request_prediction([list(f.resistances) for f, _ in batch])
                     done = time.perf_counter()
-                    for f, received in batch:
-                        self._record_latency(f, received, sent, done)
+                    self._record_latency([(f, received, sent, done) for f, received in batch])
                     queued = [item for item in queued if item[0].channel_count != width]
         except BaseException:
             with self._ingest_lock:
@@ -421,29 +483,29 @@ class Gateway:
 
         Safe to call from a watcher thread while ingest keeps submitting.
         """
-        completed = []
+        answers = []
         for result_path, (frame, received, sent) in list(self._pending_polls.items()):
             if result_path.exists():
-                done = time.perf_counter()
-                self._record_latency(frame, received, sent, done)
-                completed.append(result_path)
-        for path in completed:
-            del self._pending_polls[path]
-        return len(completed)
+                answers.append((frame, received, sent, time.perf_counter()))
+                del self._pending_polls[result_path]
+        self._record_latency(answers)
+        return len(answers)
 
     # -- latency -----------------------------------------------------------------------
 
-    def _record_latency(self, frame: TelemetryFrame, received: float,
-                        sent: float, done: float) -> None:
-        self.answered += 1
-        if self._latency is None:
+    def _record_latency(self, answers: list[tuple[TelemetryFrame, float, float, float]]) -> None:
+        """One latency-log row per ``(frame, received, sent, done)``, written with one write."""
+        self.answered += len(answers)
+        if self._latency is None or not answers:
             return
         try:
             self._latency.append([frame.counter, frame.node_id, received, sent, done,
-                                  done - received])
-        except PersistenceFailure:
-            log.exception("latency row for counter %d from node %d lost",
-                          frame.counter, frame.node_id)
+                                  done - received]
+                                 for frame, received, sent, done in answers)
+        except PersistenceFailure as exc:
+            for frame, *_ in answers:
+                log.error("latency row for counter %d from node %d lost: %s",
+                          frame.counter, frame.node_id, exc)
 
     def close(self) -> None:
         with self._request_lock:
@@ -465,27 +527,28 @@ def node_listener(bind_host: str, bind_port: int) -> socket.socket:
 def read_node_stream(conn: socket.socket, gateway: Gateway) -> int:
     """Ingest length-prefixed frames from one node connection until EOF.
 
-    Undecodable frames are logged and skipped, and so is a trigger that
-    fails to reach the server, so one failure never ends the node's stream;
-    returns the number ingested.
+    Each ``recv`` is one arrival: the frames it completed are decoded and
+    ingested as one batch (``Gateway.ingest_frames``).  Undecodable frames
+    are logged and skipped, and so is a trigger that fails to reach the
+    server, so one failure never ends the node's stream.  A length prefix
+    above the widest frame (MAX_FRAME_SIZE) ends it.  Returns the number of
+    frames ingested.
     """
     count = 0
-    while True:
-        try:
-            raw = recv_message(conn)
-        except (ConnectionClosed, OSError, ValueError):
-            break
-        try:
-            frame = decode(raw)
-        except FrameError:
-            log.exception("undecodable frame, skipping")
+    for messages in recv_batches(conn, MAX_FRAME_SIZE):
+        frames = []
+        for raw in messages:
+            try:
+                frames.append(decode(raw))
+            except FrameError:
+                log.exception("undecodable frame, skipping")
+        if not frames:
             continue
         try:
-            gateway.ingest(frame)
+            gateway.ingest_frames(frames)
         except GatewayError:
-            log.exception("trigger failed for counter %d from node %d",
-                          frame.counter, frame.node_id)
-        count += 1
+            log.exception("trigger send failed while ingesting %d frame(s)", len(frames))
+        count += len(frames)
     return count
 
 

@@ -13,7 +13,10 @@ Frame layout, little-endian throughout:
                   preceding bytes
 
 In live mode frames travel over TCP, one frame per length-prefixed message
-(u32 LE length); in simulation they cross in-process queues.  The decoder is
+(u32 LE length); in simulation they cross in-process queues.  Both TCP
+listeners read their streams through :func:`recv_batches`, one ``recv`` per
+arrival, which yields every message that ``recv`` completed; request/response
+clients read one reply with :func:`recv_message`.  The decoder is
 total: any byte sequence yields a frame or a :class:`FrameError`, never a
 crash.  The TCP services (gateway node intake, inference server) share one
 listen / accept / stop loop, :func:`listen` plus :func:`serve_connections`.
@@ -29,6 +32,7 @@ Example:
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 import socket
@@ -37,11 +41,14 @@ import threading
 import zlib
 from dataclasses import dataclass
 
+log = logging.getLogger(__name__)
+
 MAGIC = b"SHM1"
 VERSION = 1
 MAX_CHANNELS = 8
 _HEADER = struct.Struct("<4sBHIB")  # magic, version, node_id, counter, channel_count
 _CRC = struct.Struct("<I")
+MAX_FRAME_SIZE = _HEADER.size + 8 * MAX_CHANNELS + _CRC.size  # the widest frame, in bytes
 
 
 class FrameError(Exception):
@@ -180,6 +187,8 @@ def link_send(frame: TelemetryFrame, config: LinkConfig, now: float,
 # -- length-prefixed TCP transport ----------------------------------------------
 
 MAX_MESSAGE_SIZE = 64 * 1024 * 1024
+READ_SIZE = 64 * 1024  # bytes asked of one recv by recv_batches
+_LENGTH = struct.Struct("<I")
 
 
 class ConnectionClosed(Exception):
@@ -188,13 +197,13 @@ class ConnectionClosed(Exception):
 
 def send_message(sock: socket.socket, payload: bytes) -> None:
     """Write one u32-LE length-prefixed message."""
-    sock.sendall(struct.pack("<I", len(payload)) + payload)
+    sock.sendall(_LENGTH.pack(len(payload)) + payload)
 
 
 def recv_message(sock: socket.socket) -> bytes:
     """Read one u32-LE length-prefixed message; raises ConnectionClosed on EOF."""
     header = _recv_exact(sock, 4)
-    (length,) = struct.unpack("<I", header)
+    (length,) = _LENGTH.unpack(header)
     if length > MAX_MESSAGE_SIZE:
         raise ValueError(f"message length {length} exceeds cap {MAX_MESSAGE_SIZE}")
     return _recv_exact(sock, length)
@@ -210,6 +219,43 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
+
+
+def recv_batches(sock: socket.socket, max_size: int):
+    """Yield, per read of up to READ_SIZE bytes, the list of messages it completed.
+
+    A message is yielded as soon as its last byte has arrived, so a lone
+    message never waits for more bytes.  The stream ends at EOF, on a socket
+    error, or at a length prefix above ``max_size`` (logged), after the
+    messages before that prefix were yielded; the rest is never read.
+    """
+    chunk = memoryview(bytearray(READ_SIZE))  # every read lands here: no allocation per recv
+    buf = bytearray()
+    while True:
+        try:
+            n = sock.recv_into(chunk)
+        except OSError:
+            return  # shut down by the owner, or reset by the peer
+        if not n:
+            return
+        buf += chunk[:n]
+        messages, start, end = [], 0, len(buf)
+        while end - start >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(buf, start)
+            if length > max_size:
+                if messages:
+                    yield messages
+                log.warning("message length %d exceeds cap %d; closing the stream",
+                            length, max_size)
+                return
+            stop = start + _LENGTH.size + length
+            if stop > end:
+                break
+            messages.append(bytes(buf[start + _LENGTH.size:stop]))
+            start = stop
+        if messages:
+            del buf[:start]
+            yield messages
 
 
 # -- listening services ----------------------------------------------------------

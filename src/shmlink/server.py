@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import mlp
 from .dataset import read_table_csv, write_atomic
-from .protocol import ConnectionClosed, listen, recv_message, send_message, serve_connections
+from .protocol import MAX_MESSAGE_SIZE, listen, recv_batches, send_message, serve_connections
 
 log = logging.getLogger(__name__)
 
@@ -106,20 +106,19 @@ class InferenceServer:
             self._listener.close()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        while True:
-            try:
-                raw = recv_message(conn)
-            except (ConnectionClosed, OSError, ValueError):
-                return  # closed, shut down by stop(), or framing broken beyond recovery
-            try:
-                reply = self.handle_message(raw)
-            except Exception as exc:  # never let one client kill the worker
-                log.exception("unhandled error on %s", conn)
-                reply = {"type": "error", "error": "internal", "detail": str(exc)}
-            try:
-                send_message(conn, json.dumps(reply).encode())
-            except OSError:
-                return
+        # ends when the client closes, stop() shuts the connection down, or a
+        # length prefix breaks the framing beyond recovery
+        for messages in recv_batches(conn, MAX_MESSAGE_SIZE):
+            for raw in messages:
+                try:
+                    reply = self.handle_message(raw)
+                except Exception as exc:  # never let one client kill the worker
+                    log.exception("unhandled error on %s", conn)
+                    reply = {"type": "error", "error": "internal", "detail": str(exc)}
+                try:
+                    send_message(conn, json.dumps(reply).encode())
+                except OSError:
+                    return
 
     # -- message handling ----------------------------------------------------------
 

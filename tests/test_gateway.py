@@ -1,21 +1,27 @@
 """Gateway: ingest/dedupe/trigger rules, persistence, latency statistics."""
 
+import contextlib
 import csv
 import errno
 import gc
 import logging
 import os
 import socket
+import struct
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shmlink import gateway as gateway_mod
 from shmlink import mlp
@@ -35,6 +41,7 @@ from shmlink.gateway import (
 )
 from shmlink.protocol import TelemetryFrame, encode, send_message
 from shmlink.server import ServerConfig, serve
+from test_protocol import CutReads
 
 
 def frame(counter, resistances=(47.0, 120.0), node_id=0):
@@ -167,15 +174,15 @@ def test_persisted_rows_are_table_csv_rows(offline_gateway, tmp_path, monkeypatc
 def test_torn_final_line_quarantined(tmp_path):
     path = tmp_path / "t.csv"
     appender = CsvAppender(path, HEADER)
-    appender.append([0, "1.0", "nan", "0.0", "47.0"])
-    appender.append([1, "2.0", "nan", "1.0", "47.1"])
+    appender.append([[0, "1.0", "nan", "0.0", "47.0"]])
+    appender.append([[1, "2.0", "nan", "1.0", "47.1"]])
     appender.close()
     # simulate a crash mid-append
     with open(path, "a") as fh:
         fh.write("2,3.0,nan,2.0,4")
     reopened = CsvAppender(path, HEADER)
     assert reopened.last_row == ["1", "2.0", "nan", "1.0", "47.1"]
-    reopened.append([2, "4.0", "nan", "3.0", "47.3"])
+    reopened.append([[2, "4.0", "nan", "3.0", "47.3"]])
     reopened.close()
 
     rows = read_table_csv(path.read_text())
@@ -186,7 +193,7 @@ def test_torn_final_line_quarantined(tmp_path):
 def test_unparseable_complete_line_quarantined(tmp_path):
     path = tmp_path / "t.csv"
     appender = CsvAppender(path, HEADER)
-    appender.append([0, "1.0", "nan", "0.0", "47.0"])
+    appender.append([[0, "1.0", "nan", "0.0", "47.0"]])
     appender.close()
     with open(path, "a") as fh:
         fh.write("not,a,valid,row,x\n")
@@ -227,6 +234,150 @@ def test_index_resumes_after_restart(offline_gateway, tmp_path, monkeypatch):
     lines = path.read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
     assert [r.t for r in read_table_csv(path.read_text())] == [0.0, 1.0, 3.0]
+
+
+class HalfWriteOnce:
+    """A file whose third write writes only the first half of its data, then fails."""
+
+    def __init__(self, fh, short: bool):
+        self._fh, self._short, self._writes = fh, short, 0
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes != 3:
+            return self._fh.write(data)
+        half = self._fh.write(data[:len(data) // 2])
+        if self._short:
+            return half
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["raises", "short"])
+def test_failed_append_leaves_no_trace(offline_gateway, tmp_path, monkeypatch, caplog, short):
+    def open_half_write(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return HalfWriteOnce(fh, short) if Path(file).name == "telemetry.csv" and "a" in mode \
+            else fh
+
+    monkeypatch.setattr(gateway_mod, "open", open_half_write, raising=False)
+    monkeypatch.setattr(time, "time", lambda: 1700000000.5)
+    with caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
+        for counter in range(3):  # writes: header, counter 0, counter 1 (fails), counter 2
+            offline_gateway.ingest(frame(counter))
+    offline_gateway.close()
+    text = (tmp_path / "telemetry.csv").read_text()
+    assert [line.split(",")[0] for line in text.splitlines()[1:]] == ["0", "1"]
+    assert [r.t for r in read_table_csv(text)] == [0.0, 2.0]
+    assert "row for counter 1 from node 0 lost" in caplog.text
+
+
+def test_unopenable_telemetry_log_loses_rows_not_the_stream(served_gateway, tmp_path, caplog):
+    _, server = served_gateway
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % server.address,
+                               persistence_path=str(blocker / "t.csv"),
+                               latency_log_path=str(tmp_path / "lat.csv"),
+                               retry_backoff=0.001))
+    reader, client = socket.socketpair()
+    with client:
+        for counter in range(3):
+            send_message(client, encode(frame(counter)))
+    with reader, caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
+        count = read_node_stream(reader, gw)
+    assert count == 3
+    assert gw.answered == 3
+    assert [r["frame_counter"] for r in latency_log(gw)] == [0, 1, 2]
+    assert "row for counter 2 from node 0 lost" in caplog.text
+    blocker.unlink()
+    blocker.mkdir()
+    gw.ingest(frame(3))  # the next batch opens the log
+    gw.close()
+    assert [r.t for r in read_table_csv((blocker / "t.csv").read_text())] == [3.0]
+
+
+def test_read_node_stream_stops_at_an_oversized_prefix(offline_gateway, tmp_path):
+    server, client = socket.socketpair()
+    with server, client:
+        server.settimeout(5)
+        client.sendall(b"".join(struct.pack("<I", len(encode(frame(c)))) + encode(frame(c))
+                                for c in range(3)))
+        client.sendall(struct.pack("<I", 1 << 20) + b"\0" * 100)  # and the rest never comes
+        started = time.perf_counter()
+        count = read_node_stream(server, offline_gateway)
+        assert time.perf_counter() - started < 1.0
+    assert count == 3
+    offline_gateway.close()
+    assert [r.t for r in read_table_csv((tmp_path / "telemetry.csv").read_text())] \
+        == [0.0, 1.0, 2.0]
+
+
+def test_lone_frame_is_persisted_at_once(offline_gateway, tmp_path):
+    path = tmp_path / "telemetry.csv"
+    server, client = socket.socketpair()
+    reader = threading.Thread(target=read_node_stream, args=(server, offline_gateway))
+    reader.start()
+    try:
+        send_message(client, encode(frame(0)))  # and the connection stays open
+        deadline = time.perf_counter() + 1.0
+        while time.perf_counter() < deadline and not (
+                path.exists() and path.read_text().count("\n") == 2):
+            time.sleep(0.005)
+        assert path.read_text().count("\n") == 2  # header and the row
+    finally:
+        client.close()
+        reader.join(timeout=10)
+        server.close()
+
+
+def intake_gateway(work: Path, delta_ohm: float) -> Gateway:
+    """A push gateway whose server answers every row with 0.0 at once."""
+    gw = Gateway(GatewayConfig(persistence_path=str(work / "t.csv"),
+                               latency_log_path=str(work / "lat.csv"),
+                               trigger=TriggerRule(every_frame=False, delta_ohm=delta_ohm)))
+    gw.request_prediction = lambda rows: [0.0] * len(rows)
+    return gw
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 6), st.sampled_from([2, 3]),
+                                st.integers(0, 3)), min_size=1, max_size=30),
+       cuts=st.lists(st.integers(1, 150), max_size=60),
+       delta_ohm=st.sampled_from([0.0, 0.5, 1.0]))
+def test_batched_intake_matches_one_frame_at_a_time(specs, cuts, delta_ohm):
+    """Node, counter (so duplicates), width and level per frame; reads cut at random sizes."""
+    frames = [frame(counter, tuple(47.0 + 0.4 * level + ch for ch in range(width)), node)
+              for node, counter, width, level in specs]
+    wall = SimpleNamespace(time=lambda: 1700000000.25, perf_counter=time.perf_counter)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(gateway_mod, "time", wall):
+        batched_dir, single_dir = Path(tmp, "batched"), Path(tmp, "single")
+        batched, single = intake_gateway(batched_dir, delta_ohm), intake_gateway(single_dir,
+                                                                                   delta_ohm)
+        with contextlib.closing(batched), contextlib.closing(single):
+            fired = []
+            ingest_frames = batched.ingest_frames
+
+            def recording(batch):
+                result = ingest_frames(batch)
+                fired.extend(result)
+                return result
+
+            batched.ingest_frames = recording
+            server, client = socket.socketpair()
+            with server, client:
+                for f in frames:
+                    send_message(client, encode(f))
+                client.shutdown(socket.SHUT_WR)
+                assert read_node_stream(CutReads(server, cuts), batched) == len(frames)
+            assert fired == [single.ingest(f) for f in frames]
+        assert (batched_dir / "t.csv").read_bytes() == (single_dir / "t.csv").read_bytes()
+        answered = [sorted((r["node_id"], r["frame_counter"]) for r in latency_log(gw))
+                    for gw in (batched, single)]
+        assert answered[0] == answered[1]
+        assert batched.answered == single.answered == len(answered[0])
 
 
 # -- prediction requests ---------------------------------------------------------------------
@@ -515,10 +666,10 @@ def test_read_node_stream_survives_unwritable_latency_log(served_gateway, tmp_pa
         def __getattr__(self, name):
             return getattr(self._fh, name)
 
-        def write(self, text):
-            if not text.startswith("frame_counter"):
+        def write(self, data):
+            if not data.startswith(b"frame_counter"):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return self._fh.write(text)
+            return self._fh.write(data)
 
     def open_on_full_disk(file, mode="r", *args, **kwargs):
         fh = open(file, mode, *args, **kwargs)

@@ -1,6 +1,7 @@
 """Frame codec: pinned bytes, CRC oracle, totality, link simulation."""
 
 import random
+import socket
 import struct
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shmlink.protocol import (
+    MAX_FRAME_SIZE,
     BadMagic,
     CrcMismatch,
     Delivery,
@@ -20,6 +22,8 @@ from shmlink.protocol import (
     decode,
     encode,
     link_send,
+    recv_batches,
+    send_message,
 )
 
 # Bytes of the minimal frame, frozen before the codec was written:
@@ -236,3 +240,52 @@ def test_invalid_link_config():
         LinkConfig(throughput=0.0)
     with pytest.raises(ValueError):
         LinkConfig(loss=1.5)
+
+
+# -- buffered stream reader --------------------------------------------------------------
+
+
+class CutReads:
+    """A socket whose reads stop at the next of the given cut sizes."""
+
+    def __init__(self, sock, cuts):
+        self._sock, self._cuts = sock, iter(cuts)
+
+    def recv_into(self, buffer):
+        return self._sock.recv_into(buffer, min(len(buffer), next(self._cuts, len(buffer))))
+
+
+def test_max_frame_size_is_the_widest_frame():
+    widest = TelemetryFrame(counter=0, resistances=(1.0,) * 8)
+    assert MAX_FRAME_SIZE == len(encode(widest)) == 12 + 8 * 8 + 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(messages=st.lists(st.binary(max_size=40), min_size=1, max_size=20),
+       cuts=st.lists(st.integers(1, 60), max_size=40))
+def test_recv_batches_yields_each_message_once_in_order(messages, cuts):
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        for m in messages:
+            send_message(writer, m)
+        writer.shutdown(socket.SHUT_WR)
+        batches = list(recv_batches(CutReads(reader, cuts), 64))
+    assert [m for batch in batches for m in batch] == messages
+    assert all(batches)  # a recv that completes nothing yields nothing
+
+
+def test_recv_batches_yields_a_lone_message_without_waiting():
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        reader.settimeout(5)
+        send_message(writer, b"alone")
+        assert next(recv_batches(reader, 64)) == [b"alone"]
+
+
+def test_recv_batches_stops_at_an_oversized_prefix():
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        reader.settimeout(5)
+        send_message(writer, b"first")
+        writer.sendall(struct.pack("<I", 65) + b"never read")
+        assert list(recv_batches(reader, 64)) == [[b"first"]]

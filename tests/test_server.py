@@ -3,6 +3,7 @@
 import gc
 import json
 import socket
+import struct
 import threading
 import warnings
 
@@ -11,7 +12,7 @@ import pytest
 
 from shmlink import mlp
 from shmlink.dataset import AlignedRecord, write_table_csv
-from shmlink.protocol import recv_message, send_message
+from shmlink.protocol import MAX_MESSAGE_SIZE, ConnectionClosed, recv_message, send_message
 from shmlink.server import InferenceServer, ModelNotLoaded, ServerConfig, serve
 
 
@@ -133,6 +134,28 @@ def test_malformed_message_does_not_disturb_other_connections(running_server):
             recv_message(sock)
     worker.join()
     assert results == ["health_ok"] * 20
+
+
+def test_pipelined_requests_answered_in_order(running_server):
+    requests = [{"type": "predict", "request_id": i, "rows": [[51.0 + i, 43.0]]}
+                for i in range(1, 4)]
+    sock = socket.create_connection(running_server.address, timeout=5)
+    with sock:  # all three reach the server in one write
+        sock.sendall(b"".join(struct.pack("<I", len(doc)) + doc
+                              for doc in (json.dumps(r).encode() for r in requests)))
+        replies = [json.loads(recv_message(sock).decode()) for _ in requests]
+    assert [r["request_id"] for r in replies] == [1, 2, 3]
+    assert [r["predictions"] for r in replies] == [
+        roundtrip(running_server, r)["predictions"] for r in requests]
+
+
+def test_oversized_length_prefix_closes_only_that_connection(running_server):
+    sock = socket.create_connection(running_server.address, timeout=5)
+    with sock:
+        sock.sendall(struct.pack("<I", MAX_MESSAGE_SIZE + 1))
+        with pytest.raises(ConnectionClosed):
+            recv_message(sock)
+    assert roundtrip(running_server, {"type": "health"})["type"] == "health_ok"
 
 
 def test_load_model_inline_document(running_server):
