@@ -4,9 +4,10 @@ Push vs poll: why moving the trigger to the client wins
 
 Same stack both times -- emulated node streaming over loopback TCP, gateway
 persisting and triggering, inference server answering.  In push mode every
-frame triggers an immediate request; in the legacy poll mode triggers become
-upload files that the server's periodic scan answers, so each one waits for
-the next scan (mean ~ interval/2).
+frame triggers an immediate request; in the legacy poll mode, which only the
+bench implements, triggers become upload files that a periodic scan answers
+through the server's model, so each one waits for the next scan
+(mean ~ interval/2).
 
 Scaled down for demo speed: 40 frames, 1 s poll interval.  The full-size
 comparison (200 frames, 5 s interval) runs in the acceptance suite and via

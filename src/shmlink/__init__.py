@@ -2,10 +2,10 @@
 
 An emulated sensor node samples resistive strain sensors through a 24-bit
 sigma-delta converter model, streams framed telemetry over a simulated or TCP
-link to a gateway, which persists the time series and drives an inference
-service hosting a 3-layer strain regressor.  A bench harness measures the
-push-vs-poll trigger-to-response latency gap between the two service
-topologies.
+link to a gateway, which persists the time series and pushes triggered
+frames to an inference service hosting a 3-layer strain regressor.  A bench
+harness measures the trigger-to-response latency of that push topology
+against a legacy periodic-scan poll baseline that lives only in the bench.
 """
 
 __version__ = "0.1.0"

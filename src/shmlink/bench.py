@@ -8,9 +8,10 @@ answer, collecting poll results as they appear, and the report is computed
 from the gateway's latency log.
 
 Push mode: every frame triggers an immediate TCP predict round trip.
-Poll mode: triggers become upload files; the server's periodic scan answers
-them, so each trigger waits for the next scan.  Frames arrive on the node
-tick schedule, spreading arrivals across poll cycles; with the default 0.2 s
+Poll mode, the legacy baseline that lives only here: ``PollGateway`` writes
+triggers as upload files that ``scan_uploads`` answers every interval, so
+each trigger waits for the next scan.  Frames arrive on the node tick
+schedule, spreading arrivals across poll cycles; with the default 0.2 s
 tick, 200 triggers span several 5 s cycles and the measured mean approaches
 interval/2 plus the processing base, without serializing the waits.
 ``stream_node`` is the node loop that ``shmlink simulate-node`` runs as well.
@@ -21,6 +22,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import json
+import logging
+import math
 import socket
 import tempfile
 import threading
@@ -31,11 +35,13 @@ import numpy as np
 
 from . import mlp
 from .adc import AdcEmulator, SensorModel
-from .dataset import read_table_csv
+from .dataset import AlignedRecord, read_table_csv, write_atomic, write_table_csv
 from .firmware import NodeFirmware
 from .gateway import Gateway, GatewayConfig, TriggerRule, latency_summary, node_listener, serve_nodes
-from .protocol import encode, send_message
+from .protocol import TelemetryFrame, encode, send_message
 from .server import InferenceServer, ServerConfig
+
+log = logging.getLogger(__name__)
 
 FIXTURE_RESISTANCES = (47.0, 47.0, 100.0, 100.0, 120.0, 120.0, 120.0, 120.0)
 
@@ -73,6 +79,76 @@ def stream_node(sock: socket.socket, firmware: NodeFirmware,
     return sent
 
 
+class PollGateway(Gateway):
+    """A gateway that writes each trigger's persisted row, same ``Time``, as an upload file.
+
+    A failed write loses that frame's prediction only (logged).
+    """
+
+    def __init__(self, config: GatewayConfig, upload_dir: Path):
+        super().__init__(config)
+        self.upload_dir = upload_dir
+        # result path -> (frame, received, sent), for collect_results
+        self._uploads: dict[Path, tuple[TelemetryFrame, float, float]] = {}
+
+    def _fire(self, frames: list[TelemetryFrame], received: float, wall: float) -> None:
+        for frame in frames:
+            record = AlignedRecord(time=wall, strain=math.nan,
+                                   t=float(frame.counter), resistances=frame.resistances)
+            dest = self.upload_dir / f"trigger_{frame.node_id:04d}_{frame.counter:08d}.csv"
+            try:
+                write_atomic(dest, write_table_csv([record]))
+            except OSError:
+                log.exception("poll upload failed; prediction lost for (node, counter) (%d, %d)",
+                              frame.node_id, frame.counter)
+                continue
+            # the result cannot exist before the rename, so received <= sent <= done holds
+            self._uploads[dest.with_suffix(".pred.json")] = (frame, received, time.perf_counter())
+
+    def collect_results(self) -> None:
+        """Record a latency row for each result that has appeared."""
+        answers = []
+        for result, (frame, received, sent) in list(self._uploads.items()):
+            if result.exists():
+                answers.append((frame, received, sent, time.perf_counter()))
+                del self._uploads[result]
+        self._record_latency(answers)
+
+
+def answer_uploads(server: InferenceServer, upload_dir: Path) -> int:
+    """Write ``<name>.pred.json`` beside each upload that has none; returns the count.
+
+    An upload that is not a table, or that ``server.handle_predict`` refuses,
+    is logged and skipped, and gets no result.
+    """
+    handled = 0
+    for path in sorted(upload_dir.glob("*.csv")):
+        result = path.with_suffix(".pred.json")
+        if result.exists():
+            continue
+        try:
+            records = read_table_csv(path.read_text(encoding="utf-8"))
+            answer = server.handle_predict(server.config.default_model_id,
+                                           [list(r.resistances) for r in records])
+            write_atomic(result, json.dumps({"name": path.name, **answer}, allow_nan=False))
+            handled += 1
+        except Exception:
+            log.exception("skipping upload %s", path)
+    return handled
+
+
+def scan_uploads(server: InferenceServer, upload_dir: Path, interval: float,
+                 stop: threading.Event) -> None:
+    """Every ``interval`` seconds until ``stop``, answer new uploads; a failed scan is logged."""
+    while not stop.is_set():
+        started = time.perf_counter()
+        try:
+            answer_uploads(server, upload_dir)
+        except OSError:
+            log.exception("poll scan failed")
+        stop.wait(max(0.0, interval - (time.perf_counter() - started)))
+
+
 def _node_stream(endpoint: tuple[str, int], frames: int, tick: float,
                  channels: int, seed: int, failures: list) -> None:
     """Stream ``frames`` fixture frames to the gateway; errors go to ``failures``."""
@@ -97,6 +173,8 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
     """
     if mode not in ("push", "poll"):
         raise ValueError(f"unknown mode {mode!r}")
+    if frames < 1:
+        raise ValueError("frames must be >= 1")
     if tick is None:
         tick = DEFAULT_PUSH_TICK if mode == "push" else DEFAULT_POLL_TICK
     with tempfile.TemporaryDirectory(prefix="shmlink-bench-") as tmp, \
@@ -104,32 +182,37 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
         work = Path(tmp)
         model_path = work / "bench_model.json"
         make_bench_model(channels, model_path, seed=seed)
-        upload_dir = work / "uploads"
-        upload_dir.mkdir()
 
         # each part is stopped on the way out, also when a later one fails to start
         server = InferenceServer(ServerConfig(host="127.0.0.1", port=0,
-                                              model_files={"default": str(model_path)},
-                                              upload_dir=str(upload_dir)))
+                                              model_files={"default": str(model_path)}))
         server.start()
         running.callback(server.stop)
         host, port = server.address
-        if mode == "poll":
-            server.start_poll_mode(poll_interval)
 
         listener = running.enter_context(node_listener("127.0.0.1", 0))
         node_endpoint = listener.getsockname()
-        gateway = Gateway(GatewayConfig(
+        config = GatewayConfig(
             node_endpoints=[f"{node_endpoint[0]}:{node_endpoint[1]}"],
             server_endpoint=f"{host}:{port}",
-            mode="push" if mode == "push" else "poll-compat",
             persistence_path=str(work / "telemetry.csv"),
             trigger=TriggerRule(every_frame=True),
-            latency_log_path=str(work / "latency.csv"),
-            upload_dir=str(upload_dir)))
+            latency_log_path=str(work / "latency.csv"))
+        stop = threading.Event()  # ends the scan loop and the intake
+        if mode == "poll":
+            if not poll_interval > 0:
+                raise ValueError("interval must be > 0")
+            scanner = threading.Thread(target=scan_uploads,
+                                       args=(server, work / "uploads", poll_interval, stop),
+                                       daemon=True, name="bench-poll-scan")
+            scanner.start()
+            running.callback(scanner.join)
+            running.callback(stop.set)
+            gateway = PollGateway(config, work / "uploads")
+        else:
+            gateway = Gateway(config)
         running.callback(gateway.close)
 
-        stop = threading.Event()
         intake = threading.Thread(target=serve_nodes, args=(listener, gateway, stop),
                                   daemon=True, name="bench-intake")
         failures: list = []
@@ -150,7 +233,8 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
             deadline += poll_interval * 2 + 10
         while (gateway.answered < frames and not failures
                and time.perf_counter() < deadline):
-            gateway.poll_results_once()
+            if mode == "poll":
+                gateway.collect_results()
             time.sleep(0.002)
         running.close()
 

@@ -58,13 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     node = sub.add_parser("simulate-node", help="run an emulated sensor node streaming frames")
     node.add_argument("--channels", type=int, choices=(2, 8), default=8)
-    node.add_argument("--tick", type=float, default=10.0, help="tick period, seconds")
+    node.add_argument("--tick", type=_above(0), default=10.0, help="tick period, seconds")
     node.add_argument("--profile", default="fixture",
                       help="fixture | replay:FILE | ramp")
     node.add_argument("--connect", required=True, metavar="HOST:PORT")
     node.add_argument("--seed", type=int, default=0)
     node.add_argument("--noise", type=float, default=0.0, help="resistance noise std, ohm")
-    node.add_argument("--frames", type=int, default=0,
+    node.add_argument("--frames", type=_above(-1, int), default=0,
                       help="stop after N frames (0 = until interrupted)")
     node.add_argument("--node-id", type=int, default=0)
     node.set_defaults(func=cmd_simulate_node)
@@ -80,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lat = sub.add_parser("bench-latency", help="push-vs-poll trigger-to-response benchmark")
     lat.add_argument("--mode", choices=("push", "poll"), required=True)
-    lat.add_argument("--poll-interval", type=float, default=5.0)
-    lat.add_argument("--frames", type=int, default=200)
-    lat.add_argument("--tick", type=float, default=None,
+    lat.add_argument("--poll-interval", type=_above(0), default=5.0)
+    lat.add_argument("--frames", type=_above(0, int), default=200)
+    lat.add_argument("--tick", type=_above(0), default=None,
                      help="node tick period (default 0.02 push / 0.2 poll)")
     lat.add_argument("--channels", type=int, choices=(2, 8), default=2)
     lat.add_argument("--seed", type=int, default=0)
@@ -97,6 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
     sync.add_argument("--out", required=True, metavar="FILE")
     sync.set_defaults(func=cmd_sync)
     return parser
+
+
+def _above(low: float, cast=float):
+    """An argparse type: ``cast(text)``, finite and greater than ``low``."""
+    def number(text: str):
+        value = cast(text)
+        if not low < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be > {low}, got {text!r}")
+        return value
+    return number
 
 
 # -- simulate-node ------------------------------------------------------------------

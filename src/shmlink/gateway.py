@@ -15,19 +15,18 @@ completed are ingested in one pass under the ingest lock and written to the
 telemetry CSV with one write.  The frames of one batch share one ``Time`` and
 one ``t_frame_received``; a frame that arrives alone is a batch of one.
 
-In push mode triggers go to the server over TCP by flat combining (Hendler
-et al., SPAA 2010).  Ingest only queues a triggered frame under the ingest
-lock; once the lock is released, the ingesting thread sends the queue itself
-unless another thread is already sending, in which case it returns at once
-and that sender keeps going until the queue is empty.  Each pass sends what
-queued during the previous round trip as one multi-row predict per channel
-count, in arrival order, so an uncontended trigger is still answered before
-``ingest`` returns, while under load the other nodes keep persisting during a
-round trip or a retry backoff.  A coalesced frame's ``t_request_sent`` is the
-time its batch was sent, and each batch's latency rows are written with one
-write.  In poll-compat mode (the legacy topology kept for
-benchmarking) triggers are written as upload files that the server's periodic
-scan will answer.
+Triggers go to the server over TCP by flat combining (Hendler et al., SPAA
+2010).  Ingest only queues a triggered frame under the ingest lock; once the
+lock is released, the ingesting thread sends the queue itself unless another
+thread is already sending, in which case it returns at once and that sender
+keeps going until the queue is empty.  Each pass sends what queued during the
+previous round trip as one multi-row predict per channel count, in arrival
+order, so an uncontended trigger is still answered before ``ingest`` returns,
+while under load the other nodes keep persisting during a round trip or a
+retry backoff.  A coalesced frame's ``t_request_sent`` is the time its batch
+was sent, and each batch's latency rows are written with one write.
+``Gateway._fire`` is where fired frames leave the ingest pass; the bench's
+periodic-scan baseline overrides it to hand them over as files.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import AlignedRecord, table_csv_header, table_csv_row, write_atomic, write_table_csv
+from .dataset import table_csv_header, table_csv_row
 from .protocol import (
     MAX_FRAME_SIZE,
     ConnectionClosed,
@@ -96,7 +95,7 @@ class TriggerRule:
     delta_ohm: float = 0.0
 
     def __post_init__(self):
-        if self.delta_ohm < 0:
+        if not self.delta_ohm >= 0:  # also refuses nan, which no difference reaches
             raise ValueError("delta_ohm must be >= 0")
 
 
@@ -106,22 +105,19 @@ class GatewayConfig:
     # nodes dial out (see serve_nodes / node_listener)
     node_endpoints: list[str] = field(default_factory=lambda: ["127.0.0.1:0"])
     server_endpoint: str = "127.0.0.1:7420"
-    mode: str = "push"  # push | poll-compat
+    mode: str = "push"  # the only mode; kept while perfbench/sut.py passes it
     persistence_path: str = "telemetry.csv"
     trigger: TriggerRule = field(default_factory=TriggerRule)
     latency_log_path: str | None = None
     model_id: str = "default"
-    upload_dir: str | None = None      # poll-compat only
     retry_backoff: float = 0.2
     connect_timeout: float = 5.0
 
     def __post_init__(self):
         if not self.node_endpoints:
             raise ValueError("at least one node endpoint required")
-        if self.mode not in ("push", "poll-compat"):
+        if self.mode != "push":
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "poll-compat" and not self.upload_dir:
-            raise ValueError("poll-compat mode requires upload_dir")
 
 
 def latency_summary(end_to_end: list[float]) -> dict[str, float]:
@@ -279,9 +275,8 @@ class Gateway:
         # never non-empty while _sending is False
         self._pending: list[tuple[TelemetryFrame, float]] = []
         self._sending = False
-        self._pending_polls: dict[Path, tuple[TelemetryFrame, float, float]] = {}
-        # triggers answered so far, each one a latency-log row; only the one
-        # sender or poll watcher writes it
+        # triggers answered so far, each one a latency-log row; only the
+        # thread recording latency rows writes it
         self.answered = 0
         self._latency = (CsvAppender(config.latency_log_path, LATENCY_HEADER)
                          if config.latency_log_path else None)
@@ -340,12 +335,12 @@ class Gateway:
             for frame in fresh:
                 log.error("row for counter %d from node %d lost: %s",
                           frame.counter, frame.node_id, exc)
-        if self.config.mode == "push":
-            self._pending.extend((frame, received) for frame in triggered)
-        else:
-            for frame in triggered:
-                self._submit_poll_upload(frame, received, wall)
+        self._fire(triggered, received, wall)
         return fired
+
+    def _fire(self, frames: list[TelemetryFrame], received: float, wall: float) -> None:
+        """Queue fired frames for the sender; runs under the ingest lock, ``wall`` is their Time."""
+        self._pending.extend((frame, received) for frame in frames)
 
     def _persist(self, frames: list[TelemetryFrame], wall: float) -> None:
         """Append one row per frame: Time ``wall``, Strain unknown (nan), t the node counter.
@@ -456,40 +451,6 @@ class Gateway:
             except OSError:
                 pass
             self._server_sock = None
-
-    # -- poll-compat topology -----------------------------------------------------------
-
-    def _submit_poll_upload(self, frame: TelemetryFrame, received: float, wall: float) -> None:
-        """Write the triggered frame's persisted row, same ``Time``, as an upload file.
-
-        An upload that cannot be written loses that frame's prediction only
-        (logged); monitoring continues.
-        """
-        record = AlignedRecord(time=wall, strain=math.nan,
-                               t=float(frame.counter), resistances=frame.resistances)
-        dest = Path(self.config.upload_dir) / f"trigger_{frame.node_id:04d}_{frame.counter:08d}.csv"
-        try:
-            write_atomic(dest, write_table_csv([record]))
-        except OSError:
-            log.exception("poll upload failed; prediction lost for (node, counter) (%d, %d)",
-                          frame.node_id, frame.counter)
-            return
-        # the result cannot exist before the rename, so received <= sent <= done holds
-        sent = time.perf_counter()
-        self._pending_polls[dest.with_suffix(".pred.json")] = (frame, received, sent)
-
-    def poll_results_once(self) -> int:
-        """Collect any poll-compat results that have appeared; returns count.
-
-        Safe to call from a watcher thread while ingest keeps submitting.
-        """
-        answers = []
-        for result_path, (frame, received, sent) in list(self._pending_polls.items()):
-            if result_path.exists():
-                answers.append((frame, received, sent, time.perf_counter()))
-                del self._pending_polls[result_path]
-        self._record_latency(answers)
-        return len(answers)
 
     # -- latency -----------------------------------------------------------------------
 

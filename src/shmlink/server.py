@@ -1,13 +1,9 @@
 """Inference service: loads strain regressors and answers prediction queries.
 
-Two topologies are supported.  In the push topology clients connect over TCP
-and exchange length-prefixed (u32 LE) JSON messages with a ``type`` field of
-predict / load_model / health.  In the legacy poll topology the server
-periodically scans an upload directory, which the gateway writes into
-directly, for new data files and writes prediction results beside them; the
-bench compares the two.  An upload holding a cell that is not a finite
-number, or whose prediction overflows, is logged and skipped, and gets no
-result.
+Clients connect over TCP and exchange length-prefixed (u32 LE) JSON messages
+with a ``type`` field of predict / load_model / health.  ``handle_predict`` is
+the model application behind every predict answer; the bench's periodic-scan
+baseline calls it directly.
 
 A malformed message earns an error response on its own connection and never
 disturbs other clients: ``bad_message`` for an unknown type, a missing field, a
@@ -25,10 +21,8 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import mlp
-from .dataset import read_table_csv, write_atomic
 from .protocol import MAX_MESSAGE_SIZE, listen, recv_batches, send_message, serve_connections
 
 log = logging.getLogger(__name__)
@@ -53,7 +47,6 @@ class ServerConfig:
     port: int = DEFAULT_PORT
     model_files: dict[str, str] = field(default_factory=dict)  # model_id -> path
     default_model_id: str = "default"
-    upload_dir: str | None = None
 
 
 class InferenceServer:
@@ -64,7 +57,7 @@ class InferenceServer:
         self._models: dict[str, mlp.MlpModel] = {}
         self._models_lock = threading.Lock()
         self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []  # accept and poll; stop() joins them
+        self._accept: threading.Thread | None = None  # stop() joins it
         self._stop = threading.Event()
         for model_id, path in config.model_files.items():
             self._models[model_id] = mlp.load_model(path)  # startup failure propagates
@@ -74,13 +67,10 @@ class InferenceServer:
     def start(self) -> None:
         """Bind and serve; raises on an unbindable address."""
         self._listener = listen(self.config.host, self.config.port)
-        self._start_thread("shmlink-accept", serve_connections,
-                           self._listener, self._serve_connection, self._stop)
-
-    def _start_thread(self, name: str, target, *args) -> None:
-        thread = threading.Thread(target=target, args=args, daemon=True, name=name)
-        thread.start()
-        self._threads.append(thread)
+        self._accept = threading.Thread(
+            target=serve_connections, args=(self._listener, self._serve_connection, self._stop),
+            daemon=True, name="shmlink-accept")
+        self._accept.start()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -90,7 +80,7 @@ class InferenceServer:
     def stop(self) -> None:
         """Shut every connection, join every server thread, close the listener.
 
-        When this returns the port is free and the accept, connection and poll
+        When this returns the port is free and the accept and connection
         threads have ended; only a handler still busy JOIN_TIMEOUT_S after its
         connection was shut down is left behind, as a daemon thread.
         """
@@ -100,8 +90,8 @@ class InferenceServer:
                 self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        for thread in self._threads:
-            thread.join()
+        if self._accept is not None:
+            self._accept.join()
         if self._listener is not None:
             self._listener.close()
 
@@ -204,52 +194,6 @@ class InferenceServer:
         with self._models_lock:
             self._models[model_id] = model
         return {"type": "load_model_ok", "model_id": model_id}
-
-    # -- legacy poll topology ----------------------------------------------------------
-
-    def start_poll_mode(self, interval: float) -> None:
-        """Run poll_mode_run on a background thread until stop()."""
-        if interval <= 0:
-            raise ValueError("interval must be > 0")
-        if self.config.upload_dir is None:
-            raise ValueError("upload_dir required for poll mode")
-        self._start_thread("shmlink-poll", self.poll_mode_run, interval)
-
-    def poll_mode_run(self, interval: float) -> None:
-        """Every ``interval`` seconds, predict on new uploads and write results.
-
-        Response delay for a file landing between scans is therefore in
-        (0, interval] plus processing.  Per-file failures are logged and
-        skipped, never fatal.
-        """
-        while not self._stop.is_set():
-            scan_started = time.perf_counter()
-            try:
-                self.poll_scan_once()
-            except OSError:
-                log.exception("poll scan failed")
-            elapsed = time.perf_counter() - scan_started
-            self._stop.wait(max(0.0, interval - elapsed))
-
-    def poll_scan_once(self) -> int:
-        """Answer every pending upload in ``config.upload_dir`` once; returns the count."""
-        upload_dir = Path(self.config.upload_dir)
-        if not upload_dir.is_dir():
-            return 0
-        handled = 0
-        for path in sorted(upload_dir.glob("*.csv")):
-            result = path.with_suffix(".pred.json")
-            if result.exists():
-                continue
-            try:
-                records = read_table_csv(path.read_text(encoding="utf-8"))
-                answer = self.handle_predict(self.config.default_model_id,
-                                             [list(r.resistances) for r in records])
-                write_atomic(result, json.dumps({"name": path.name, **answer}))
-                handled += 1
-            except Exception:
-                log.exception("skipping upload %s", path)
-        return handled
 
 
 def _check_cells(rows) -> None:

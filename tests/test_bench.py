@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from shmlink import bench
 from shmlink.bench import run_bench
 
 REPORT_KEYS = {"mode", "frames", "tick", "channels", "poll_interval", "wall_time",
@@ -28,3 +29,9 @@ def test_run_bench_stops_what_it_started_when_setup_fails():
     with pytest.raises(ValueError, match="interval"):
         run_bench("poll", frames=2, poll_interval=0)
     assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_run_bench_refuses_no_frames_before_starting_anything(monkeypatch):
+    monkeypatch.setattr(bench, "InferenceServer", None)  # building one raises TypeError
+    with pytest.raises(ValueError, match="frames"):
+        run_bench("push", frames=0)

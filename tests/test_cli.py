@@ -302,6 +302,21 @@ def test_bench_latency_push_writes_report(tmp_path):
     assert report["p95"] < 1.0
 
 
+@pytest.mark.parametrize("args", [
+    ("bench-latency", "--mode", "push", "--frames", "0"),
+    ("bench-latency", "--mode", "push", "--tick", "-1"),
+    ("bench-latency", "--mode", "poll", "--poll-interval", "-1"),
+    ("bench-latency", "--mode", "poll", "--poll-interval", "nan"),
+    ("simulate-node", "--connect", "127.0.0.1:1", "--frames", "-1"),
+    ("simulate-node", "--connect", "127.0.0.1:1", "--tick", "0"),
+])
+def test_out_of_range_numbers_are_usage_errors(args, tmp_path):
+    out = ("--out", str(tmp_path / "report.json")) if args[0] == "bench-latency" else ()
+    result = run_cli(*args, *out)
+    assert result.returncode == 2, result.stderr
+    assert "usage" in result.stderr.lower()
+
+
 def test_bench_latency_poll_writes_report(tmp_path):
     out = tmp_path / "report.json"
     result = run_cli("bench-latency", "--mode", "poll", "--frames", "8",

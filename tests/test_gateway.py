@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from shmlink import gateway as gateway_mod
 from shmlink import mlp
+from shmlink.bench import PollGateway
 from shmlink.dataset import AlignedRecord, read_table_csv, write_table_csv
 from shmlink.gateway import (
     CsvAppender,
@@ -65,37 +66,41 @@ def dead_endpoint() -> str:
 
 
 @pytest.fixture
-def offline_gateway(tmp_path):
-    """Gateway whose triggers only write upload files; no server needed."""
-    config = GatewayConfig(node_endpoints=["127.0.0.1:0"],
-                           server_endpoint="127.0.0.1:1",
-                           mode="poll-compat",
-                           upload_dir=str(tmp_path / "uploads"),
-                           persistence_path=str(tmp_path / "telemetry.csv"),
-                           trigger=TriggerRule(every_frame=False, delta_ohm=1e9),
-                           retry_backoff=0.001)
-    gw = Gateway(config)
-    yield gw
-    gw.close()
-
-
-@pytest.fixture
-def served_gateway(tmp_path):
+def model_server(tmp_path):
     rng = np.random.default_rng(0)
     model = mlp.init_model(2, 8, mu=np.array([47.0, 120.0]), sigma=np.ones(2), rng=rng)
     model_path = tmp_path / "model.json"
     mlp.save_model(model, model_path)
     server = serve(ServerConfig(host="127.0.0.1", port=0,
                                 model_files={"default": str(model_path)}))
-    host, port = server.address
+    yield server
+    server.stop()
+
+
+def quiet_config(tmp_path, server_endpoint: str) -> GatewayConfig:
+    """A gateway whose rule fires only on each node's first frame."""
+    return GatewayConfig(server_endpoint=server_endpoint,
+                         persistence_path=str(tmp_path / "telemetry.csv"),
+                         trigger=TriggerRule(every_frame=False, delta_ohm=1e9),
+                         retry_backoff=0.001)
+
+
+@pytest.fixture
+def quiet_gateway(tmp_path, model_server):
+    gw = Gateway(quiet_config(tmp_path, "%s:%d" % model_server.address))
+    yield gw
+    gw.close()
+
+
+@pytest.fixture
+def served_gateway(tmp_path, model_server):
     gw = Gateway(GatewayConfig(node_endpoints=["127.0.0.1:0"],
-                               server_endpoint=f"{host}:{port}",
+                               server_endpoint="%s:%d" % model_server.address,
                                persistence_path=str(tmp_path / "telemetry.csv"),
                                latency_log_path=str(tmp_path / "latency.csv"),
                                retry_backoff=0.001))
-    yield gw, server
+    yield gw, model_server
     gw.close()
-    server.stop()
 
 
 # -- ingest and trigger rules -----------------------------------------------------------
@@ -116,11 +121,17 @@ def test_delta_rule_hand_trace(tmp_path, served_gateway):
     assert fired == [True, False, True]  # baseline, +0.2 quiet, +1.0 fires
 
 
-def test_duplicate_counter_dropped(offline_gateway, tmp_path):
-    assert offline_gateway.ingest(frame(0)) is True  # first frame sets baseline
-    assert offline_gateway.ingest(frame(1)) is False
-    assert offline_gateway.ingest(frame(1)) is False  # duplicate: dropped
-    offline_gateway.close()
+@pytest.mark.parametrize("delta_ohm", [-1.0, float("nan")])
+def test_trigger_rule_refuses_a_delta_below_zero_or_nan(delta_ohm):
+    with pytest.raises(ValueError, match="delta_ohm"):
+        TriggerRule(every_frame=False, delta_ohm=delta_ohm)
+
+
+def test_duplicate_counter_dropped(quiet_gateway, tmp_path):
+    assert quiet_gateway.ingest(frame(0)) is True  # first frame sets baseline
+    assert quiet_gateway.ingest(frame(1)) is False
+    assert quiet_gateway.ingest(frame(1)) is False  # duplicate: dropped
+    quiet_gateway.close()
     rows = read_table_csv((tmp_path / "telemetry.csv").read_text())
     assert len(rows) == 2
 
@@ -132,23 +143,24 @@ def test_duplicate_does_not_trigger(served_gateway):
     assert len(latency_log(gw)) == 1
 
 
-def test_persistence_completeness_arrival_order(offline_gateway, tmp_path):
+def test_persistence_completeness_arrival_order(quiet_gateway, tmp_path):
     sent = [frame(i, resistances=(47.0 + i, 120.0)) for i in range(20)]
     for f in sent:
-        offline_gateway.ingest(f)
-    offline_gateway.ingest(frame(7, resistances=(999.0, 999.0)))  # duplicate
-    offline_gateway.close()
+        quiet_gateway.ingest(f)
+    quiet_gateway.ingest(frame(7, resistances=(999.0, 999.0)))  # duplicate
+    quiet_gateway.close()
     rows = read_table_csv((tmp_path / "telemetry.csv").read_text())
     assert [r.t for r in rows] == [float(i) for i in range(20)]
     assert [r.resistances[0] for r in rows] == [47.0 + i for i in range(20)]
 
 
-def test_poll_upload_time_is_persisted_time(offline_gateway, tmp_path, monkeypatch):
+def test_poll_upload_time_is_persisted_time(tmp_path, monkeypatch):
     ticks = iter(range(1000, 1100))  # every wall-clock reading differs
     monkeypatch.setattr(gateway_mod, "time", SimpleNamespace(
         time=lambda: float(next(ticks)), perf_counter=time.perf_counter))
-    assert offline_gateway.ingest(frame(5)) is True
-    offline_gateway.close()
+    gw = PollGateway(quiet_config(tmp_path, dead_endpoint()), tmp_path / "uploads")
+    assert gw.ingest(frame(5)) is True
+    gw.close()
     persisted = read_table_csv((tmp_path / "telemetry.csv").read_text())
     uploaded = read_table_csv((tmp_path / "uploads" / "trigger_0000_00000005.csv").read_text())
     assert [r.time for r in uploaded] == [r.time for r in persisted] == [1000.0]
@@ -160,11 +172,11 @@ def test_poll_upload_time_is_persisted_time(offline_gateway, tmp_path, monkeypat
 HEADER = ["index", "Time", "Strain", "t", "R1"]
 
 
-def test_persisted_rows_are_table_csv_rows(offline_gateway, tmp_path, monkeypatch):
+def test_persisted_rows_are_table_csv_rows(quiet_gateway, tmp_path, monkeypatch):
     monkeypatch.setattr(time, "time", lambda: 1700000000.1234567)
     resistances = (47.000123, 1 / 3)
-    offline_gateway.ingest(frame(7, resistances))
-    offline_gateway.ingest(frame(8, resistances))
+    quiet_gateway.ingest(frame(7, resistances))
+    quiet_gateway.ingest(frame(8, resistances))
     expected = write_table_csv([AlignedRecord(time=1700000000.1234567, strain=float("nan"),
                                               t=float(counter), resistances=resistances)
                                 for counter in (7, 8)])
@@ -220,15 +232,15 @@ def test_restart_reads_only_the_tail(tmp_path):
     assert (tmp_path / "t.csv.quarantine").read_text() == "100000,1700000000.1,na"
 
 
-def test_index_resumes_after_restart(offline_gateway, tmp_path, monkeypatch):
+def test_index_resumes_after_restart(quiet_gateway, tmp_path, monkeypatch):
     monkeypatch.setattr(time, "time", lambda: 1700000000.5)
-    offline_gateway.ingest(frame(0))
-    offline_gateway.ingest(frame(1))
-    offline_gateway.close()
+    quiet_gateway.ingest(frame(0))
+    quiet_gateway.ingest(frame(1))
+    quiet_gateway.close()
     path = tmp_path / "telemetry.csv"
     with open(path, "a") as fh:
         fh.write("2,1700000000.5,nan,2.0,4")  # a crash mid-append
-    restarted = Gateway(offline_gateway.config)
+    restarted = Gateway(quiet_gateway.config)
     restarted.ingest(frame(3))
     restarted.close()
     lines = path.read_text().splitlines()
@@ -256,7 +268,7 @@ class HalfWriteOnce:
 
 
 @pytest.mark.parametrize("short", [False, True], ids=["raises", "short"])
-def test_failed_append_leaves_no_trace(offline_gateway, tmp_path, monkeypatch, caplog, short):
+def test_failed_append_leaves_no_trace(quiet_gateway, tmp_path, monkeypatch, caplog, short):
     def open_half_write(file, mode="r", *args, **kwargs):
         fh = open(file, mode, *args, **kwargs)
         return HalfWriteOnce(fh, short) if Path(file).name == "telemetry.csv" and "a" in mode \
@@ -266,8 +278,8 @@ def test_failed_append_leaves_no_trace(offline_gateway, tmp_path, monkeypatch, c
     monkeypatch.setattr(time, "time", lambda: 1700000000.5)
     with caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
         for counter in range(3):  # writes: header, counter 0, counter 1 (fails), counter 2
-            offline_gateway.ingest(frame(counter))
-    offline_gateway.close()
+            quiet_gateway.ingest(frame(counter))
+    quiet_gateway.close()
     text = (tmp_path / "telemetry.csv").read_text()
     assert [line.split(",")[0] for line in text.splitlines()[1:]] == ["0", "1"]
     assert [r.t for r in read_table_csv(text)] == [0.0, 2.0]
@@ -299,7 +311,7 @@ def test_unopenable_telemetry_log_loses_rows_not_the_stream(served_gateway, tmp_
     assert [r.t for r in read_table_csv((blocker / "t.csv").read_text())] == [3.0]
 
 
-def test_read_node_stream_stops_at_an_oversized_prefix(offline_gateway, tmp_path):
+def test_read_node_stream_stops_at_an_oversized_prefix(quiet_gateway, tmp_path):
     server, client = socket.socketpair()
     with server, client:
         server.settimeout(5)
@@ -307,18 +319,18 @@ def test_read_node_stream_stops_at_an_oversized_prefix(offline_gateway, tmp_path
                                 for c in range(3)))
         client.sendall(struct.pack("<I", 1 << 20) + b"\0" * 100)  # and the rest never comes
         started = time.perf_counter()
-        count = read_node_stream(server, offline_gateway)
+        count = read_node_stream(server, quiet_gateway)
         assert time.perf_counter() - started < 1.0
     assert count == 3
-    offline_gateway.close()
+    quiet_gateway.close()
     assert [r.t for r in read_table_csv((tmp_path / "telemetry.csv").read_text())] \
         == [0.0, 1.0, 2.0]
 
 
-def test_lone_frame_is_persisted_at_once(offline_gateway, tmp_path):
+def test_lone_frame_is_persisted_at_once(quiet_gateway, tmp_path):
     path = tmp_path / "telemetry.csv"
     server, client = socket.socketpair()
-    reader = threading.Thread(target=read_node_stream, args=(server, offline_gateway))
+    reader = threading.Thread(target=read_node_stream, args=(server, quiet_gateway))
     reader.start()
     try:
         send_message(client, encode(frame(0)))  # and the connection stays open
@@ -553,10 +565,10 @@ def test_serve_nodes_two_concurrent_streams(tmp_path):
     listener = node_listener("127.0.0.1", 0)
     endpoint = listener.getsockname()
     gw = Gateway(GatewayConfig(node_endpoints=[f"{endpoint[0]}:{endpoint[1]}"],
-                               server_endpoint="127.0.0.1:1",
-                               mode="poll-compat", upload_dir=str(tmp_path / "up"),
+                               server_endpoint=dead_endpoint(),
                                trigger=TriggerRule(every_frame=False, delta_ohm=1e9),
-                               persistence_path=str(tmp_path / "t.csv")))
+                               persistence_path=str(tmp_path / "t.csv"),
+                               retry_backoff=0.001))
     stop = threading.Event()
     acceptor = threading.Thread(target=serve_nodes, args=(listener, gw, stop), daemon=True)
     acceptor.start()
@@ -592,19 +604,21 @@ def test_serve_nodes_two_concurrent_streams(tmp_path):
     assert by_node == {48.0: 25, 49.0: 25}
 
 
-def test_serve_nodes_stops_promptly_with_idle_node(offline_gateway):
+def test_serve_nodes_stops_promptly_with_idle_node(tmp_path):
     before = set(threading.enumerate())
+    # no server: a connection to one would leave its handler thread running
+    gw = Gateway(quiet_config(tmp_path, dead_endpoint()))
     listener = node_listener("127.0.0.1", 0)
     stop = threading.Event()
-    acceptor = threading.Thread(target=serve_nodes, args=(listener, offline_gateway, stop))
+    acceptor = threading.Thread(target=serve_nodes, args=(listener, gw, stop))
     acceptor.start()
     try:
         with socket.create_connection(listener.getsockname(), timeout=5) as node:
             send_message(node, encode(frame(0)))
             deadline = time.perf_counter() + 5
-            while not offline_gateway._seen and time.perf_counter() < deadline:
+            while not gw._seen and time.perf_counter() < deadline:
                 time.sleep(0.01)
-            assert offline_gateway._seen  # the reader is up, now idle in recv
+            assert gw._seen  # the reader is up, now idle in recv
             stopped = time.perf_counter()
             stop.set()
             acceptor.join(timeout=10)
@@ -613,6 +627,7 @@ def test_serve_nodes_stops_promptly_with_idle_node(offline_gateway):
         stop.set()
         acceptor.join(timeout=10)
         listener.close()
+        gw.close()
     assert [t for t in threading.enumerate() if t not in before] == []
 
 
@@ -625,14 +640,14 @@ def test_node_listener_failed_bind_closes_socket():
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-def test_read_node_stream_skips_undecodable_frames(tmp_path, offline_gateway):
+def test_read_node_stream_skips_undecodable_frames(tmp_path, quiet_gateway):
     server, client = socket.socketpair()
     with client:
         send_message(client, encode(frame(0)))
         send_message(client, b"garbage that fails to decode")
         send_message(client, encode(frame(1)))
     with server:
-        count = read_node_stream(server, offline_gateway)
+        count = read_node_stream(server, quiet_gateway)
     assert count == 2
 
 
@@ -695,16 +710,10 @@ def test_read_node_stream_survives_unwritable_latency_log(served_gateway, tmp_pa
     assert (tmp_path / "full.csv").read_text().startswith("frame_counter,")
 
 
-def test_poll_compat_without_upload_dir_rejected(tmp_path):
-    with pytest.raises(ValueError, match="upload_dir"):
-        GatewayConfig(mode="poll-compat", persistence_path=str(tmp_path / "t.csv"))
-
-
 def test_read_node_stream_survives_unwritable_upload(tmp_path, caplog):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")
-    gw = Gateway(GatewayConfig(mode="poll-compat", upload_dir=str(blocker),
-                               persistence_path=str(tmp_path / "t.csv")))
+    gw = PollGateway(GatewayConfig(persistence_path=str(tmp_path / "t.csv")), blocker)
     server, client = socket.socketpair()
     with client:
         for counter in range(5):
@@ -715,7 +724,7 @@ def test_read_node_stream_survives_unwritable_upload(tmp_path, caplog):
     assert count == 5
     rows = read_table_csv((tmp_path / "t.csv").read_text())
     assert [r.t for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
-    assert gw._pending_polls == {}
+    assert gw._uploads == {}
     assert "prediction lost for (node, counter) (0, 4)" in caplog.text
 
 

@@ -1,16 +1,18 @@
-"""Inference service: message protocol, prediction semantics, poll topology."""
+"""Inference service: message protocol, prediction semantics, the bench's poll scan."""
 
 import gc
 import json
 import socket
 import struct
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from shmlink import mlp
+from shmlink.bench import answer_uploads, scan_uploads
 from shmlink.dataset import AlignedRecord, write_table_csv
 from shmlink.protocol import MAX_MESSAGE_SIZE, ConnectionClosed, recv_message, send_message
 from shmlink.server import InferenceServer, ModelNotLoaded, ServerConfig, serve
@@ -26,10 +28,9 @@ def model_file(tmp_path):
 
 
 @pytest.fixture
-def running_server(tmp_path, model_file):
+def running_server(model_file):
     config = ServerConfig(host="127.0.0.1", port=0,
-                          model_files={"default": str(model_file)},
-                          upload_dir=str(tmp_path / "uploads"))
+                          model_files={"default": str(model_file)})
     server = serve(config)
     yield server
     server.stop()
@@ -221,12 +222,10 @@ def test_handle_predict_model_not_loaded():
 # -- lifecycle ---------------------------------------------------------------------------
 
 
-def test_stop_ends_every_server_thread_with_client_connected(tmp_path, model_file):
+def test_stop_ends_every_server_thread_with_client_connected(model_file):
     before = set(threading.enumerate())
     server = serve(ServerConfig(host="127.0.0.1", port=0,
-                                model_files={"default": str(model_file)},
-                                upload_dir=str(tmp_path / "uploads")))
-    server.start_poll_mode(10.0)
+                                model_files={"default": str(model_file)}))
     client = socket.create_connection(server.address, timeout=5)
     with client:
         assert roundtrip(server, {"type": "health"}, sock=client)["type"] == "health_ok"
@@ -262,12 +261,7 @@ def test_failed_bind_closes_listening_socket():
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-# -- poll topology ------------------------------------------------------------------------
-
-
-def test_poll_mode_requires_upload_dir():
-    with pytest.raises(ValueError, match="upload_dir"):
-        InferenceServer(ServerConfig(port=0)).start_poll_mode(1.0)
+# -- the bench's poll topology: uploads answered through handle_predict -----------------
 
 
 def upload_record_csv(tmp_path, name, resistances):
@@ -280,20 +274,20 @@ def upload_record_csv(tmp_path, name, resistances):
 
 def test_poll_scan_predicts_new_files(running_server, tmp_path, model_file):
     path = upload_record_csv(tmp_path, "t1.csv", (51.0, 43.0))
-    handled = running_server.poll_scan_once()
+    handled = answer_uploads(running_server, tmp_path / "uploads")
     assert handled == 1
     doc = json.loads(path.with_suffix(".pred.json").read_text())
     local = mlp.load_model(model_file)
     assert doc["predictions"] == [mlp.forward(local, [51.0, 43.0])]
     # second scan leaves answered files alone
-    assert running_server.poll_scan_once() == 0
+    assert answer_uploads(running_server, tmp_path / "uploads") == 0
 
 
 def test_poll_scan_skips_bad_files_and_continues(running_server, tmp_path):
     (tmp_path / "uploads").mkdir(exist_ok=True)
     (tmp_path / "uploads" / "broken.csv").write_text("not,a,table\n1,2,3\n")
     upload_record_csv(tmp_path, "good.csv", (51.0, 43.0))
-    assert running_server.poll_scan_once() == 1
+    assert answer_uploads(running_server, tmp_path / "uploads") == 1
     assert (tmp_path / "uploads" / "good.pred.json").exists()
     assert not (tmp_path / "uploads" / "broken.pred.json").exists()
 
@@ -308,7 +302,7 @@ def strict_json(text: str):
 def test_poll_scan_skips_uploads_with_non_finite_cells(running_server, tmp_path, cell):
     upload_record_csv(tmp_path, "bad.csv", (cell, 43.0))
     good = upload_record_csv(tmp_path, "good.csv", (51.0, 43.0))
-    assert running_server.poll_scan_once() == 1
+    assert answer_uploads(running_server, tmp_path / "uploads") == 1
     assert not (tmp_path / "uploads" / "bad.pred.json").exists()
     assert len(strict_json(good.with_suffix(".pred.json").read_text())["predictions"]) == 1
 
@@ -319,15 +313,14 @@ def gain_server(tmp_path) -> InferenceServer:
     model = mlp.MlpModel(layer_sizes=[2, 1, 1, 1], weights=gain, biases=[np.zeros(1)] * 3,
                          feature_mean=np.zeros(2), feature_std=np.ones(2))
     mlp.save_model(model, tmp_path / "gain.json")
-    return InferenceServer(ServerConfig(model_files={"default": str(tmp_path / "gain.json")},
-                                        upload_dir=str(tmp_path / "uploads")))
+    return InferenceServer(ServerConfig(model_files={"default": str(tmp_path / "gain.json")}))
 
 
 def test_poll_scan_refuses_a_prediction_that_overflows(tmp_path):
     server = gain_server(tmp_path)
     upload_record_csv(tmp_path, "huge.csv", (1e306, 43.0))  # finite cell, 1e309 prediction
     with pytest.warns(RuntimeWarning, match="overflow"):
-        assert server.poll_scan_once() == 0
+        assert answer_uploads(server, tmp_path / "uploads") == 0
     assert not (tmp_path / "uploads" / "huge.pred.json").exists()
 
 
@@ -342,21 +335,27 @@ def test_predict_that_overflows_is_a_bad_message(tmp_path):
 
 def test_poll_empty_dir_no_outputs(running_server, tmp_path):
     (tmp_path / "uploads").mkdir(exist_ok=True)
-    assert running_server.poll_scan_once() == 0
+    assert answer_uploads(running_server, tmp_path / "uploads") == 0
     assert list((tmp_path / "uploads").iterdir()) == []
 
 
 def test_poll_mode_answers_on_next_scan(running_server, tmp_path):
-    import time
-
     interval = 0.1
-    running_server.start_poll_mode(interval)
-    time.sleep(interval / 2)  # land between scans
-    path = upload_record_csv(tmp_path, "timed.csv", (51.0, 43.0))
-    submitted = time.perf_counter()
-    result = path.with_suffix(".pred.json")
-    while not result.exists():
-        assert time.perf_counter() - submitted < 5.0
-        time.sleep(0.002)
-    delay = time.perf_counter() - submitted
-    assert 0.0 < delay <= interval + 0.25  # next scan plus processing slack
+    stop = threading.Event()
+    scanner = threading.Thread(target=scan_uploads,
+                               args=(running_server, tmp_path / "uploads", interval, stop))
+    scanner.start()
+    try:
+        time.sleep(interval / 2)  # land between scans
+        path = upload_record_csv(tmp_path, "timed.csv", (51.0, 43.0))
+        submitted = time.perf_counter()
+        result = path.with_suffix(".pred.json")
+        while not result.exists():
+            assert time.perf_counter() - submitted < 5.0
+            time.sleep(0.002)
+        delay = time.perf_counter() - submitted
+        assert 0.0 < delay <= interval + 0.25  # next scan plus processing slack
+    finally:
+        stop.set()
+        scanner.join(timeout=10)
+    assert not scanner.is_alive()
