@@ -39,7 +39,7 @@ from .dataset import AlignedRecord, read_table_csv, write_atomic, write_table_cs
 from .firmware import NodeFirmware
 from .gateway import Gateway, GatewayConfig, TriggerRule, latency_summary, node_listener, serve_nodes
 from .protocol import TelemetryFrame, encode, send_message
-from .server import InferenceServer, ServerConfig
+from .server import DEFAULT_MODEL_ID, InferenceServer, ServerConfig
 
 log = logging.getLogger(__name__)
 
@@ -128,8 +128,7 @@ def answer_uploads(server: InferenceServer, upload_dir: Path) -> int:
             continue
         try:
             records = read_table_csv(path.read_text(encoding="utf-8"))
-            answer = server.handle_predict(server.config.default_model_id,
-                                           [list(r.resistances) for r in records])
+            answer = server.handle_predict(DEFAULT_MODEL_ID, [list(r.resistances) for r in records])
             write_atomic(result, json.dumps({"name": path.name, **answer}, allow_nan=False))
             handled += 1
         except Exception:
@@ -185,7 +184,7 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
 
         # each part is stopped on the way out, also when a later one fails to start
         server = InferenceServer(ServerConfig(host="127.0.0.1", port=0,
-                                              model_files={"default": str(model_path)}))
+                                              model_files={DEFAULT_MODEL_ID: str(model_path)}))
         server.start()
         running.callback(server.stop)
         host, port = server.address

@@ -36,10 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ds.DatasetError, mlp.MlError) as exc:
+    except (UsageError, ds.DatasetError, mlp.MlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:
@@ -58,15 +55,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     node = sub.add_parser("simulate-node", help="run an emulated sensor node streaming frames")
     node.add_argument("--channels", type=int, choices=(2, 8), default=8)
-    node.add_argument("--tick", type=_above(0), default=10.0, help="tick period, seconds")
+    node.add_argument("--tick", type=_number(), default=10.0, help="tick period, seconds")
     node.add_argument("--profile", default="fixture",
                       help="fixture | replay:FILE | ramp")
     node.add_argument("--connect", required=True, metavar="HOST:PORT")
     node.add_argument("--seed", type=int, default=0)
-    node.add_argument("--noise", type=float, default=0.0, help="resistance noise std, ohm")
-    node.add_argument("--frames", type=_above(-1, int), default=0,
+    node.add_argument("--noise", type=_number(float, lambda v: 0 <= v < float("inf"), ">= 0"),
+                      default=0.0, help="resistance noise std, ohm")
+    node.add_argument("--frames", type=_number(int, lambda v: v >= 0, ">= 0"), default=0,
                       help="stop after N frames (0 = until interrupted)")
-    node.add_argument("--node-id", type=int, default=0)
+    node.add_argument("--node-id", type=_number(int, lambda v: 0 <= v <= 0xFFFF, "in [0, 65535]"),
+                      default=0)
     node.set_defaults(func=cmd_simulate_node)
 
     train = sub.add_parser("train", help="grid-search the strain regressor on a dataset")
@@ -75,14 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--grid", metavar="FILE", help="JSON hyperparameter grid")
     train.add_argument("--out", required=True, metavar="MODEL")
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--train-fraction", type=float, default=0.8)
+    train.add_argument("--train-fraction", type=_number(float, lambda v: 0 < v < 1, "in (0, 1)"),
+                       default=0.8)
     train.set_defaults(func=cmd_train)
 
     lat = sub.add_parser("bench-latency", help="push-vs-poll trigger-to-response benchmark")
     lat.add_argument("--mode", choices=("push", "poll"), required=True)
-    lat.add_argument("--poll-interval", type=_above(0), default=5.0)
-    lat.add_argument("--frames", type=_above(0, int), default=200)
-    lat.add_argument("--tick", type=_above(0), default=None,
+    lat.add_argument("--poll-interval", type=_number(), default=5.0)
+    lat.add_argument("--frames", type=_number(int), default=200)
+    lat.add_argument("--tick", type=_number(), default=None,
                      help="node tick period (default 0.02 push / 0.2 poll)")
     lat.add_argument("--channels", type=int, choices=(2, 8), default=2)
     lat.add_argument("--seed", type=int, default=0)
@@ -99,12 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _above(low: float, cast=float):
-    """An argparse type: ``cast(text)``, finite and greater than ``low``."""
+def _number(cast=float, ok=lambda v: 0 < v < float("inf"), expected="> 0"):
+    """An argparse type: ``cast(text)``, a usage error unless ``ok`` (default: > 0, finite)."""
     def number(text: str):
         value = cast(text)
-        if not low < value < float("inf"):
-            raise argparse.ArgumentTypeError(f"must be > {low}, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
         return value
     return number
 

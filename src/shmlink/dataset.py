@@ -5,8 +5,8 @@ on different clocks.  This module parses both exports, estimates the clock
 offset by cross-correlating strain against mean resistance change, joins the
 two series into aligned records, and reads/writes them in the canonical
 ``index,Time,Strain,t,R1..Rn`` layout (UTF-8, comma separator, shortest
-round-trip float rendering).  Gateway rows come from ``table_csv_row``; every
-whole file the package writes goes through ``write_atomic``.
+round-trip float rendering).  ``csv_line`` renders every CSV row the package
+writes, gateway logs included; every whole file goes through ``write_atomic``.
 """
 
 from __future__ import annotations
@@ -292,24 +292,28 @@ def split_chronological(records: list[AlignedRecord],
 def write_table_csv(records: list[AlignedRecord]) -> str:
     """Render records as ``index,Time,Strain,t,R1..Rn`` text."""
     n_channels = len(records[0].resistances) if records else 1
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(table_csv_header(n_channels))
-    for i, rec in enumerate(records):
-        writer.writerow([i, *table_csv_row(rec.time, rec.strain, rec.t, rec.resistances)])
-    return out.getvalue()
+    return ",".join(table_csv_header(n_channels)) + "\n" + "".join(
+        table_csv_row(i, rec.time, rec.strain, rec.t, rec.resistances)
+        for i, rec in enumerate(records))
 
 
 def table_csv_header(n_channels: int) -> list[str]:
     return ["index", "Time", "Strain", "t"] + [f"R{i + 1}" for i in range(n_channels)]
 
 
-def table_csv_row(time: float, strain: float, t: float, resistances) -> list[str]:
-    """The ``Time,Strain,t,R1..Rn`` cells of one row; the writer adds the index."""
-    # float() first: repr of float is the shortest round-trip decimal,
-    # whatever numeric scalar type the caller handed us
-    return [repr(float(time)), repr(float(strain)), repr(float(t)),
-            *(repr(float(r)) for r in resistances)]
+def table_csv_row(index: int, time: float, strain: float, t: float, resistances) -> str:
+    """The ``index,Time,Strain,t,R1..Rn`` line of one row."""
+    # float() first: numpy 2's repr of an np.float64 is "np.float64(...)"
+    return csv_line((index, float(time), float(strain), float(t), *map(float, resistances)))
+
+
+def csv_line(cells) -> str:
+    """One CSV line: the shortest round-trip ``repr`` of each int or Python float.
+
+    >>> csv_line((7, 0.1, math.nan, -math.inf, 5e-324))
+    '7,0.1,nan,-inf,5e-324\\n'
+    """
+    return ",".join(map(repr, cells)) + "\n"
 
 
 def write_atomic(path, text: str) -> None:

@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import table_csv_header, table_csv_row
+from .dataset import csv_line, table_csv_header, table_csv_row
 from .protocol import (
     MAX_FRAME_SIZE,
     ConnectionClosed,
@@ -109,7 +109,6 @@ class GatewayConfig:
     persistence_path: str = "telemetry.csv"
     trigger: TriggerRule = field(default_factory=TriggerRule)
     latency_log_path: str | None = None
-    model_id: str = "default"
     retry_backoff: float = 0.2
     connect_timeout: float = 5.0
 
@@ -140,23 +139,22 @@ class CsvAppender:
     On open, a final line that is incomplete (no newline) or unparseable is
     moved to ``<path>.quarantine`` rather than silently accepted, and
     ``last_row`` holds the cells of the last row kept, or None.  A new file
-    gets ``header``.  ``append`` renders its rows to text and writes them with
-    one unbuffered write; a failed or short write is cut back off the file
-    and raises PersistenceFailure, so the rows are lost whole and nothing of
-    them is written later.
+    gets the ``header`` line.  ``append`` takes rows already rendered to
+    text (``dataset.csv_line``) and writes them with one unbuffered write; a
+    failed or short write is cut back off the file and raises
+    PersistenceFailure, so the rows are lost whole and nothing of them is
+    written later.
     """
 
     def __init__(self, path, header: list[str]):
         self.path = Path(path)
         self.header = header
         self.last_row = self._recover()
-        self._lines = _Lines()
-        self._writer = csv.writer(self._lines, lineterminator="\n")
         self._fh = open(self.path, "ab", buffering=0)
         try:
             self._size = self._fh.seek(0, io.SEEK_END)
             if self._size == 0:
-                self.append([header])
+                self.append(",".join(header) + "\n")
         except BaseException:
             self._fh.close()
             raise
@@ -169,8 +167,7 @@ class CsvAppender:
         quarantined.
         """
         if not self.path.exists():
-            if self.path.parent != Path(""):
-                self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             return None
         last = None
         with open(self.path, "r+b") as fh:
@@ -204,14 +201,9 @@ class CsvAppender:
             return None
         return row
 
-    def append(self, rows) -> None:
-        """Write an iterable of rows with one write, all of them or none."""
-        try:
-            for row in rows:  # writerow per row: faster than writerows for a batch of one
-                self._writer.writerow(row)
-            data = "".join(self._lines).encode("utf-8")
-        finally:
-            self._lines.clear()
+    def append(self, text: str) -> None:
+        """Write rendered lines with one write, all of them or none."""
+        data = text.encode("utf-8")
         try:
             written = self._fh.write(data)
             if written != len(data):
@@ -226,12 +218,6 @@ class CsvAppender:
 
     def close(self) -> None:
         self._fh.close()
-
-
-class _Lines(list):
-    """The lines a ``csv.writer`` renders, kept for one write of all of them."""
-
-    write = list.append
 
 
 def _lines_backward(fh, end: int):
@@ -356,8 +342,9 @@ class Gateway:
                     from exc
             self._next_index = int(self._csv.last_row[0]) + 1 if self._csv.last_row else 0
         first = self._next_index
-        self._csv.append([first + k, *table_csv_row(wall, math.nan, f.counter, f.resistances)]
-                         for k, f in enumerate(frames))
+        self._csv.append("".join(
+            table_csv_row(first + k, wall, math.nan, f.counter, f.resistances)
+            for k, f in enumerate(frames)))
         self._next_index = first + len(frames)
 
     def _should_trigger(self, frame: TelemetryFrame) -> bool:
@@ -406,17 +393,18 @@ class Gateway:
             raise
 
     def request_prediction(self, rows: list[list[float]]) -> list[float]:
-        """Round-trip one predict request; retries transport failures.
+        """Round-trip one predict request; retries transport failures and bad replies.
 
-        Raises ServerUnreachable after 5 failed attempts (exponential
-        backoff), ShapeMismatch when the server rejects the feature width.
+        A reply that is not an object, is an error, or whose ``predictions``
+        are not one number per row fails the attempt.  Raises ServerUnreachable after 5 failed
+        attempts (exponential backoff), ShapeMismatch when the server rejects
+        the feature width.
         Safe to call from any thread: calls take turns on the one server
         connection.
         """
         with self._request_lock:
             self._request_id += 1
-            request = {"type": "predict", "request_id": self._request_id,
-                       "model_id": self.config.model_id, "rows": rows}
+            request = {"type": "predict", "request_id": self._request_id, "rows": rows}
             payload = json.dumps(request).encode()
             last_error: Exception | None = None
             for attempt in range(5):
@@ -425,16 +413,22 @@ class Gateway:
                 try:
                     sock = self._server_connection()
                     send_message(sock, payload)
-                    reply = json.loads(recv_message(sock).decode("utf-8"))
+                    # an int prediction, even one beyond float range, arrives as a float
+                    reply = json.loads(recv_message(sock).decode("utf-8"), parse_int=float)
+                    if not isinstance(reply, dict):
+                        raise ValueError(f"reply {reply!r} is not an object")
                 except (OSError, ConnectionClosed, ValueError) as exc:
                     last_error = exc
                     self._drop_server_connection()
                     continue
-                if reply.get("type") == "predict_ok":
-                    return [float(p) for p in reply["predictions"]]
+                predictions = reply.get("predictions")
+                if (reply.get("type") == "predict_ok" and isinstance(predictions, list)
+                        and len(predictions) == len(rows)
+                        and all(type(p) is float for p in predictions)):
+                    return predictions
                 if reply.get("error") == "shape_mismatch":
                     raise ShapeMismatch(reply.get("detail", "shape mismatch"))
-                last_error = GatewayError(f"server error: {reply!r}")
+                last_error = GatewayError(f"server reply {reply!r}")
             raise ServerUnreachable(f"5 attempts failed: {last_error}")
 
     def _server_connection(self) -> socket.socket:
@@ -460,9 +454,9 @@ class Gateway:
         if self._latency is None or not answers:
             return
         try:
-            self._latency.append([frame.counter, frame.node_id, received, sent, done,
-                                  done - received]
-                                 for frame, received, sent, done in answers)
+            self._latency.append("".join(
+                csv_line((frame.counter, frame.node_id, received, sent, done, done - received))
+                for frame, received, sent, done in answers))
         except PersistenceFailure as exc:
             for frame, *_ in answers:
                 log.error("latency row for counter %d from node %d lost: %s",

@@ -97,7 +97,7 @@ class MlpModel:
             expect = (self.layer_sizes[i + 1], self.layer_sizes[i])
             if w.shape != expect or b.shape != (expect[0],):
                 raise ShapeMismatch(f"layer {i + 1}: weights {w.shape}, expected {expect}")
-        if np.any(self.feature_std <= 0.0):
+        if not np.all(self.feature_std > 0.0):  # also refuses nan
             raise ShapeMismatch("feature_std components must be > 0")
 
     @property
@@ -440,6 +440,8 @@ def model_to_doc(model: MlpModel) -> dict:
 def model_from_doc(doc: dict) -> MlpModel:
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CorruptModelFile("not a model document")
+    if type(doc["format_version"]) is not int:  # json's true is True, and True == 1
+        raise CorruptModelFile(f"format_version {doc['format_version']!r} is not an integer")
     if doc["format_version"] != MODEL_FORMAT_VERSION:
         raise UnsupportedVersion(f"format_version {doc['format_version']}")
     try:
@@ -451,6 +453,9 @@ def model_from_doc(doc: dict) -> MlpModel:
         activations = {key: doc[key] for key in ACTIVATIONS}
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelFile(str(exc)) from None
+    # json reads NaN and Infinity; a model holding one answers no prediction
+    if not all(np.isfinite(a).all() for a in (*weights, *biases, mean, std)):
+        raise CorruptModelFile("a weight, bias or normalization statistic is not finite")
     if activations != ACTIVATIONS:
         raise CorruptModelFile(f"activations {activations}: the forward pass is {ACTIVATIONS}")
     for w in weights:

@@ -29,6 +29,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7420
+DEFAULT_MODEL_ID = "default"  # what a predict without a model_id is answered by
 
 
 class ModelNotLoaded(Exception):
@@ -46,7 +47,6 @@ class ServerConfig:
     host: str = DEFAULT_HOST
     port: int = DEFAULT_PORT
     model_files: dict[str, str] = field(default_factory=dict)  # model_id -> path
-    default_model_id: str = "default"
 
 
 class InferenceServer:
@@ -123,7 +123,7 @@ class InferenceServer:
             return {"type": "error", "error": "bad_message", "detail": str(exc)}
 
         if mtype == "health":
-            return {"type": "health_ok", "model_id": self.config.default_model_id,
+            return {"type": "health_ok", "model_id": DEFAULT_MODEL_ID,
                     "models": sorted(self._models)}
         if mtype == "predict":
             return self._on_predict(msg)
@@ -136,14 +136,11 @@ class InferenceServer:
         if not isinstance(request_id, int) or isinstance(request_id, bool):
             return {"type": "error", "error": "bad_message",
                     "detail": f"request_id {request_id!r} is not an integer"}
-        try:
-            rows = msg["rows"]
-        except KeyError:
+        if "rows" not in msg:
             return {"type": "error", "error": "bad_message", "detail": "missing 'rows'",
                     "request_id": request_id}
         try:
-            result = self.handle_predict(str(msg.get("model_id") or self.config.default_model_id),
-                                         rows)
+            result = self.handle_predict(str(msg.get("model_id") or DEFAULT_MODEL_ID), msg["rows"])
         except NotFinite as exc:
             return {"type": "error", "error": "bad_message", "detail": str(exc),
                     "request_id": request_id}

@@ -19,6 +19,7 @@ from shmlink.synthetic import offset_pair, strain_records
 
 HALF_LSB = 0.5 * 2.5 / 16777216 / 0.001
 FIXTURE8 = (47.0, 47.0, 100.0, 100.0, 120.0, 120.0, 120.0, 120.0)
+BUNDLED_2CH = Path(__file__).parent.parent / "data" / "synthetic_2ch.csv"
 
 
 def run_cli(*args, timeout=120):
@@ -309,9 +310,13 @@ def test_bench_latency_push_writes_report(tmp_path):
     ("bench-latency", "--mode", "poll", "--poll-interval", "nan"),
     ("simulate-node", "--connect", "127.0.0.1:1", "--frames", "-1"),
     ("simulate-node", "--connect", "127.0.0.1:1", "--tick", "0"),
+    ("simulate-node", "--connect", "127.0.0.1:1", "--noise", "-1"),
+    ("simulate-node", "--connect", "127.0.0.1:1", "--node-id", "70000"),
+    ("train", "--data", str(BUNDLED_2CH), "--train-fraction", "1.5"),
+    ("train", "--data", str(BUNDLED_2CH), "--train-fraction", "nan"),
 ])
 def test_out_of_range_numbers_are_usage_errors(args, tmp_path):
-    out = ("--out", str(tmp_path / "report.json")) if args[0] == "bench-latency" else ()
+    out = ("--out", str(tmp_path / "report.json")) if args[0] != "simulate-node" else ()
     result = run_cli(*args, *out)
     assert result.returncode == 2, result.stderr
     assert "usage" in result.stderr.lower()

@@ -1,5 +1,8 @@
 """Ingestion, synchronization, offset estimation, and the canonical CSV layout."""
 
+import csv
+import io
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -16,18 +19,21 @@ from shmlink.dataset import (
     NoOverlap,
     ResistanceSample,
     TooFewRecords,
+    csv_line,
     estimate_offset,
     parse_mechanical_csv,
     parse_resistance_csv,
     read_table_csv,
     split_chronological,
     synchronize,
+    table_csv_row,
     write_atomic,
     write_table_csv,
 )
 from shmlink.synthetic import offset_pair
 
 DATA_DIR = Path(__file__).parent / "data"
+BUNDLED_DIR = Path(__file__).parent.parent / "data"
 
 # The five pinned synchronized rows (index 500..504 of the reference recording).
 PINNED_ROWS = [
@@ -272,6 +278,53 @@ def test_eight_channel_header():
     rec = AlignedRecord(time=0.0, strain=0.0, t=0.0, resistances=tuple(range(8)))
     text = write_table_csv([rec])
     assert text.splitlines()[0] == "index,Time,Strain,t,R1,R2,R3,R4,R5,R6,R7,R8"
+
+
+@pytest.mark.parametrize("name", ["synthetic_2ch.csv", "synthetic_8ch.csv"])
+def test_bundled_tables_render_byte_for_byte(name):
+    text = (BUNDLED_DIR / name).read_text(encoding="utf-8")
+    assert write_table_csv(read_table_csv(text)) == text
+
+
+def test_numpy_cells_render_as_python_floats():
+    rows = np.random.default_rng(4).normal(0.0, 1e3, (6, 5))
+    as_numpy = [AlignedRecord(time=r[0], strain=r[1], t=r[2], resistances=tuple(r[3:]))
+                for r in rows]  # np.float64 cells
+    as_python = [AlignedRecord(time=float(r[0]), strain=float(r[1]), t=float(r[2]),
+                               resistances=tuple(map(float, r[3:]))) for r in rows]
+    assert type(as_numpy[0].time) is np.float64
+    assert write_table_csv(as_numpy) == write_table_csv(as_python)
+
+
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.225073858507201e-308,
+               2.2250738585072014e-308, 1e300, -1.7976931348623157e308, 1e16, 1e-7, 0.1)
+
+
+def random_floats(rng, n: int) -> list[float]:
+    """Random bit patterns (every exponent, subnormals, nan), plain values and edge values."""
+    kinds = (np.frombuffer(rng.bytes(8 * n), dtype=np.float64).tolist(),
+             (rng.normal(size=n) * 10.0 ** rng.integers(-12, 13, n)).tolist(),
+             [EDGE_FLOATS[i] for i in rng.integers(0, len(EDGE_FLOATS), n)])
+    return [kinds[k][i] for i, k in enumerate(rng.integers(0, 3, n))]
+
+
+def csv_writer_line(cells) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()
+
+
+def test_rendered_lines_match_csv_writer():
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        index = int(rng.integers(0, 1 << 40))
+        time, strain, t, *resistances = random_floats(rng, 3 + int(rng.choice([1, 2, 8])))
+        assert table_csv_row(index, time, strain, t, resistances) \
+            == csv_writer_line([index, time, strain, t, *resistances])
+        # the latency log's layout: counter, node id, then four times
+        latency = [int(rng.integers(0, 1 << 32)), int(rng.integers(0, 1 << 16)),
+                   *random_floats(rng, 4)]
+        assert csv_line(latency) == csv_writer_line(latency)
 
 
 def test_write_atomic_writes_then_replaces(tmp_path):

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import errno
 import gc
+import json
 import logging
 import os
 import socket
@@ -40,7 +41,14 @@ from shmlink.gateway import (
     read_node_stream,
     serve_nodes,
 )
-from shmlink.protocol import TelemetryFrame, encode, send_message
+from shmlink.protocol import (
+    TelemetryFrame,
+    encode,
+    listen,
+    recv_batches,
+    send_message,
+    serve_connections,
+)
 from shmlink.server import ServerConfig, serve
 from test_protocol import CutReads
 
@@ -186,15 +194,15 @@ def test_persisted_rows_are_table_csv_rows(quiet_gateway, tmp_path, monkeypatch)
 def test_torn_final_line_quarantined(tmp_path):
     path = tmp_path / "t.csv"
     appender = CsvAppender(path, HEADER)
-    appender.append([[0, "1.0", "nan", "0.0", "47.0"]])
-    appender.append([[1, "2.0", "nan", "1.0", "47.1"]])
+    appender.append("0,1.0,nan,0.0,47.0\n")
+    appender.append("1,2.0,nan,1.0,47.1\n")
     appender.close()
     # simulate a crash mid-append
     with open(path, "a") as fh:
         fh.write("2,3.0,nan,2.0,4")
     reopened = CsvAppender(path, HEADER)
     assert reopened.last_row == ["1", "2.0", "nan", "1.0", "47.1"]
-    reopened.append([[2, "4.0", "nan", "3.0", "47.3"]])
+    reopened.append("2,4.0,nan,3.0,47.3\n")
     reopened.close()
 
     rows = read_table_csv(path.read_text())
@@ -205,7 +213,7 @@ def test_torn_final_line_quarantined(tmp_path):
 def test_unparseable_complete_line_quarantined(tmp_path):
     path = tmp_path / "t.csv"
     appender = CsvAppender(path, HEADER)
-    appender.append([[0, "1.0", "nan", "0.0", "47.0"]])
+    appender.append("0,1.0,nan,0.0,47.0\n")
     appender.close()
     with open(path, "a") as fh:
         fh.write("not,a,valid,row,x\n")
@@ -421,6 +429,49 @@ def test_wrong_width_raises_shape_mismatch(served_gateway):
     gw, _ = served_gateway
     with pytest.raises(ShapeMismatch):
         gw.request_prediction([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]])
+
+
+@pytest.mark.parametrize("reply", [
+    [1],
+    {"type": "predict_ok", "request_id": 1},
+    {"type": "predict_ok", "request_id": 1, "predictions": ["x"]},
+], ids=["not_an_object", "no_predictions", "not_numbers"])
+def test_malformed_predict_reply_keeps_the_node_stream(tmp_path, caplog, reply):
+    listener = listen("127.0.0.1", 0)
+    stop = threading.Event()
+
+    def answer(conn):  # every request on every connection gets ``reply``
+        for messages in recv_batches(conn, 1 << 20):
+            for _ in messages:
+                try:
+                    send_message(conn, json.dumps(reply).encode())
+                except OSError:
+                    return
+
+    server = threading.Thread(target=serve_connections, args=(listener, answer, stop))
+    server.start()
+    gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % listener.getsockname(),
+                               persistence_path=str(tmp_path / "t.csv"),
+                               latency_log_path=str(tmp_path / "lat.csv"),
+                               retry_backoff=0.001))
+    reader, client = socket.socketpair()
+    with client:
+        for counter in range(3):
+            send_message(client, encode(frame(counter)))
+    wire = 4 + len(encode(frame(0)))
+    try:
+        with reader, caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
+            count = read_node_stream(CutReads(reader, [wire] * 3), gw)  # a batch per frame
+    finally:
+        gw.close()
+        stop.set()
+        server.join(timeout=10)
+        listener.close()
+    assert not server.is_alive()
+    assert count == 3
+    assert [r.t for r in read_table_csv((tmp_path / "t.csv").read_text())] == [0.0, 1.0, 2.0]
+    assert gw.answered == 0 and latency_log(gw) == []
+    assert "trigger send failed while ingesting 1 frame(s)" in caplog.text
 
 
 def test_latency_fields_monotone(served_gateway):

@@ -575,6 +575,25 @@ def test_missing_file_corrupt(tmp_path):
         load_model(tmp_path / "nope.json")
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda doc: doc["weights"][0][0].__setitem__(0, math.nan),
+    lambda doc: doc["weights"][2][0].__setitem__(1, math.inf),
+    lambda doc: doc["biases"][1].__setitem__(0, -math.inf),
+    lambda doc: doc["feature_mean"].__setitem__(0, math.nan),
+    lambda doc: doc["feature_std"].__setitem__(1, math.nan),
+    lambda doc: doc["feature_std"].__setitem__(0, math.inf),
+    lambda doc: doc.__setitem__("format_version", True),
+], ids=["nan_weight", "inf_weight", "inf_bias", "nan_mean", "nan_std", "inf_std",
+        "version_true"])
+def test_model_that_cannot_predict_is_corrupt(tmp_path, spoil):
+    doc = mlp.model_to_doc(seeded_model())
+    spoil(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity, as json writes and reads them
+    with pytest.raises(CorruptModelFile):
+        load_model(path)
+
+
 @pytest.mark.parametrize("key,value", [("hidden_activation", "tanh"),
                                        ("output_activation", "sigmoid")])
 def test_activation_other_than_forward_pass_rejected(key, value):

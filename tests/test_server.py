@@ -170,6 +170,21 @@ def test_load_model_inline_document(running_server):
     assert predict_reply["predictions"][0] == mlp.forward(other, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("key,value", [("feature_std", [float("nan"), 1.0]),
+                                       ("format_version", True)])
+def test_load_model_that_cannot_predict_is_bad_model(running_server, tmp_path, key, value):
+    doc = mlp.model_to_doc(mlp.init_model(2, 4, mu=np.zeros(2), sigma=np.ones(2),
+                                          rng=np.random.default_rng(3)))
+    doc[key] = value
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(doc))  # a NaN as json writes it
+    reply = roundtrip(running_server, {"type": "load_model", "model_id": "default",
+                                       "path": str(path)})
+    assert reply["error"] == "bad_model"
+    assert roundtrip(running_server, {"type": "predict", "request_id": 1,
+                                      "rows": [[51.0, 43.0]]})["type"] == "predict_ok"
+
+
 @pytest.mark.parametrize("message", [
     {"type": "poll_config", "enabled": True},
     # a fake poll answer: the server would skip its upload and the gateway count it
