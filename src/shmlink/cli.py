@@ -59,10 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--profile", default="fixture",
                       help="fixture | replay:FILE | ramp")
     node.add_argument("--connect", required=True, metavar="HOST:PORT")
-    node.add_argument("--seed", type=int, default=0)
+    node.add_argument("--seed", type=_non_negative_int, default=0)
     node.add_argument("--noise", type=_number(float, lambda v: 0 <= v < float("inf"), ">= 0"),
                       default=0.0, help="resistance noise std, ohm")
-    node.add_argument("--frames", type=_number(int, lambda v: v >= 0, ">= 0"), default=0,
+    node.add_argument("--frames", type=_non_negative_int, default=0,
                       help="stop after N frames (0 = until interrupted)")
     node.add_argument("--node-id", type=_number(int, lambda v: 0 <= v <= 0xFFFF, "in [0, 65535]"),
                       default=0)
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--channels", type=int, choices=(2, 8), default=2)
     train.add_argument("--grid", metavar="FILE", help="JSON hyperparameter grid")
     train.add_argument("--out", required=True, metavar="MODEL")
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_non_negative_int, default=0)
     train.add_argument("--train-fraction", type=_number(float, lambda v: 0 < v < 1, "in (0, 1)"),
                        default=0.8)
     train.set_defaults(func=cmd_train)
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     lat.add_argument("--tick", type=_number(), default=None,
                      help="node tick period (default 0.02 push / 0.2 poll)")
     lat.add_argument("--channels", type=int, choices=(2, 8), default=2)
-    lat.add_argument("--seed", type=int, default=0)
+    lat.add_argument("--seed", type=_non_negative_int, default=0)
     lat.add_argument("--out", required=True, metavar="REPORT")
     lat.set_defaults(func=cmd_bench_latency)
 
@@ -107,6 +107,9 @@ def _number(cast=float, ok=lambda v: 0 < v < float("inf"), expected="> 0"):
             raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
         return value
     return number
+
+
+_non_negative_int = _number(int, lambda v: v >= 0, ">= 0")
 
 
 # -- simulate-node ------------------------------------------------------------------

@@ -76,7 +76,6 @@ class NodeFirmware:
         self.channel_count = channel_count
         self.tick_period = tick_period
         self.counter = 0
-        self.last_resistances: tuple[float, ...] = ()
         self._trace_enabled = trace
         self._trace: list[tuple[int, int]] = []
         self._initialized = False
@@ -102,12 +101,10 @@ class NodeFirmware:
             raise RuntimeError("init() must run before run_tick()")
         if hasattr(self.bus, "set_time"):
             self.bus.set_time(now)
-        resistances = []
-        for channel in range(self.channel_count):
-            resistances.append(self._acquire(CHANNEL_PLAN[channel], channel))
-        self.last_resistances = tuple(resistances)
+        resistances = tuple(self._acquire(CHANNEL_PLAN[channel], channel)
+                            for channel in range(self.channel_count))
         frame = TelemetryFrame(counter=self.counter, node_id=self.node_id,
-                               resistances=self.last_resistances)
+                               resistances=resistances)
         self.counter += 1
         return frame
 

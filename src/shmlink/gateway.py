@@ -3,8 +3,9 @@
 The gateway sits between the sensor link and the inference service.  Each
 decoded frame is appended to a crash-safe CSV (canonical
 ``index,Time,Strain,t,R1..Rn`` layout; strain is unknown at ingest and stored
-as nan, t carries the node counter), duplicate counters are dropped, and a
-configurable event rule decides when a frame triggers a prediction request.
+as nan, t carries the node counter), a counter at or below its node's highest
+is dropped as a duplicate, and a configurable event rule decides when a frame
+triggers a prediction request.
 Every answered trigger appends one row to the latency log, stamped on the
 monotonic clock in program order: frame received <= request sent <= response
 received.  Both files are ``CsvAppender`` logs: a torn tail is quarantined on
@@ -22,9 +23,10 @@ thread is already sending, in which case it returns at once and that sender
 keeps going until the queue is empty.  Each pass sends what queued during the
 previous round trip as one multi-row predict per channel count, in arrival
 order, so an uncontended trigger is still answered before ``ingest`` returns,
-while under load the other nodes keep persisting during a round trip or a
-retry backoff.  A coalesced frame's ``t_request_sent`` is the time its batch
-was sent, and each batch's latency rows are written with one write.
+while under load the other nodes keep persisting during a round trip.  A
+failed attempt gets one immediate reconnect, never a sleep.  A coalesced
+frame's ``t_request_sent`` is the time its batch was sent, and each batch's
+latency rows are written with one write.
 ``Gateway._fire`` is where fired frames leave the ingest pass; the bench's
 periodic-scan baseline overrides it to hand them over as files.
 """
@@ -57,6 +59,8 @@ from .protocol import (
 )
 
 log = logging.getLogger(__name__)
+
+SERVER_TIMEOUT = 5.0  # seconds, for the connect and for each reply
 
 LATENCY_HEADER = ["frame_counter", "node_id", "t_frame_received", "t_request_sent",
                   "t_response_received", "end_to_end"]
@@ -104,19 +108,22 @@ class GatewayConfig:
     # node endpoints are bind addresses: the gateway listens and emulated
     # nodes dial out (see serve_nodes / node_listener)
     node_endpoints: list[str] = field(default_factory=lambda: ["127.0.0.1:0"])
-    server_endpoint: str = "127.0.0.1:7420"
+    server_endpoint: str = "127.0.0.1:7420"  # host:port, port in 1..65535
     mode: str = "push"  # the only mode; kept while perfbench/sut.py passes it
     persistence_path: str = "telemetry.csv"
     trigger: TriggerRule = field(default_factory=TriggerRule)
     latency_log_path: str | None = None
-    retry_backoff: float = 0.2
-    connect_timeout: float = 5.0
 
     def __post_init__(self):
         if not self.node_endpoints:
             raise ValueError("at least one node endpoint required")
         if self.mode != "push":
             raise ValueError(f"unknown mode {self.mode!r}")
+        host, _, port = self.server_endpoint.rpartition(":")
+        if not (host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+            raise ValueError(f"server_endpoint {self.server_endpoint!r} is not host:port "
+                             "with a port in 1..65535")
+        self.server_address = (host, int(port))
 
 
 def latency_summary(end_to_end: list[float]) -> dict[str, float]:
@@ -251,7 +258,7 @@ class Gateway:
         self.config = config
         self._csv: CsvAppender | None = None
         self._next_index = 0  # the telemetry CSV's running row index
-        self._seen: dict[int, set[int]] = {}               # node_id -> counters
+        self._highest: dict[int, int] = {}                 # node_id -> highest kept counter
         self._baseline: dict[int, tuple[float, ...]] = {}  # node_id -> last triggering R
         self._server_sock: socket.socket | None = None
         self._request_id = 0
@@ -277,14 +284,18 @@ class Gateway:
         """Persist decoded frames, in order; returns per frame whether the rule fired.
 
         The frames share one pass under the ingest lock, one ``Time`` and one
-        ``t_frame_received``.  Duplicate counters from one node are dropped
-        without persisting or triggering; the trigger rule runs frame by frame
-        in order.  The rows kept are written with one write; if that fails
-        they are lost (logged) and monitoring continues.  Safe to call from
-        several node-reader threads: rows are serialized internally, and push
-        triggers are sent in arrival order by whichever caller is the sender
-        (see the module docstring).  A failed send raises ServerUnreachable or
-        ShapeMismatch in the sender's call; the frames stay persisted.
+        ``t_frame_received``.  A frame whose counter is at or below its
+        node's highest kept counter is dropped without persisting or
+        triggering; one counter per node suffices because each node's frames
+        arrive in counter order over one TCP connection (a reordering
+        transport would need an anti-replay window).  The trigger rule runs
+        frame by frame in order.  The rows kept are written with one write;
+        if that fails they are lost (logged) and monitoring continues.  Safe
+        to call from several node-reader threads: rows are serialized
+        internally, and push triggers are sent in arrival order by whichever
+        caller is the sender (see the module docstring).  A failed send
+        raises ServerUnreachable or ShapeMismatch in the sender's call; the
+        frames stay persisted.
         """
         received = time.perf_counter()
         with self._ingest_lock:
@@ -300,13 +311,12 @@ class Gateway:
         wall = time.time()
         fresh, fired, triggered = [], [], []
         for frame in frames:
-            seen = self._seen.setdefault(frame.node_id, set())
-            if frame.counter in seen:
+            if frame.counter <= self._highest.get(frame.node_id, -1):
                 log.debug("dropping duplicate counter %d from node %d",
                           frame.counter, frame.node_id)
                 fired.append(False)
                 continue
-            seen.add(frame.counter)
+            self._highest[frame.node_id] = frame.counter
             fresh.append(frame)
             hit = self._should_trigger(frame)
             if hit:
@@ -393,23 +403,24 @@ class Gateway:
             raise
 
     def request_prediction(self, rows: list[list[float]]) -> list[float]:
-        """Round-trip one predict request; retries transport failures and bad replies.
+        """Round-trip one predict request in at most two attempts, never sleeping.
 
-        A reply that is not an object, is an error, or whose ``predictions``
-        are not one number per row fails the attempt.  Raises ServerUnreachable after 5 failed
-        attempts (exponential backoff), ShapeMismatch when the server rejects
-        the feature width.
-        Safe to call from any thread: calls take turns on the one server
-        connection.
+        A transport failure, a reply that is not an object, an error reply,
+        or ``predictions`` that are not one number per row fails the attempt;
+        a transport failure also drops the connection, so the second attempt
+        reconnects, which covers a server that closed an idle connection or
+        restarted.  Raises ServerUnreachable when both fail, ShapeMismatch
+        when the server rejects the feature width.  A refused connect fails
+        at once; a server that accepts and never answers holds the caller
+        2 x SERVER_TIMEOUT.  Safe to call from any thread: calls take turns
+        on the one server connection.
         """
         with self._request_lock:
             self._request_id += 1
             request = {"type": "predict", "request_id": self._request_id, "rows": rows}
             payload = json.dumps(request).encode()
             last_error: Exception | None = None
-            for attempt in range(5):
-                if attempt:
-                    time.sleep(self.config.retry_backoff * 2 ** (attempt - 1))
+            for _ in range(2):
                 try:
                     sock = self._server_connection()
                     send_message(sock, payload)
@@ -429,13 +440,12 @@ class Gateway:
                 if reply.get("error") == "shape_mismatch":
                     raise ShapeMismatch(reply.get("detail", "shape mismatch"))
                 last_error = GatewayError(f"server reply {reply!r}")
-            raise ServerUnreachable(f"5 attempts failed: {last_error}")
+            raise ServerUnreachable(f"2 attempts failed: {last_error}")
 
     def _server_connection(self) -> socket.socket:
         if self._server_sock is None:
-            host, port = self.config.server_endpoint.rsplit(":", 1)
-            self._server_sock = socket.create_connection(
-                (host, int(port)), timeout=self.config.connect_timeout)
+            self._server_sock = socket.create_connection(self.config.server_address,
+                                                         timeout=SERVER_TIMEOUT)
         return self._server_sock
 
     def _drop_server_connection(self) -> None:

@@ -314,6 +314,9 @@ def test_bench_latency_push_writes_report(tmp_path):
     ("simulate-node", "--connect", "127.0.0.1:1", "--node-id", "70000"),
     ("train", "--data", str(BUNDLED_2CH), "--train-fraction", "1.5"),
     ("train", "--data", str(BUNDLED_2CH), "--train-fraction", "nan"),
+    ("train", "--data", str(BUNDLED_2CH), "--seed", "-1"),
+    ("simulate-node", "--connect", "127.0.0.1:1", "--seed", "-1"),
+    ("bench-latency", "--mode", "push", "--frames", "2", "--seed", "-1"),
 ])
 def test_out_of_range_numbers_are_usage_errors(args, tmp_path):
     out = ("--out", str(tmp_path / "report.json")) if args[0] != "simulate-node" else ()

@@ -64,6 +64,14 @@ def latency_log(gw) -> list[dict]:
                  for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
+def wait_for_rows(path: Path, rows: int, timeout: float = 5.0) -> None:
+    """Wait until the CSV at ``path`` holds its header and ``rows`` rows, or ``timeout`` passes."""
+    deadline = time.perf_counter() + timeout
+    while time.perf_counter() < deadline and not (
+            path.exists() and path.read_text().count("\n") >= rows + 1):
+        time.sleep(0.01)
+
+
 def dead_endpoint() -> str:
     """An address on which nothing listens: a port bound once, then closed."""
     probe = socket.socket()
@@ -89,8 +97,7 @@ def quiet_config(tmp_path, server_endpoint: str) -> GatewayConfig:
     """A gateway whose rule fires only on each node's first frame."""
     return GatewayConfig(server_endpoint=server_endpoint,
                          persistence_path=str(tmp_path / "telemetry.csv"),
-                         trigger=TriggerRule(every_frame=False, delta_ohm=1e9),
-                         retry_backoff=0.001)
+                         trigger=TriggerRule(every_frame=False, delta_ohm=1e9))
 
 
 @pytest.fixture
@@ -105,8 +112,7 @@ def served_gateway(tmp_path, model_server):
     gw = Gateway(GatewayConfig(node_endpoints=["127.0.0.1:0"],
                                server_endpoint="%s:%d" % model_server.address,
                                persistence_path=str(tmp_path / "telemetry.csv"),
-                               latency_log_path=str(tmp_path / "latency.csv"),
-                               retry_backoff=0.001))
+                               latency_log_path=str(tmp_path / "latency.csv")))
     yield gw, model_server
     gw.close()
 
@@ -149,6 +155,32 @@ def test_duplicate_does_not_trigger(served_gateway):
     gw.ingest(frame(3))
     gw.ingest(frame(3))
     assert len(latency_log(gw)) == 1
+
+
+def test_counter_at_or_below_the_highest_is_dropped(quiet_gateway, tmp_path):
+    assert quiet_gateway.ingest(frame(5)) is True
+    assert [quiet_gateway.ingest(frame(c)) for c in (3, 5, 6)] == [False] * 3
+    quiet_gateway.close()
+    # 3 was never seen, but it is below 5; 6 is above it and kept
+    assert [r.t for r in read_table_csv((tmp_path / "telemetry.csv").read_text())] == [5.0, 6.0]
+
+
+def test_ingest_memory_does_not_grow_with_frames(tmp_path):
+    gw = intake_gateway(tmp_path, delta_ohm=1e9)
+    # built before tracing starts, so only what the gateway keeps is traced
+    batches = [[frame(c) for c in range(first, first + 1000)] for first in range(0, 205_000, 1000)]
+    tracemalloc.start()
+    try:
+        for batch in batches[:5]:  # warm-up: both logs are open, every cache is filled
+            gw.ingest_frames(batch)
+        before = tracemalloc.get_traced_memory()[0]
+        for batch in batches[5:]:  # 200k frames
+            gw.ingest_frames(batch)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gw.close()
+    assert grown < 1 << 20
 
 
 def test_persistence_completeness_arrival_order(quiet_gateway, tmp_path):
@@ -300,8 +332,7 @@ def test_unopenable_telemetry_log_loses_rows_not_the_stream(served_gateway, tmp_
     blocker.write_text("")
     gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % server.address,
                                persistence_path=str(blocker / "t.csv"),
-                               latency_log_path=str(tmp_path / "lat.csv"),
-                               retry_backoff=0.001))
+                               latency_log_path=str(tmp_path / "lat.csv")))
     reader, client = socket.socketpair()
     with client:
         for counter in range(3):
@@ -418,11 +449,80 @@ def test_loopback_end_to_end_under_one_second(served_gateway):
 def test_server_down_unreachable_after_retries(tmp_path):
     gw = Gateway(GatewayConfig(node_endpoints=["127.0.0.1:0"],
                                server_endpoint=dead_endpoint(),
-                               persistence_path=str(tmp_path / "t.csv"),
-                               retry_backoff=0.001, connect_timeout=0.2))
+                               persistence_path=str(tmp_path / "t.csv")))
     with pytest.raises(ServerUnreachable):
         gw.request_prediction([[1.0, 2.0]])
     gw.close()
+
+
+def test_server_refusing_costs_no_wait_and_keeps_time(tmp_path):
+    """A down server must not hold the node's reader: every Time stays within a tick."""
+    tick = 0.05
+    gw = Gateway(GatewayConfig(server_endpoint=dead_endpoint(),
+                               persistence_path=str(tmp_path / "t.csv")))
+    seconds = []  # how long each ingest_frames call took to raise
+    ingest_frames = gw.ingest_frames
+
+    def timed(frames):
+        started = time.perf_counter()
+        with pytest.raises(ServerUnreachable):  # every frame triggers
+            ingest_frames(frames)
+        seconds.append(time.perf_counter() - started)
+
+    gw.ingest_frames = timed
+    reader, client = socket.socketpair()
+    sent = []
+
+    def node():
+        with client:
+            for counter in range(6):
+                if counter:
+                    time.sleep(tick)
+                sent.append(time.time())
+                send_message(client, encode(frame(counter)))
+
+    sender = threading.Thread(target=node)
+    sender.start()
+    with reader:
+        count = read_node_stream(reader, gw)
+    sender.join(timeout=10)
+    gw.close()
+    assert not sender.is_alive()
+    assert count == 6
+    rows = read_table_csv((tmp_path / "t.csv").read_text())
+    assert [r.t for r in rows] == [float(c) for c in range(6)]
+    for row in rows:
+        assert sent[int(row.t)] <= row.time < sent[int(row.t)] + tick
+    assert seconds and max(seconds) < 0.1
+
+
+def test_server_that_never_answers_is_unreachable_within_two_timeouts(tmp_path, monkeypatch):
+    monkeypatch.setattr(gateway_mod, "SERVER_TIMEOUT", 0.2)
+    listener = listen("127.0.0.1", 0)
+    stop = threading.Event()
+    server = threading.Thread(target=serve_connections,  # accepts, reads nothing, never answers
+                              args=(listener, lambda conn: stop.wait(), stop))
+    server.start()
+    gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % listener.getsockname(),
+                               persistence_path=str(tmp_path / "t.csv")))
+    try:
+        started = time.perf_counter()
+        with pytest.raises(ServerUnreachable):
+            gw.request_prediction([[1.0, 2.0]])
+        assert time.perf_counter() - started < 1.0
+    finally:
+        gw.close()
+        stop.set()
+        server.join(timeout=10)
+        listener.close()
+    assert not server.is_alive()
+
+
+@pytest.mark.parametrize("endpoint", ["localhost", "127.0.0.1:99999", "127.0.0.1:0",
+                                      ":7420", "127.0.0.1:", "127.0.0.1:http"])
+def test_server_endpoint_must_be_host_and_port(endpoint):
+    with pytest.raises(ValueError, match="server_endpoint"):
+        GatewayConfig(server_endpoint=endpoint)
 
 
 def test_wrong_width_raises_shape_mismatch(served_gateway):
@@ -452,8 +552,7 @@ def test_malformed_predict_reply_keeps_the_node_stream(tmp_path, caplog, reply):
     server.start()
     gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % listener.getsockname(),
                                persistence_path=str(tmp_path / "t.csv"),
-                               latency_log_path=str(tmp_path / "lat.csv"),
-                               retry_backoff=0.001))
+                               latency_log_path=str(tmp_path / "lat.csv")))
     reader, client = socket.socketpair()
     with client:
         for counter in range(3):
@@ -618,8 +717,7 @@ def test_serve_nodes_two_concurrent_streams(tmp_path):
     gw = Gateway(GatewayConfig(node_endpoints=[f"{endpoint[0]}:{endpoint[1]}"],
                                server_endpoint=dead_endpoint(),
                                trigger=TriggerRule(every_frame=False, delta_ohm=1e9),
-                               persistence_path=str(tmp_path / "t.csv"),
-                               retry_backoff=0.001))
+                               persistence_path=str(tmp_path / "t.csv")))
     stop = threading.Event()
     acceptor = threading.Thread(target=serve_nodes, args=(listener, gw, stop), daemon=True)
     acceptor.start()
@@ -637,11 +735,7 @@ def test_serve_nodes_two_concurrent_streams(tmp_path):
     for s in senders:
         s.join()
 
-    deadline = 50
-    import time as _time
-    while sum(len(v) for v in gw._seen.values()) < 50 and deadline:
-        _time.sleep(0.05)
-        deadline -= 1
+    wait_for_rows(tmp_path / "t.csv", 50)
     stop.set()
     acceptor.join(timeout=10)
     listener.close()
@@ -666,10 +760,9 @@ def test_serve_nodes_stops_promptly_with_idle_node(tmp_path):
     try:
         with socket.create_connection(listener.getsockname(), timeout=5) as node:
             send_message(node, encode(frame(0)))
-            deadline = time.perf_counter() + 5
-            while not gw._seen and time.perf_counter() < deadline:
-                time.sleep(0.01)
-            assert gw._seen  # the reader is up, now idle in recv
+            wait_for_rows(tmp_path / "telemetry.csv", 1)
+            # the reader is up, now idle in recv
+            assert (tmp_path / "telemetry.csv").read_text().count("\n") == 2
             stopped = time.perf_counter()
             stop.set()
             acceptor.join(timeout=10)
@@ -705,8 +798,7 @@ def test_read_node_stream_skips_undecodable_frames(tmp_path, quiet_gateway):
 def test_read_node_stream_survives_unreachable_server(tmp_path):
     gw = Gateway(GatewayConfig(node_endpoints=["127.0.0.1:0"],
                                server_endpoint=dead_endpoint(),
-                               persistence_path=str(tmp_path / "t.csv"),
-                               retry_backoff=0.001, connect_timeout=0.2))
+                               persistence_path=str(tmp_path / "t.csv")))
     server, client = socket.socketpair()
     with client:
         for counter in range(5):
@@ -744,8 +836,7 @@ def test_read_node_stream_survives_unwritable_latency_log(served_gateway, tmp_pa
     monkeypatch.setattr(gateway_mod, "open", open_on_full_disk, raising=False)
     gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % server.address,
                                persistence_path=str(tmp_path / "t.csv"),
-                               latency_log_path=str(tmp_path / "full.csv"),
-                               retry_backoff=0.001))
+                               latency_log_path=str(tmp_path / "full.csv")))
     reader, client = socket.socketpair()
     with client:
         for counter in range(5):
@@ -797,8 +888,7 @@ def test_request_prediction_reconnects_after_server_restart(tmp_path):
     first = start_server()
     gw = Gateway(GatewayConfig(node_endpoints=["127.0.0.1:0"],
                                server_endpoint=f"127.0.0.1:{port}",
-                               persistence_path=str(tmp_path / "t.csv"),
-                               retry_backoff=0.02, connect_timeout=1.0))
+                               persistence_path=str(tmp_path / "t.csv")))
     before = gw.request_prediction([[0.5, -0.5]])
     first.stop()
 
