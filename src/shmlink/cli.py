@@ -19,6 +19,7 @@ from . import dataset as ds
 from . import mlp
 from .adc import AdcEmulator, SensorModel
 from .firmware import NodeFirmware
+from .protocol import parse_endpoint
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--tick", type=_number(), default=10.0, help="tick period, seconds")
     node.add_argument("--profile", default="fixture",
                       help="fixture | replay:FILE | ramp")
-    node.add_argument("--connect", required=True, metavar="HOST:PORT")
+    node.add_argument("--connect", type=parse_endpoint, required=True, metavar="HOST:PORT")
     node.add_argument("--seed", type=_non_negative_int, default=0)
     node.add_argument("--noise", type=_number(float, lambda v: 0 <= v < float("inf"), ">= 0"),
                       default=0.0, help="resistance noise std, ohm")
@@ -153,11 +154,10 @@ def cmd_simulate_node(args) -> int:
                             tick_period=args.tick, trace=False)
     firmware.init()
 
-    host, _, port = args.connect.rpartition(":")
     try:
-        sock = socket.create_connection((host, int(port)), timeout=10.0)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot connect to {args.connect}: {exc}", file=sys.stderr)
+        sock = socket.create_connection(args.connect, timeout=10.0)
+    except OSError as exc:
+        print("error: cannot connect to %s:%d: %s" % (*args.connect, exc), file=sys.stderr)
         return EXIT_RUNTIME
 
     try:

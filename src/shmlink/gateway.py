@@ -3,13 +3,14 @@
 The gateway sits between the sensor link and the inference service.  Each
 decoded frame is appended to a crash-safe CSV (canonical
 ``index,Time,Strain,t,R1..Rn`` layout; strain is unknown at ingest and stored
-as nan, t carries the node counter), a counter at or below its node's highest
-is dropped as a duplicate, and a configurable event rule decides when a frame
-triggers a prediction request.
+as nan, t carries the node counter), a counter at or below the highest its
+node sent on the same connection is dropped as a duplicate, and a
+configurable event rule decides when a frame triggers a prediction request.
 Every answered trigger appends one row to the latency log, stamped on the
 monotonic clock in program order: frame received <= request sent <= response
 received.  Both files are ``CsvAppender`` logs: a torn tail is quarantined on
-restart, and rows whose write fails are cut off again and logged as lost.
+restart, a file with another header is left alone, and rows whose write fails
+or whose width is not the telemetry log's are logged as lost.
 
 Node intake works in batches: one ``recv`` per arrival, and the frames it
 completed are ingested in one pass under the ingest lock and written to the
@@ -52,6 +53,7 @@ from .protocol import (
     TelemetryFrame,
     decode,
     listen,
+    parse_endpoint,
     recv_batches,
     recv_message,
     send_message,
@@ -119,11 +121,10 @@ class GatewayConfig:
             raise ValueError("at least one node endpoint required")
         if self.mode != "push":
             raise ValueError(f"unknown mode {self.mode!r}")
-        host, _, port = self.server_endpoint.rpartition(":")
-        if not (host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
-            raise ValueError(f"server_endpoint {self.server_endpoint!r} is not host:port "
-                             "with a port in 1..65535")
-        self.server_address = (host, int(port))
+        try:
+            self.server_address = parse_endpoint(self.server_endpoint)
+        except ValueError as exc:
+            raise ValueError(f"server_endpoint {exc}") from None
 
 
 def latency_summary(end_to_end: list[float]) -> dict[str, float]:
@@ -146,11 +147,12 @@ class CsvAppender:
     On open, a final line that is incomplete (no newline) or unparseable is
     moved to ``<path>.quarantine`` rather than silently accepted, and
     ``last_row`` holds the cells of the last row kept, or None.  A new file
-    gets the ``header`` line.  ``append`` takes rows already rendered to
-    text (``dataset.csv_line``) and writes them with one unbuffered write; a
-    failed or short write is cut back off the file and raises
-    PersistenceFailure, so the rows are lost whole and nothing of them is
-    written later.
+    gets the ``header`` line; an existing file whose header line differs
+    raises PersistenceFailure and is left as it is.  ``append`` takes rows
+    already rendered to text (``dataset.csv_line``) and writes them with one
+    unbuffered write; a failed or short write is cut back off the file and
+    raises PersistenceFailure, so the rows are lost whole and nothing of them
+    is written later.
     """
 
     def __init__(self, path, header: list[str]):
@@ -169,15 +171,19 @@ class CsvAppender:
     def _recover(self) -> list[str] | None:
         """Quarantine the torn tail and return the last row kept, reading back from the end.
 
-        Only the lines after the last row that parses are read, so a restart
-        costs the same whatever the file's size.  The header line is never
-        quarantined.
+        Only the header and the lines after the last row that parses are
+        read, so a restart costs the same whatever the file's size.  Of the
+        header, only a torn one (all the file holds) is quarantined.
         """
         if not self.path.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
             return None
         last = None
         with open(self.path, "r+b") as fh:
+            expected = (",".join(self.header) + "\n").encode("utf-8")
+            first = fh.readline(len(expected))
+            if not expected.startswith(first):
+                raise PersistenceFailure(f"header {first!r} is not {expected!r}")
             end = fh.seek(0, io.SEEK_END)
             keep = end
             for offset, line in _lines_backward(fh, end):
@@ -258,7 +264,6 @@ class Gateway:
         self.config = config
         self._csv: CsvAppender | None = None
         self._next_index = 0  # the telemetry CSV's running row index
-        self._highest: dict[int, int] = {}                 # node_id -> highest kept counter
         self._baseline: dict[int, tuple[float, ...]] = {}  # node_id -> last triggering R
         self._server_sock: socket.socket | None = None
         self._request_id = 0
@@ -284,54 +289,33 @@ class Gateway:
         """Persist decoded frames, in order; returns per frame whether the rule fired.
 
         The frames share one pass under the ingest lock, one ``Time`` and one
-        ``t_frame_received``.  A frame whose counter is at or below its
-        node's highest kept counter is dropped without persisting or
-        triggering; one counter per node suffices because each node's frames
-        arrive in counter order over one TCP connection (a reordering
-        transport would need an anti-replay window).  The trigger rule runs
-        frame by frame in order.  The rows kept are written with one write;
-        if that fails they are lost (logged) and monitoring continues.  Safe
-        to call from several node-reader threads: rows are serialized
-        internally, and push triggers are sent in arrival order by whichever
-        caller is the sender (see the module docstring).  A failed send
-        raises ServerUnreachable or ShapeMismatch in the sender's call; the
-        frames stay persisted.
+        ``t_frame_received``.  Every frame is persisted and the trigger rule
+        runs on each, in order; duplicates are the caller's to drop (see
+        ``read_node_stream``).  The rows are written with one write; a row
+        that cannot be written, or whose width is not the log's, is lost
+        (logged) and monitoring continues.  Safe to call from several
+        node-reader threads: rows are serialized internally, and push
+        triggers are sent in arrival order by whichever caller is the sender
+        (see the module docstring).  A failed send raises ServerUnreachable
+        or ShapeMismatch in the sender's call; the frames stay persisted.
         """
         received = time.perf_counter()
         with self._ingest_lock:
-            fired = self._ingest_locked(frames, received)
+            # Time = arrival wall clock, stamped under the lock so the rows keep time order
+            wall = time.time()
+            fired, triggered = [], []
+            for frame in frames:
+                hit = self._should_trigger(frame)
+                if hit:
+                    self._baseline[frame.node_id] = frame.resistances
+                    triggered.append(frame)
+                fired.append(hit)
+            self._persist(frames, wall)
+            self._fire(triggered, received, wall)
             if self._sending or not self._pending:
                 return fired
             self._sending = True
         self._send_pending()
-        return fired
-
-    def _ingest_locked(self, frames: list[TelemetryFrame], received: float) -> list[bool]:
-        # Time = arrival wall clock, stamped under the lock so the rows keep time order
-        wall = time.time()
-        fresh, fired, triggered = [], [], []
-        for frame in frames:
-            if frame.counter <= self._highest.get(frame.node_id, -1):
-                log.debug("dropping duplicate counter %d from node %d",
-                          frame.counter, frame.node_id)
-                fired.append(False)
-                continue
-            self._highest[frame.node_id] = frame.counter
-            fresh.append(frame)
-            hit = self._should_trigger(frame)
-            if hit:
-                self._baseline[frame.node_id] = frame.resistances
-                triggered.append(frame)
-            fired.append(hit)
-        if not fresh:
-            return fired
-        try:
-            self._persist(fresh, wall)
-        except PersistenceFailure as exc:
-            for frame in fresh:
-                log.error("row for counter %d from node %d lost: %s",
-                          frame.counter, frame.node_id, exc)
-        self._fire(triggered, received, wall)
         return fired
 
     def _fire(self, frames: list[TelemetryFrame], received: float, wall: float) -> None:
@@ -341,21 +325,28 @@ class Gateway:
     def _persist(self, frames: list[TelemetryFrame], wall: float) -> None:
         """Append one row per frame: Time ``wall``, Strain unknown (nan), t the node counter.
 
-        The log opens on the first call that can open it.
+        The log opens on the first call that can open it, for the width of
+        that call's first frame, and then takes only frames of its width.
+        Each frame whose row is not written is logged as lost.
         """
-        if self._csv is None:
-            try:
+        try:
+            if self._csv is None:
                 self._csv = CsvAppender(self.config.persistence_path,
                                         table_csv_header(frames[0].channel_count))
-            except OSError as exc:
-                raise PersistenceFailure(f"cannot open {self.config.persistence_path}: {exc}") \
-                    from exc
-            self._next_index = int(self._csv.last_row[0]) + 1 if self._csv.last_row else 0
-        first = self._next_index
-        self._csv.append("".join(
-            table_csv_row(first + k, wall, math.nan, f.counter, f.resistances)
-            for k, f in enumerate(frames)))
-        self._next_index = first + len(frames)
+                self._next_index = int(self._csv.last_row[0]) + 1 if self._csv.last_row else 0
+            width = len(self._csv.header) - 4  # index, Time, Strain, t, then R1..Rn
+            kept = [f for f in frames if f.channel_count == width]
+            lost = [f for f in frames if f.channel_count != width]
+            reason = f"the log holds {width} channels"
+            self._csv.append("".join(
+                table_csv_row(self._next_index + k, wall, math.nan, f.counter, f.resistances)
+                for k, f in enumerate(kept)))
+            self._next_index += len(kept)
+        except (OSError, PersistenceFailure) as exc:
+            lost, reason = frames, f"cannot write {self.config.persistence_path}: {exc}"
+        for frame in lost:
+            log.error("row for counter %d from node %d lost: %s",
+                      frame.counter, frame.node_id, reason)
 
     def _should_trigger(self, frame: TelemetryFrame) -> bool:
         if self.config.trigger.every_frame:
@@ -493,20 +484,32 @@ def read_node_stream(conn: socket.socket, gateway: Gateway) -> int:
     """Ingest length-prefixed frames from one node connection until EOF.
 
     Each ``recv`` is one arrival: the frames it completed are decoded and
-    ingested as one batch (``Gateway.ingest_frames``).  Undecodable frames
-    are logged and skipped, and so is a trigger that fails to reach the
-    server, so one failure never ends the node's stream.  A length prefix
-    above the widest frame (MAX_FRAME_SIZE) ends it.  Returns the number of
-    frames ingested.
+    ingested as one batch (``Gateway.ingest_frames``).  A frame whose counter
+    is at or below the highest its node sent on this connection is dropped
+    as a duplicate: a node's frames arrive in counter order over its one
+    connection (a reordering transport would need an anti-replay window),
+    and a node that restarts reconnects, so its new counters are kept.
+    Undecodable frames are logged and skipped, and so is a trigger that
+    fails to reach the server, so one failure never ends the node's stream.
+    A length prefix above the widest frame (MAX_FRAME_SIZE) ends it.
+    Returns the number of frames ingested.
     """
     count = 0
+    highest: dict[int, int] = {}  # node_id -> highest counter on this connection
     for messages in recv_batches(conn, MAX_FRAME_SIZE):
         frames = []
         for raw in messages:
             try:
-                frames.append(decode(raw))
+                frame = decode(raw)
             except FrameError:
                 log.exception("undecodable frame, skipping")
+                continue
+            if frame.counter <= highest.get(frame.node_id, -1):
+                log.debug("dropping duplicate counter %d from node %d",
+                          frame.counter, frame.node_id)
+                continue
+            highest[frame.node_id] = frame.counter
+            frames.append(frame)
         if not frames:
             continue
         try:

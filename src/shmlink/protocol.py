@@ -265,6 +265,14 @@ ACCEPT_POLL_S = 0.2   # how often the accept loop looks at its stop event
 JOIN_TIMEOUT_S = 5.0  # per handler thread, on stop
 
 
+def parse_endpoint(text: str) -> tuple[str, int]:
+    """``host:port`` as ``(host, port)``; ValueError unless the port is in 1..65535."""
+    host, _, port = text.rpartition(":")
+    if not (host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+        raise ValueError(f"{text!r} is not host:port with a port in 1..65535")
+    return host, int(port)
+
+
 def listen(host: str, port: int) -> socket.socket:
     """Bind a listening TCP socket; raises on an unbindable address."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

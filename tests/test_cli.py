@@ -317,6 +317,8 @@ def test_bench_latency_push_writes_report(tmp_path):
     ("train", "--data", str(BUNDLED_2CH), "--seed", "-1"),
     ("simulate-node", "--connect", "127.0.0.1:1", "--seed", "-1"),
     ("bench-latency", "--mode", "push", "--frames", "2", "--seed", "-1"),
+    ("simulate-node", "--connect", "127.0.0.1:99999", "--frames", "1"),
+    ("simulate-node", "--connect", "localhost", "--frames", "1"),
 ])
 def test_out_of_range_numbers_are_usage_errors(args, tmp_path):
     out = ("--out", str(tmp_path / "report.json")) if args[0] != "simulate-node" else ()

@@ -57,6 +57,33 @@ def frame(counter, resistances=(47.0, 120.0), node_id=0):
     return TelemetryFrame(counter=counter, node_id=node_id, resistances=resistances)
 
 
+def stream(gw: Gateway, frames, cuts=()) -> list[bool]:
+    """Send ``frames`` to ``read_node_stream`` over one new node connection, reads cut at ``cuts``.
+
+    Returns, for each frame the reader passed on to ``gw``, whether the rule fired.
+    """
+    fired = []
+    ingest_frames = gw.ingest_frames
+
+    def recording(batch):
+        result = ingest_frames(batch)
+        fired.extend(result)
+        return result
+
+    gw.ingest_frames = recording
+    server, client = socket.socketpair()
+    try:
+        with server, client:
+            for f in frames:
+                send_message(client, encode(f))
+            client.shutdown(socket.SHUT_WR)
+            count = read_node_stream(CutReads(server, cuts), gw)
+    finally:
+        del gw.ingest_frames
+    assert count == len(fired)
+    return fired
+
+
 def latency_log(gw) -> list[dict]:
     """The rows of ``gw``'s latency log: counter and node as int, times as float."""
     with open(gw.config.latency_log_path, encoding="utf-8", newline="") as fh:
@@ -142,9 +169,8 @@ def test_trigger_rule_refuses_a_delta_below_zero_or_nan(delta_ohm):
 
 
 def test_duplicate_counter_dropped(quiet_gateway, tmp_path):
-    assert quiet_gateway.ingest(frame(0)) is True  # first frame sets baseline
-    assert quiet_gateway.ingest(frame(1)) is False
-    assert quiet_gateway.ingest(frame(1)) is False  # duplicate: dropped
+    # the first frame sets the baseline; the repeated 1 is dropped before it can fire
+    assert stream(quiet_gateway, [frame(0), frame(1), frame(1)]) == [True, False]
     quiet_gateway.close()
     rows = read_table_csv((tmp_path / "telemetry.csv").read_text())
     assert len(rows) == 2
@@ -152,14 +178,13 @@ def test_duplicate_counter_dropped(quiet_gateway, tmp_path):
 
 def test_duplicate_does_not_trigger(served_gateway):
     gw, _ = served_gateway
-    gw.ingest(frame(3))
-    gw.ingest(frame(3))
+    stream(gw, [frame(3), frame(3)])
     assert len(latency_log(gw)) == 1
 
 
 def test_counter_at_or_below_the_highest_is_dropped(quiet_gateway, tmp_path):
-    assert quiet_gateway.ingest(frame(5)) is True
-    assert [quiet_gateway.ingest(frame(c)) for c in (3, 5, 6)] == [False] * 3
+    # 5 fires; 3 and 5 are dropped, so only 6 reaches the rule, and it stays quiet
+    assert stream(quiet_gateway, [frame(c) for c in (5, 3, 5, 6)]) == [True, False]
     quiet_gateway.close()
     # 3 was never seen, but it is below 5; 6 is above it and kept
     assert [r.t for r in read_table_csv((tmp_path / "telemetry.csv").read_text())] == [5.0, 6.0]
@@ -185,13 +210,38 @@ def test_ingest_memory_does_not_grow_with_frames(tmp_path):
 
 def test_persistence_completeness_arrival_order(quiet_gateway, tmp_path):
     sent = [frame(i, resistances=(47.0 + i, 120.0)) for i in range(20)]
-    for f in sent:
-        quiet_gateway.ingest(f)
-    quiet_gateway.ingest(frame(7, resistances=(999.0, 999.0)))  # duplicate
+    stream(quiet_gateway, sent + [frame(7, resistances=(999.0, 999.0))])  # and a duplicate
     quiet_gateway.close()
     rows = read_table_csv((tmp_path / "telemetry.csv").read_text())
     assert [r.t for r in rows] == [float(i) for i in range(20)]
     assert [r.resistances[0] for r in rows] == [47.0 + i for i in range(20)]
+
+
+def test_node_restart_keeps_its_rows(quiet_gateway, tmp_path):
+    """A restarted node reconnects and counts from 0 again; none of its frames is a duplicate."""
+    stream(quiet_gateway, [frame(c) for c in range(5)])
+    stream(quiet_gateway, [frame(c) for c in range(3)])
+    quiet_gateway.close()
+    assert [r.t for r in read_table_csv((tmp_path / "telemetry.csv").read_text())] \
+        == [0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 1.0, 2.0]
+
+
+def test_frames_resent_after_a_reconnect_are_stored_twice(quiet_gateway, tmp_path):
+    """The cost of counters that live as long as a connection: a resent frame is kept again."""
+    stream(quiet_gateway, [frame(c) for c in range(5)])
+    stream(quiet_gateway, [frame(c) for c in (3, 4, 5)])
+    quiet_gateway.close()
+    assert [r.t for r in read_table_csv((tmp_path / "telemetry.csv").read_text())] \
+        == [0.0, 1.0, 2.0, 3.0, 4.0, 3.0, 4.0, 5.0]
+
+
+def test_duplicates_are_dropped_per_node_on_a_new_connection(quiet_gateway, tmp_path):
+    stream(quiet_gateway, [frame(c) for c in range(5)])
+    # node 1's first frame is kept although node 0 already sent counter 1
+    stream(quiet_gateway, [frame(0), frame(1), frame(0, node_id=1), frame(1), frame(0), frame(2)])
+    quiet_gateway.close()
+    rows = read_table_csv((tmp_path / "telemetry.csv").read_text())
+    assert [r.t for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 1.0, 0.0, 2.0]
 
 
 def test_poll_upload_time_is_persisted_time(tmp_path, monkeypatch):
@@ -270,6 +320,49 @@ def test_restart_reads_only_the_tail(tmp_path):
     assert peak < 1 << 20
     assert appender.last_row == ["99999", "1700000000.0", "nan", "99999.0", "47.0"]
     assert (tmp_path / "t.csv.quarantine").read_text() == "100000,1700000000.1,na"
+
+
+def test_torn_header_quarantined(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("index,Ti")  # a crash while the header was written
+    appender = CsvAppender(path, HEADER)
+    appender.append("0,1.0,nan,0.0,47.0\n")
+    appender.close()
+    assert path.read_text() == "index,Time,Strain,t,R1\n0,1.0,nan,0.0,47.0\n"
+    assert (tmp_path / "t.csv.quarantine").read_text() == "index,Ti"
+
+
+def test_restart_with_another_width_loses_the_row_not_the_log(tmp_path, caplog):
+    gw = intake_gateway(tmp_path, delta_ohm=1e9)
+    gw.ingest_frames([frame(c, (47.0,) * 8) for c in range(5)])
+    gw.close()
+    path = tmp_path / "t.csv"
+    before = path.read_bytes()
+    restarted = intake_gateway(tmp_path, delta_ohm=1e9)
+    with caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
+        restarted.ingest(frame(0, (47.0, 120.0), node_id=1))  # a 2-channel node comes first
+    assert path.read_bytes() == before
+    assert not (tmp_path / "t.csv.quarantine").exists()
+    assert "row for counter 0 from node 1 lost" in caplog.text
+    restarted.ingest(frame(5, (47.0,) * 8))  # the next batch opens the log
+    restarted.close()
+    text = path.read_text()
+    assert [line.split(",")[0] for line in text.splitlines()[1:]] == ["0", "1", "2", "3", "4", "5"]
+    assert [r.t for r in read_table_csv(text)] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+def test_frame_of_another_width_is_lost_not_appended(tmp_path, caplog):
+    gw = intake_gateway(tmp_path, delta_ohm=1e9)
+    with caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
+        gw.ingest_frames([frame(0, (47.0,) * 8), frame(0, (47.0, 120.0), node_id=1),
+                          frame(1, (47.0,) * 8)])
+        gw.ingest(frame(1, (47.0, 120.0), node_id=1))
+    gw.close()
+    text = (tmp_path / "t.csv").read_text()
+    assert [line.split(",")[0] for line in text.splitlines()[1:]] == ["0", "1"]
+    assert [(r.t, len(r.resistances)) for r in read_table_csv(text)] == [(0.0, 8), (1.0, 8)]
+    for counter in (0, 1):
+        assert f"row for counter {counter} from node 1 lost" in caplog.text
 
 
 def test_index_resumes_after_restart(quiet_gateway, tmp_path, monkeypatch):
@@ -402,28 +495,19 @@ def test_batched_intake_matches_one_frame_at_a_time(specs, cuts, delta_ohm):
     """Node, counter (so duplicates), width and level per frame; reads cut at random sizes."""
     frames = [frame(counter, tuple(47.0 + 0.4 * level + ch for ch in range(width)), node)
               for node, counter, width, level in specs]
+    highest, kept = {}, 0  # the frames above their node's highest so far are the ones ingested
+    for f in frames:
+        if f.counter > highest.get(f.node_id, -1):
+            highest[f.node_id], kept = f.counter, kept + 1
     wall = SimpleNamespace(time=lambda: 1700000000.25, perf_counter=time.perf_counter)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(gateway_mod, "time", wall):
         batched_dir, single_dir = Path(tmp, "batched"), Path(tmp, "single")
         batched, single = intake_gateway(batched_dir, delta_ohm), intake_gateway(single_dir,
                                                                                    delta_ohm)
         with contextlib.closing(batched), contextlib.closing(single):
-            fired = []
-            ingest_frames = batched.ingest_frames
-
-            def recording(batch):
-                result = ingest_frames(batch)
-                fired.extend(result)
-                return result
-
-            batched.ingest_frames = recording
-            server, client = socket.socketpair()
-            with server, client:
-                for f in frames:
-                    send_message(client, encode(f))
-                client.shutdown(socket.SHUT_WR)
-                assert read_node_stream(CutReads(server, cuts), batched) == len(frames)
-            assert fired == [single.ingest(f) for f in frames]
+            fired = stream(batched, frames, cuts)
+            assert len(fired) == kept
+            assert fired == stream(single, frames, [4 + len(encode(f)) for f in frames])
         assert (batched_dir / "t.csv").read_bytes() == (single_dir / "t.csv").read_bytes()
         answered = [sorted((r["node_id"], r["frame_counter"]) for r in latency_log(gw))
                     for gw in (batched, single)]
