@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--tick", type=_number(), default=10.0, help="tick period, seconds")
     node.add_argument("--profile", default="fixture",
                       help="fixture | replay:FILE | ramp")
-    node.add_argument("--connect", type=parse_endpoint, required=True, metavar="HOST:PORT")
+    node.add_argument("--connect", type=_endpoint, required=True, metavar="HOST:PORT")
     node.add_argument("--seed", type=_non_negative_int, default=0)
     node.add_argument("--noise", type=_number(float, lambda v: 0 <= v < float("inf"), ">= 0"),
                       default=0.0, help="resistance noise std, ohm")
@@ -111,6 +111,14 @@ def _number(cast=float, ok=lambda v: 0 < v < float("inf"), expected="> 0"):
 
 
 _non_negative_int = _number(int, lambda v: v >= 0, ">= 0")
+
+
+def _endpoint(text: str) -> tuple[str, int]:
+    """An argparse type: ``protocol.parse_endpoint``, whose message says what is expected."""
+    try:
+        return parse_endpoint(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # -- simulate-node ------------------------------------------------------------------

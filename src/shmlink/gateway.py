@@ -17,17 +17,14 @@ completed are ingested in one pass under the ingest lock and written to the
 telemetry CSV with one write.  The frames of one batch share one ``Time`` and
 one ``t_frame_received``; a frame that arrives alone is a batch of one.
 
-Triggers go to the server over TCP by flat combining (Hendler et al., SPAA
-2010).  Ingest only queues a triggered frame under the ingest lock; once the
-lock is released, the ingesting thread sends the queue itself unless another
-thread is already sending, in which case it returns at once and that sender
-keeps going until the queue is empty.  Each pass sends what queued during the
-previous round trip as one multi-row predict per channel count, in arrival
-order, so an uncontended trigger is still answered before ``ingest`` returns,
-while under load the other nodes keep persisting during a round trip.  A
-failed attempt gets one immediate reconnect, never a sleep.  A coalesced
-frame's ``t_request_sent`` is the time its batch was sent, and each batch's
-latency rows are written with one write.
+Triggers go to the server over TCP from one sender thread per gateway, which
+reads no node: ingest only queues a triggered frame and wakes it.  Each pass
+sends the whole queue as one multi-row predict per channel count, in arrival
+order, so what queued during one round trip goes out in the next.  A failed
+attempt gets one immediate reconnect, never a sleep; a batch that still fails
+loses only its own predictions.  A coalesced frame's ``t_request_sent`` is the
+time its batch was sent, and each batch's latency rows are written with one
+write.
 ``Gateway._fire`` is where fired frames leave the ingest pass; the bench's
 periodic-scan baseline overrides it to hand them over as files.
 """
@@ -77,7 +74,7 @@ class ServerUnreachable(GatewayError):
 
 
 class ShapeMismatch(GatewayError):
-    """The server rejected the feature width; a configuration error, fatal."""
+    """The server rejected the feature width: a configuration error, which no retry mends."""
 
 
 class NoRecords(GatewayError):
@@ -269,15 +266,16 @@ class Gateway:
         self._request_id = 0
         self._request_lock = threading.Lock()  # request id + server socket
         self._ingest_lock = threading.Lock()  # readers of many nodes funnel in
-        # push triggers awaiting the sender; guarded by the ingest lock, and
-        # never non-empty while _sending is False
+        # triggers awaiting the sender thread, and close(); both under the ingest lock
+        self._queued = threading.Condition(self._ingest_lock)
         self._pending: list[tuple[TelemetryFrame, float]] = []
-        self._sending = False
-        # triggers answered so far, each one a latency-log row; only the
-        # thread recording latency rows writes it
+        self._closed = False
+        # triggers answered so far, one latency-log row each; written only by their recorder
         self.answered = 0
         self._latency = (CsvAppender(config.latency_log_path, LATENCY_HEADER)
                          if config.latency_log_path else None)
+        self._sender = threading.Thread(target=self._send_pending, name="gateway-sender", daemon=True)
+        self._sender.start()
 
     # -- ingest -------------------------------------------------------------------
 
@@ -289,16 +287,16 @@ class Gateway:
         """Persist decoded frames, in order; returns per frame whether the rule fired.
 
         The frames share one pass under the ingest lock, one ``Time`` and one
-        ``t_frame_received``.  Every frame is persisted and the trigger rule
-        runs on each, in order; duplicates are the caller's to drop (see
-        ``read_node_stream``).  The rows are written with one write; a row
-        that cannot be written, or whose width is not the log's, is lost
-        (logged) and monitoring continues.  Safe to call from several
-        node-reader threads: rows are serialized internally, and push
-        triggers are sent in arrival order by whichever caller is the sender
-        (see the module docstring).  A failed send raises ServerUnreachable
-        or ShapeMismatch in the sender's call; the frames stay persisted.
+        ``t_frame_received``; an empty list touches neither log.  Every frame
+        is persisted and the trigger rule runs on each, in order; duplicates
+        are the caller's to drop (see ``read_node_stream``).  The rows are
+        written with one write; a row that cannot be written, or whose width
+        is not the log's, is lost (logged) and monitoring continues.  Safe to
+        call from several node-reader threads.  Fired frames are queued for
+        the sender thread: this never waits on the server or raises its errors.
         """
+        if not frames:
+            return []
         received = time.perf_counter()
         with self._ingest_lock:
             # Time = arrival wall clock, stamped under the lock so the rows keep time order
@@ -312,10 +310,8 @@ class Gateway:
                 fired.append(hit)
             self._persist(frames, wall)
             self._fire(triggered, received, wall)
-            if self._sending or not self._pending:
-                return fired
-            self._sending = True
-        self._send_pending()
+            if self._pending:
+                self._queued.notify()
         return fired
 
     def _fire(self, frames: list[TelemetryFrame], received: float, wall: float) -> None:
@@ -360,38 +356,31 @@ class Gateway:
     # -- push topology ---------------------------------------------------------------
 
     def _send_pending(self) -> None:
-        """Send queued triggers until none are left; only the sender calls this.
+        """The sender thread: send queued triggers until the gateway is closed and none are left.
 
         Each pass takes the whole queue and sends one request per channel
-        count, in order of arrival.  On a failed send the frames not yet
-        answered, and any queued behind them, lose their prediction: they are
-        logged, the queue is cleared, the sender role is released and the
-        error propagates.
+        count, in order of arrival.  A batch that fails, with any Exception,
+        loses its frames' predictions (logged); the batches after it are sent.
         """
-        queued: list[tuple[TelemetryFrame, float]] = []
-        try:
-            while True:
-                with self._ingest_lock:
-                    queued, self._pending = self._pending, []
-                    if not queued:
-                        self._sending = False
-                        return
-                while queued:
-                    width = queued[0][0].channel_count
-                    batch = [item for item in queued if item[0].channel_count == width]
-                    sent = time.perf_counter()
+        while True:
+            with self._queued:
+                self._queued.wait_for(lambda: self._pending or self._closed)
+                queued, self._pending = self._pending, []
+            if not queued:
+                return
+            while queued:
+                width = queued[0][0].channel_count
+                batch = [item for item in queued if item[0].channel_count == width]
+                queued = [item for item in queued if item[0].channel_count != width]
+                sent = time.perf_counter()
+                try:
                     self.request_prediction([list(f.resistances) for f, _ in batch])
-                    done = time.perf_counter()
-                    self._record_latency([(f, received, sent, done) for f, received in batch])
-                    queued = [item for item in queued if item[0].channel_count != width]
-        except BaseException:
-            with self._ingest_lock:
-                lost = queued + self._pending
-                self._pending = []
-                self._sending = False
-            log.error("trigger send failed; predictions lost for (node, counter) %s",
-                      [(f.node_id, f.counter) for f, _ in lost])
-            raise
+                except Exception:
+                    log.exception("trigger send failed; predictions lost for (node, counter) %s",
+                                  [(f.node_id, f.counter) for f, _ in batch])
+                    continue
+                done = time.perf_counter()
+                self._record_latency([(f, received, sent, done) for f, received in batch])
 
     def request_prediction(self, rows: list[list[float]]) -> list[float]:
         """Round-trip one predict request in at most two attempts, never sleeping.
@@ -464,6 +453,14 @@ class Gateway:
                           frame.counter, frame.node_id, exc)
 
     def close(self) -> None:
+        """Send what is still queued, join the sender thread, then close the connection and logs.
+
+        A server that never answers costs 2 x SERVER_TIMEOUT per queued batch.
+        """
+        with self._queued:
+            self._closed = True
+            self._queued.notify()
+        self._sender.join()
         with self._request_lock:
             self._drop_server_connection()
         if self._csv is not None:
@@ -489,8 +486,8 @@ def read_node_stream(conn: socket.socket, gateway: Gateway) -> int:
     as a duplicate: a node's frames arrive in counter order over its one
     connection (a reordering transport would need an anti-replay window),
     and a node that restarts reconnects, so its new counters are kept.
-    Undecodable frames are logged and skipped, and so is a trigger that
-    fails to reach the server, so one failure never ends the node's stream.
+    Undecodable frames are logged and skipped, and the server is never
+    waited on here (see ``Gateway.ingest_frames``).
     A length prefix above the widest frame (MAX_FRAME_SIZE) ends it.
     Returns the number of frames ingested.
     """
@@ -510,12 +507,7 @@ def read_node_stream(conn: socket.socket, gateway: Gateway) -> int:
                 continue
             highest[frame.node_id] = frame.counter
             frames.append(frame)
-        if not frames:
-            continue
-        try:
-            gateway.ingest_frames(frames)
-        except GatewayError:
-            log.exception("trigger send failed while ingesting %d frame(s)", len(frames))
+        gateway.ingest_frames(frames)
         count += len(frames)
     return count
 

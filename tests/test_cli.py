@@ -325,6 +325,8 @@ def test_out_of_range_numbers_are_usage_errors(args, tmp_path):
     result = run_cli(*args, *out)
     assert result.returncode == 2, result.stderr
     assert "usage" in result.stderr.lower()
+    if args[2] in ("127.0.0.1:99999", "localhost"):  # the message says what --connect takes
+        assert "host:port" in result.stderr
 
 
 def test_bench_latency_poll_writes_report(tmp_path):

@@ -151,6 +151,7 @@ def test_every_frame_rule_requests_once_per_frame(served_gateway):
     gw, _ = served_gateway
     for i in range(5):
         assert gw.ingest(frame(i)) is True
+    gw.close()
     assert len(latency_log(gw)) == 5
 
 
@@ -179,6 +180,7 @@ def test_duplicate_counter_dropped(quiet_gateway, tmp_path):
 def test_duplicate_does_not_trigger(served_gateway):
     gw, _ = served_gateway
     stream(gw, [frame(3), frame(3)])
+    gw.close()
     assert len(latency_log(gw)) == 1
 
 
@@ -433,13 +435,13 @@ def test_unopenable_telemetry_log_loses_rows_not_the_stream(served_gateway, tmp_
     with reader, caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
         count = read_node_stream(reader, gw)
     assert count == 3
-    assert gw.answered == 3
-    assert [r["frame_counter"] for r in latency_log(gw)] == [0, 1, 2]
     assert "row for counter 2 from node 0 lost" in caplog.text
     blocker.unlink()
     blocker.mkdir()
     gw.ingest(frame(3))  # the next batch opens the log
     gw.close()
+    assert gw.answered == 4
+    assert [r["frame_counter"] for r in latency_log(gw)] == [0, 1, 2, 3]
     assert [r.t for r in read_table_csv((blocker / "t.csv").read_text())] == [3.0]
 
 
@@ -527,6 +529,7 @@ def test_request_prediction_round_trip(served_gateway):
 def test_loopback_end_to_end_under_one_second(served_gateway):
     gw, _ = served_gateway
     gw.ingest(frame(0))
+    gw.close()
     assert latency_log(gw)[0]["end_to_end"] < 1.0
 
 
@@ -539,40 +542,61 @@ def test_server_down_unreachable_after_retries(tmp_path):
     gw.close()
 
 
-def test_server_refusing_costs_no_wait_and_keeps_time(tmp_path):
-    """A down server must not hold the node's reader: every Time stays within a tick."""
+@contextlib.contextmanager
+def silent_server():
+    """The endpoint of a server that accepts connections and never reads or answers."""
+    listener = listen("127.0.0.1", 0)
+    stop = threading.Event()
+    server = threading.Thread(target=serve_connections,
+                              args=(listener, lambda conn: stop.wait(), stop))
+    server.start()
+    try:
+        yield "%s:%d" % listener.getsockname()
+    finally:
+        stop.set()
+        server.join(timeout=10)
+        listener.close()
+    assert not server.is_alive()
+
+
+@pytest.mark.parametrize("silent", [False, True], ids=["refusing", "silent"])
+def test_server_refusing_costs_no_wait_and_keeps_time(tmp_path, monkeypatch, silent):
+    """A down or silent server must not hold the node's reader: every Time stays within a tick."""
     tick = 0.05
-    gw = Gateway(GatewayConfig(server_endpoint=dead_endpoint(),
-                               persistence_path=str(tmp_path / "t.csv")))
-    seconds = []  # how long each ingest_frames call took to raise
-    ingest_frames = gw.ingest_frames
+    monkeypatch.setattr(gateway_mod, "SERVER_TIMEOUT", 0.3)
+    with contextlib.ExitStack() as running:
+        endpoint = running.enter_context(silent_server()) if silent else dead_endpoint()
+        gw = Gateway(GatewayConfig(server_endpoint=endpoint,
+                                   persistence_path=str(tmp_path / "t.csv")))
+        running.callback(gw.close)  # before the server stops: callbacks run last first
+        seconds = []  # how long each ingest_frames call took
+        ingest_frames = gw.ingest_frames
 
-    def timed(frames):
-        started = time.perf_counter()
-        with pytest.raises(ServerUnreachable):  # every frame triggers
-            ingest_frames(frames)
-        seconds.append(time.perf_counter() - started)
+        def timed(frames):
+            started = time.perf_counter()
+            ingest_frames(frames)  # every frame triggers
+            seconds.append(time.perf_counter() - started)
 
-    gw.ingest_frames = timed
-    reader, client = socket.socketpair()
-    sent = []
+        gw.ingest_frames = timed
+        reader, client = socket.socketpair()
+        sent = []
 
-    def node():
-        with client:
-            for counter in range(6):
-                if counter:
-                    time.sleep(tick)
-                sent.append(time.time())
-                send_message(client, encode(frame(counter)))
+        def node():
+            with client:
+                for counter in range(6):
+                    if counter:
+                        time.sleep(tick)
+                    sent.append(time.time())
+                    send_message(client, encode(frame(counter)))
 
-    sender = threading.Thread(target=node)
-    sender.start()
-    with reader:
-        count = read_node_stream(reader, gw)
-    sender.join(timeout=10)
-    gw.close()
+        sender = threading.Thread(target=node)
+        sender.start()
+        with reader:
+            count = read_node_stream(reader, gw)
+        sender.join(timeout=10)
     assert not sender.is_alive()
     assert count == 6
+    assert gw.answered == 0
     rows = read_table_csv((tmp_path / "t.csv").read_text())
     assert [r.t for r in rows] == [float(c) for c in range(6)]
     for row in rows:
@@ -654,12 +678,14 @@ def test_malformed_predict_reply_keeps_the_node_stream(tmp_path, caplog, reply):
     assert count == 3
     assert [r.t for r in read_table_csv((tmp_path / "t.csv").read_text())] == [0.0, 1.0, 2.0]
     assert gw.answered == 0 and latency_log(gw) == []
-    assert "trigger send failed while ingesting 1 frame(s)" in caplog.text
+    for counter in range(3):  # each named lost by the sender, in one batch or several
+        assert f"(0, {counter})" in caplog.text
 
 
 def test_latency_fields_monotone(served_gateway):
     gw, _ = served_gateway
     gw.ingest(frame(0))
+    gw.close()
     rec = latency_log(gw)[0]
     assert rec["t_frame_received"] <= rec["t_request_sent"] <= rec["t_response_received"]
 
@@ -684,6 +710,7 @@ def test_latency_log_torn_tail_quarantined_on_restart(served_gateway):
 def test_latency_log_layout(served_gateway):
     gw, _ = served_gateway
     gw.ingest(frame(4, node_id=2))
+    gw.close()
     header, row = Path(gw.config.latency_log_path).read_text(encoding="utf-8").splitlines()
     assert header == ("frame_counter,node_id,t_frame_received,t_request_sent,"
                       "t_response_received,end_to_end")
@@ -726,8 +753,9 @@ def test_concurrent_triggers_coalesce_bit_identically(served_gateway, tmp_path):
     finally:
         sys.setswitchinterval(switch_interval)
     assert not any(t.is_alive() for t in nodes)
+    gw.close()
 
-    assert gw._pending == [] and gw._sending is False
+    assert gw._pending == []
     answered_frames = sorted((r["node_id"], r["frame_counter"]) for r in latency_log(gw))
     assert answered_frames == [(n, c) for n in range(3) for c in range(50)]
     assert sum(len(rows) for rows, _ in answered) == 150
@@ -737,10 +765,11 @@ def test_concurrent_triggers_coalesce_bit_identically(served_gateway, tmp_path):
         assert [p.hex() for p in predictions] == [mlp.forward(model, r).hex() for r in rows]
 
 
-def test_failed_batch_leaves_nothing_pending(served_gateway, caplog):
+def test_failed_batch_loses_only_its_own_frames(served_gateway, caplog):
     gw, _ = served_gateway
     request_prediction = gw.request_prediction
     queued = []
+    failing = threading.Event()
 
     def fail_once(rows):
         # frames from another node arrive while this send is in flight
@@ -749,18 +778,80 @@ def test_failed_batch_leaves_nothing_pending(served_gateway, caplog):
             gw.ingest(frame(counter, node_id=1)) for counter in range(3)))
         other.start()
         other.join(timeout=10)
+        failing.set()
         raise ServerUnreachable("server down")
 
     gw.request_prediction = fail_once
     with caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
-        with pytest.raises(ServerUnreachable):
-            gw.ingest(frame(0))
-    assert queued == [True, True, True]  # queued behind the sender, returned at once
-    assert gw._pending == [] and gw._sending is False
-    assert latency_log(gw) == []
-    assert "[(0, 0), (1, 0), (1, 1), (1, 2)]" in caplog.text
-    assert gw.ingest(frame(1)) is True  # the next trigger is sent inline again
-    assert [(r["node_id"], r["frame_counter"]) for r in latency_log(gw)] == [(0, 1)]
+        assert gw.ingest(frame(0)) is True
+        assert failing.wait(timeout=10)
+        assert gw.ingest(frame(1)) is True  # queued behind node 1's frames
+        gw.close()
+    assert queued == [True, True, True]  # queued behind the failing batch, returned at once
+    assert gw._pending == []
+    assert "predictions lost for (node, counter) [(0, 0)]" in caplog.text
+    assert [(r["node_id"], r["frame_counter"]) for r in latency_log(gw)] \
+        == [(1, 0), (1, 1), (1, 2), (0, 1)]
+
+
+def test_sender_survives_any_exception(tmp_path, caplog):
+    """A batch whose send raises something other than a GatewayError loses only its frames."""
+    gw = intake_gateway(tmp_path, delta_ohm=0.0)
+    first_sent = threading.Event()
+
+    def broken_once(rows):
+        gw.request_prediction = lambda rows: [0.0] * len(rows)
+        first_sent.set()
+        raise RuntimeError("a bug in the send path")
+
+    gw.request_prediction = broken_once
+    reader, client = socket.socketpair()
+
+    def node():  # frame 0 alone in the first batch, then two more
+        with client:
+            send_message(client, encode(frame(0)))
+            first_sent.wait(timeout=10)
+            for counter in (1, 2):
+                send_message(client, encode(frame(counter)))
+
+    sender = threading.Thread(target=node)
+    sender.start()
+    with reader, caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
+        count = read_node_stream(reader, gw)
+        sender.join(timeout=10)
+        gw.close()
+    assert not sender.is_alive()
+    assert count == 3
+    assert [r.t for r in read_table_csv((tmp_path / "t.csv").read_text())] == [0.0, 1.0, 2.0]
+    assert gw.answered == 2
+    assert "predictions lost for (node, counter) [(0, 0)]" in caplog.text
+    assert "RuntimeError: a bug in the send path" in caplog.text
+
+
+def test_empty_batch_touches_neither_log(tmp_path):
+    gw = intake_gateway(tmp_path, delta_ohm=0.0)
+    assert gw.ingest_frames([]) == []
+    gw.close()
+    assert not (tmp_path / "t.csv").exists()
+    assert (tmp_path / "lat.csv").read_text() == ",".join(gateway_mod.LATENCY_HEADER) + "\n"
+    assert gw.answered == 0
+
+
+def test_close_sends_what_is_queued_and_leaves_no_thread(tmp_path):
+    before = set(threading.enumerate())
+    gw = intake_gateway(tmp_path, delta_ohm=0.0)
+
+    def slow(rows):  # triggers queue behind a round trip
+        time.sleep(0.02)
+        return [0.0] * len(rows)
+
+    gw.request_prediction = slow
+    for counter in range(5):
+        assert gw.ingest(frame(counter)) is True
+    gw.close()
+    assert gw.answered == 5
+    assert [r["frame_counter"] for r in latency_log(gw)] == [0, 1, 2, 3, 4]
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 # -- latency summary -----------------------------------------------------------------------
