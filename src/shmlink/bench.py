@@ -4,17 +4,17 @@ Spins up the full chain — emulated node firmware streaming framed telemetry
 over TCP into the gateway's ``serve_nodes`` intake, gateway ingesting and
 triggering, inference server answering — and measures trigger-to-response
 time per frame on the monotonic clock.  The calling thread waits for the last
-answer, collecting poll results as they appear, and the report is computed
-from the gateway's latency log.
+answer, and the report is computed from the gateway's latency log.
 
 Push mode: every frame triggers an immediate TCP predict round trip.
-Poll mode, the legacy baseline that lives only here: ``PollGateway`` writes
-triggers as upload files that ``scan_uploads`` answers every interval, so
-each trigger waits for the next scan.  Frames arrive on the node tick
-schedule, spreading arrivals across poll cycles; with the default 0.2 s
-tick, 200 triggers span several 5 s cycles and the measured mean approaches
-interval/2 plus the processing base, without serializing the waits.
-``stream_node`` is the node loop that ``shmlink simulate-node`` runs as well.
+Poll mode, the legacy baseline that lives only here: ``PollGateway``'s sender
+thread is a scan that answers the queued triggers every interval through
+``server.handle_predict``, so each trigger waits for the next scan.  Frames
+arrive on the node tick schedule, spreading arrivals across poll cycles; with
+the default 0.2 s tick, 200 triggers span several 5 s cycles and the measured
+mean approaches interval/2 plus the processing base, without serializing the
+waits.  ``stream_node`` is the node loop that ``shmlink simulate-node`` runs
+as well.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
-import json
-import logging
-import math
 import socket
 import tempfile
 import threading
@@ -35,18 +32,19 @@ import numpy as np
 
 from . import mlp
 from .adc import AdcEmulator, SensorModel
-from .dataset import AlignedRecord, read_table_csv, write_atomic, write_table_csv
+from .dataset import read_table_csv
 from .firmware import NodeFirmware
 from .gateway import Gateway, GatewayConfig, TriggerRule, latency_summary, node_listener, serve_nodes
-from .protocol import TelemetryFrame, encode, send_message
+from .protocol import encode, send_message
 from .server import DEFAULT_MODEL_ID, InferenceServer, ServerConfig
-
-log = logging.getLogger(__name__)
 
 FIXTURE_RESISTANCES = (47.0, 47.0, 100.0, 100.0, 120.0, 120.0, 120.0, 120.0)
 
 DEFAULT_PUSH_TICK = 0.02
 DEFAULT_POLL_TICK = 0.2
+# the longest node tick or poll interval, in seconds: a lock wait overflows past
+# threading.TIMEOUT_MAX, and time.sleep fails once the clock plus its wait passes it
+MAX_WAIT = threading.TIMEOUT_MAX / 2
 
 
 def make_bench_model(channels: int, path, seed: int = 0) -> None:
@@ -80,72 +78,28 @@ def stream_node(sock: socket.socket, firmware: NodeFirmware,
 
 
 class PollGateway(Gateway):
-    """A gateway that writes each trigger's persisted row, same ``Time``, as an upload file.
+    """The legacy poll baseline: a gateway whose sender thread is a periodic scan.
 
-    A failed write loses that frame's prediction only (logged).
+    Every ``interval`` (at most MAX_WAIT) seconds from its start, the sender
+    answers the whole queue through ``server.handle_predict`` with
+    ``Gateway._answer``; ``close()`` answers what is still queued at once.
     """
 
-    def __init__(self, config: GatewayConfig, upload_dir: Path):
+    def __init__(self, config: GatewayConfig, server: InferenceServer, interval: float):
+        # before super().__init__, which starts the sender thread
+        self.server = server
+        self.interval = interval
         super().__init__(config)
-        self.upload_dir = upload_dir
-        # result path -> (frame, received, sent), for collect_results
-        self._uploads: dict[Path, tuple[TelemetryFrame, float, float]] = {}
 
-    def _fire(self, frames: list[TelemetryFrame], received: float, wall: float) -> None:
-        for frame in frames:
-            record = AlignedRecord(time=wall, strain=math.nan,
-                                   t=float(frame.counter), resistances=frame.resistances)
-            dest = self.upload_dir / f"trigger_{frame.node_id:04d}_{frame.counter:08d}.csv"
-            try:
-                write_atomic(dest, write_table_csv([record]))
-            except OSError:
-                log.exception("poll upload failed; prediction lost for (node, counter) (%d, %d)",
-                              frame.node_id, frame.counter)
-                continue
-            # the result cannot exist before the rename, so received <= sent <= done holds
-            self._uploads[dest.with_suffix(".pred.json")] = (frame, received, time.perf_counter())
-
-    def collect_results(self) -> None:
-        """Record a latency row for each result that has appeared."""
-        answers = []
-        for result, (frame, received, sent) in list(self._uploads.items()):
-            if result.exists():
-                answers.append((frame, received, sent, time.perf_counter()))
-                del self._uploads[result]
-        self._record_latency(answers)
-
-
-def answer_uploads(server: InferenceServer, upload_dir: Path) -> int:
-    """Write ``<name>.pred.json`` beside each upload that has none; returns the count.
-
-    An upload that is not a table, or that ``server.handle_predict`` refuses,
-    is logged and skipped, and gets no result.
-    """
-    handled = 0
-    for path in sorted(upload_dir.glob("*.csv")):
-        result = path.with_suffix(".pred.json")
-        if result.exists():
-            continue
-        try:
-            records = read_table_csv(path.read_text(encoding="utf-8"))
-            answer = server.handle_predict(DEFAULT_MODEL_ID, [list(r.resistances) for r in records])
-            write_atomic(result, json.dumps({"name": path.name, **answer}, allow_nan=False))
-            handled += 1
-        except Exception:
-            log.exception("skipping upload %s", path)
-    return handled
-
-
-def scan_uploads(server: InferenceServer, upload_dir: Path, interval: float,
-                 stop: threading.Event) -> None:
-    """Every ``interval`` seconds until ``stop``, answer new uploads; a failed scan is logged."""
-    while not stop.is_set():
-        started = time.perf_counter()
-        try:
-            answer_uploads(server, upload_dir)
-        except OSError:
-            log.exception("poll scan failed")
-        stop.wait(max(0.0, interval - (time.perf_counter() - started)))
+    def _send_pending(self) -> None:
+        scan = time.perf_counter()
+        closed = False
+        while not closed:
+            scan += self.interval
+            with self._queued:
+                closed = self._queued.wait_for(lambda: self._closed, scan - time.perf_counter())
+                queued, self._pending = self._pending, []
+            self._answer(queued, lambda rows: self.server.handle_predict(DEFAULT_MODEL_ID, rows))
 
 
 def _node_stream(endpoint: tuple[str, int], frames: int, tick: float,
@@ -174,6 +128,8 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
         raise ValueError(f"unknown mode {mode!r}")
     if frames < 1:
         raise ValueError("frames must be >= 1")
+    if mode == "poll" and not 0 < poll_interval <= MAX_WAIT:
+        raise ValueError(f"poll interval must be in (0, {MAX_WAIT:.0f}] s")
     if tick is None:
         tick = DEFAULT_PUSH_TICK if mode == "push" else DEFAULT_POLL_TICK
     with tempfile.TemporaryDirectory(prefix="shmlink-bench-") as tmp, \
@@ -197,21 +153,11 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
             persistence_path=str(work / "telemetry.csv"),
             trigger=TriggerRule(every_frame=True),
             latency_log_path=str(work / "latency.csv"))
-        stop = threading.Event()  # ends the scan loop and the intake
-        if mode == "poll":
-            if not poll_interval > 0:
-                raise ValueError("interval must be > 0")
-            scanner = threading.Thread(target=scan_uploads,
-                                       args=(server, work / "uploads", poll_interval, stop),
-                                       daemon=True, name="bench-poll-scan")
-            scanner.start()
-            running.callback(scanner.join)
-            running.callback(stop.set)
-            gateway = PollGateway(config, work / "uploads")
-        else:
-            gateway = Gateway(config)
+        gateway = (PollGateway(config, server, poll_interval) if mode == "poll"
+                   else Gateway(config))
         running.callback(gateway.close)
 
+        stop = threading.Event()  # ends the intake
         intake = threading.Thread(target=serve_nodes, args=(listener, gateway, stop),
                                   daemon=True, name="bench-intake")
         failures: list = []
@@ -225,15 +171,12 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
         running.callback(stop.set)  # before the join above: callbacks run last first
         node.start()
         running.callback(node.join)
-        # the node streams for frames * tick; a poll trigger is answered by
-        # the scan after it, so poll results are collected as they appear
+        # the node streams for frames * tick; a poll trigger waits for the scan after it
         deadline = started + frames * tick + 30
         if mode == "poll":
             deadline += poll_interval * 2 + 10
         while (gateway.answered < frames and not failures
                and time.perf_counter() < deadline):
-            if mode == "poll":
-                gateway.collect_results()
             time.sleep(0.002)
         running.close()
 

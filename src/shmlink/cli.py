@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     node = sub.add_parser("simulate-node", help="run an emulated sensor node streaming frames")
     node.add_argument("--channels", type=int, choices=(2, 8), default=8)
-    node.add_argument("--tick", type=_number(), default=10.0, help="tick period, seconds")
+    node.add_argument("--tick", type=_seconds, default=10.0, help="tick period, seconds")
     node.add_argument("--profile", default="fixture",
                       help="fixture | replay:FILE | ramp")
     node.add_argument("--connect", type=_endpoint, required=True, metavar="HOST:PORT")
@@ -81,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lat = sub.add_parser("bench-latency", help="push-vs-poll trigger-to-response benchmark")
     lat.add_argument("--mode", choices=("push", "poll"), required=True)
-    lat.add_argument("--poll-interval", type=_number(), default=5.0)
+    lat.add_argument("--poll-interval", type=_seconds, default=5.0)
     lat.add_argument("--frames", type=_number(int), default=200)
-    lat.add_argument("--tick", type=_number(), default=None,
+    lat.add_argument("--tick", type=_seconds, default=None,
                      help="node tick period (default 0.02 push / 0.2 poll)")
     lat.add_argument("--channels", type=int, choices=(2, 8), default=2)
     lat.add_argument("--seed", type=_non_negative_int, default=0)
@@ -111,6 +111,8 @@ def _number(cast=float, ok=lambda v: 0 < v < float("inf"), expected="> 0"):
 
 
 _non_negative_int = _number(int, lambda v: v >= 0, ">= 0")
+_seconds = _number(float, lambda v: 0 < v <= bench_mod.MAX_WAIT,
+                   f"in (0, {bench_mod.MAX_WAIT:.0f}]")
 
 
 def _endpoint(text: str) -> tuple[str, int]:

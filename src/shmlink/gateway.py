@@ -25,8 +25,9 @@ attempt gets one immediate reconnect, never a sleep; a batch that still fails
 loses only its own predictions.  A coalesced frame's ``t_request_sent`` is the
 time its batch was sent, and each batch's latency rows are written with one
 write.
-``Gateway._fire`` is where fired frames leave the ingest pass; the bench's
-periodic-scan baseline overrides it to hand them over as files.
+``Gateway._send_pending`` is the sender thread's loop; the bench's
+periodic-scan baseline overrides it to answer the queue once per interval,
+through the same per-channel-count ``_answer``.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ class Gateway:
         self._queued = threading.Condition(self._ingest_lock)
         self._pending: list[tuple[TelemetryFrame, float]] = []
         self._closed = False
-        # triggers answered so far, one latency-log row each; written only by their recorder
+        # triggers answered so far, one latency-log row each; written only by the sender thread
         self.answered = 0
         self._latency = (CsvAppender(config.latency_log_path, LATENCY_HEADER)
                          if config.latency_log_path else None)
@@ -301,22 +302,17 @@ class Gateway:
         with self._ingest_lock:
             # Time = arrival wall clock, stamped under the lock so the rows keep time order
             wall = time.time()
-            fired, triggered = [], []
+            fired = []
             for frame in frames:
                 hit = self._should_trigger(frame)
                 if hit:
                     self._baseline[frame.node_id] = frame.resistances
-                    triggered.append(frame)
+                    self._pending.append((frame, received))
                 fired.append(hit)
             self._persist(frames, wall)
-            self._fire(triggered, received, wall)
             if self._pending:
                 self._queued.notify()
         return fired
-
-    def _fire(self, frames: list[TelemetryFrame], received: float, wall: float) -> None:
-        """Queue fired frames for the sender; runs under the ingest lock, ``wall`` is their Time."""
-        self._pending.extend((frame, received) for frame in frames)
 
     def _persist(self, frames: list[TelemetryFrame], wall: float) -> None:
         """Append one row per frame: Time ``wall``, Strain unknown (nan), t the node counter.
@@ -358,9 +354,7 @@ class Gateway:
     def _send_pending(self) -> None:
         """The sender thread: send queued triggers until the gateway is closed and none are left.
 
-        Each pass takes the whole queue and sends one request per channel
-        count, in order of arrival.  A batch that fails, with any Exception,
-        loses its frames' predictions (logged); the batches after it are sent.
+        Each pass takes the whole queue and answers it with ``_answer``.
         """
         while True:
             with self._queued:
@@ -368,19 +362,28 @@ class Gateway:
                 queued, self._pending = self._pending, []
             if not queued:
                 return
-            while queued:
-                width = queued[0][0].channel_count
-                batch = [item for item in queued if item[0].channel_count == width]
-                queued = [item for item in queued if item[0].channel_count != width]
-                sent = time.perf_counter()
-                try:
-                    self.request_prediction([list(f.resistances) for f, _ in batch])
-                except Exception:
-                    log.exception("trigger send failed; predictions lost for (node, counter) %s",
-                                  [(f.node_id, f.counter) for f, _ in batch])
-                    continue
-                done = time.perf_counter()
-                self._record_latency([(f, received, sent, done) for f, received in batch])
+            self._answer(queued, self.request_prediction)
+
+    def _answer(self, queued: list[tuple[TelemetryFrame, float]], predict) -> None:
+        """Answer ``(frame, received)`` triggers with one ``predict(rows)`` per channel count.
+
+        Batches go in order of arrival.  A batch whose ``predict`` raises any
+        Exception loses its frames' predictions (logged); the batches after it
+        are answered.  Runs on the sender thread only.
+        """
+        while queued:
+            width = queued[0][0].channel_count
+            batch = [item for item in queued if item[0].channel_count == width]
+            queued = [item for item in queued if item[0].channel_count != width]
+            sent = time.perf_counter()
+            try:
+                predict([list(f.resistances) for f, _ in batch])
+            except Exception:
+                log.exception("trigger send failed; predictions lost for (node, counter) %s",
+                              [(f.node_id, f.counter) for f, _ in batch])
+                continue
+            done = time.perf_counter()
+            self._record_latency([(f, received, sent, done) for f, received in batch])
 
     def request_prediction(self, rows: list[list[float]]) -> list[float]:
         """Round-trip one predict request in at most two attempts, never sleeping.

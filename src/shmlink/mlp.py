@@ -255,11 +255,11 @@ class TrainConfig:
 
     def __post_init__(self):
         counts = (self.hidden_width, self.batch_size, self.max_epochs, self.plateau_patience)
-        if not all(isinstance(n, int) for n in counts if n is not None):
+        if not all(type(n) is int for n in counts if n is not None):  # bool is not a count
             raise ValueError("hidden_width, batch_size, max_epochs and plateau_patience "
                              "must be integers")
-        if self.hidden_width < 1 or self.max_epochs < 1:
-            raise ValueError("hidden_width and max_epochs must be positive")
+        if self.hidden_width < 1 or self.max_epochs < 1 or self.plateau_patience < 1:
+            raise ValueError("hidden_width, max_epochs and plateau_patience must be positive")
         if not 0 < self.learning_rate < math.inf:  # NaN fails both comparisons
             raise ValueError(f"learning_rate {self.learning_rate!r} is not positive and finite")
         if self.batch_size is not None and self.batch_size < 1:
@@ -312,12 +312,25 @@ class TrainReport:
 
 @dataclass(frozen=True)
 class TrainData:
-    """Chronological train/test split of (features, target) arrays."""
+    """Chronological train/test split of (features, target) arrays, all finite.
+
+    A value that is not finite (a gateway log's unknown Strain) raises
+    MlError naming its column, Strain or R1..Rn, before any training.
+    """
 
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
+
+    def __post_init__(self):
+        for y in (self.train_y, self.test_y):
+            if not np.isfinite(y).all():
+                raise MlError("column Strain holds a value that is not finite")
+        for x in (self.train_x, self.test_x):
+            bad = np.nonzero(~np.isfinite(x))[-1]  # the columns of the bad cells
+            if bad.size:
+                raise MlError(f"column R{bad[0] + 1} holds a value that is not finite")
 
     @classmethod
     def from_records(cls, records, train_fraction: float = 0.8) -> "TrainData":

@@ -1,5 +1,6 @@
 """Push-vs-poll bench: one short in-process run per mode."""
 
+import math
 import threading
 
 import pytest
@@ -24,10 +25,23 @@ def test_run_bench_measures_every_frame_and_leaves_no_thread(mode):
     assert 0.0 < report["p50"] <= report["p95"] <= report["max"] < report["wall_time"]
 
 
-def test_run_bench_stops_what_it_started_when_setup_fails():
+def test_run_bench_stops_what_it_started_when_setup_fails(monkeypatch):
+    started = []
+    start = bench.InferenceServer.start
+
+    def recording_start(server):
+        start(server)
+        started.append(server)
+
+    def no_listener(host, port):
+        raise OSError("no listener")
+
+    monkeypatch.setattr(bench.InferenceServer, "start", recording_start)
+    monkeypatch.setattr(bench, "node_listener", no_listener)
     before = set(threading.enumerate())
-    with pytest.raises(ValueError, match="interval"):
-        run_bench("poll", frames=2, poll_interval=0)
+    with pytest.raises(OSError, match="no listener"):
+        run_bench("poll", frames=2, poll_interval=0.3)
+    assert len(started) == 1  # the server was running when the next step failed
     assert [t for t in threading.enumerate() if t not in before] == []
 
 
@@ -35,3 +49,10 @@ def test_run_bench_refuses_no_frames_before_starting_anything(monkeypatch):
     monkeypatch.setattr(bench, "InferenceServer", None)  # building one raises TypeError
     with pytest.raises(ValueError, match="frames"):
         run_bench("push", frames=0)
+
+
+@pytest.mark.parametrize("interval", [0, -1.0, math.nan, bench.MAX_WAIT * 2, 1e308])
+def test_run_bench_refuses_a_poll_interval_before_starting_anything(monkeypatch, interval):
+    monkeypatch.setattr(bench, "InferenceServer", None)  # building one raises TypeError
+    with pytest.raises(ValueError, match="poll interval"):
+        run_bench("poll", frames=2, poll_interval=interval)

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, streaming, training, synchronization."""
 
+import dataclasses
 import json
+import math
 import socket
 import subprocess
 import sys
@@ -232,6 +234,34 @@ def test_train_bad_grid_value_exits_two_before_training(tmp_path, small_dataset)
     assert "learning_rate" in result.stderr and not out.exists()
 
 
+@pytest.mark.parametrize("patience", [-5, 0, True])
+def test_train_grid_with_patience_below_one_exits_two_before_training(tmp_path, small_dataset,
+                                                                      patience):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"hidden_widths": [8], "learning_rates": [1e-2],
+                                "batch_sizes": [32], "max_epochs": 40,
+                                "plateau_patience": patience}))
+    out = tmp_path / "m.json"
+    result = run_cli("train", "--data", str(small_dataset), "--channels", "2",
+                     "--grid", str(grid), "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert "plateau_patience" in result.stderr and not out.exists()
+
+
+def test_train_on_a_gateway_log_names_its_unknown_strain(tmp_path, small_grid):
+    # a gateway persists Strain as nan: no strain is known at ingest
+    records = [dataclasses.replace(r, strain=math.nan)
+               for r in strain_records(n=50, channels=2, noise=0.01, seed=0)]
+    data = tmp_path / "telemetry.csv"
+    data.write_text(write_table_csv(records), encoding="utf-8")
+    out = tmp_path / "m.json"
+    result = run_cli("train", "--data", str(data), "--channels", "2",
+                     "--grid", str(small_grid), "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert "Strain" in result.stderr and "diverged" not in result.stderr
+    assert not out.exists()
+
+
 def test_load_grid_defaults_come_from_hypergrid(tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"hidden_widths": [4], "batch_sizes": [None]}))
@@ -319,6 +349,12 @@ def test_bench_latency_push_writes_report(tmp_path):
     ("bench-latency", "--mode", "push", "--frames", "2", "--seed", "-1"),
     ("simulate-node", "--connect", "127.0.0.1:99999", "--frames", "1"),
     ("simulate-node", "--connect", "localhost", "--frames", "1"),
+    # waits too long for a timeout or time.sleep; such a poll interval once hung the bench
+    ("bench-latency", "--mode", "poll", "--frames", "3", "--tick", "0.01",
+     "--poll-interval", "1e308"),
+    ("bench-latency", "--mode", "poll", "--frames", "3", "--poll-interval", "9.3e9"),
+    ("bench-latency", "--mode", "push", "--frames", "3", "--tick", "1e308"),
+    ("simulate-node", "--connect", "127.0.0.1:1", "--frames", "3", "--tick", "1e308"),
 ])
 def test_out_of_range_numbers_are_usage_errors(args, tmp_path):
     out = ("--out", str(tmp_path / "report.json")) if args[0] != "simulate-node" else ()

@@ -51,6 +51,7 @@ from shmlink.protocol import (
 )
 from shmlink.server import ServerConfig, serve
 from test_protocol import CutReads
+from test_server import gain_server
 
 
 def frame(counter, resistances=(47.0, 120.0), node_id=0):
@@ -246,16 +247,77 @@ def test_duplicates_are_dropped_per_node_on_a_new_connection(quiet_gateway, tmp_
     assert [r.t for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 1.0, 0.0, 2.0]
 
 
-def test_poll_upload_time_is_persisted_time(tmp_path, monkeypatch):
-    ticks = iter(range(1000, 1100))  # every wall-clock reading differs
-    monkeypatch.setattr(gateway_mod, "time", SimpleNamespace(
-        time=lambda: float(next(ticks)), perf_counter=time.perf_counter))
-    gw = PollGateway(quiet_config(tmp_path, dead_endpoint()), tmp_path / "uploads")
-    assert gw.ingest(frame(5)) is True
+# -- the bench's poll baseline: a sender thread that scans ------------------------------
+
+
+def poll_config(tmp_path) -> GatewayConfig:
+    """A gateway that fires on every frame and logs latency; no server is dialled."""
+    return GatewayConfig(server_endpoint=dead_endpoint(),
+                         persistence_path=str(tmp_path / "telemetry.csv"),
+                         latency_log_path=str(tmp_path / "latency.csv"))
+
+
+def wait_until(condition, timeout: float = 5.0) -> None:
+    deadline = time.perf_counter() + timeout
+    while not condition():
+        assert time.perf_counter() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+def test_poll_trigger_is_answered_at_the_next_scan_and_not_before(tmp_path, model_server):
+    interval = 0.5
+    started = time.perf_counter()
+    gw = PollGateway(poll_config(tmp_path), model_server, interval)
+    try:
+        time.sleep(interval / 5)  # land between the start and the first scan
+        gw.ingest(frame(0))
+        wait_until(lambda: gw.answered == 1)
+    finally:
+        gw.close()
+    [row] = latency_log(gw)
+    assert row["t_frame_received"] < started + interval <= row["t_request_sent"]
+    assert row["t_response_received"] < started + 2 * interval
+
+
+def test_poll_latency_rows_are_in_stage_order(tmp_path, model_server):
+    gw = PollGateway(poll_config(tmp_path), model_server, 0.05)
+    try:
+        for counter in range(6):
+            gw.ingest(frame(counter))
+            time.sleep(0.02)  # spread the triggers over several scans
+        wait_until(lambda: gw.answered == 6)
+    finally:
+        gw.close()
+    rows = latency_log(gw)
+    assert [r["frame_counter"] for r in rows] == list(range(6))
+    for r in rows:
+        assert r["t_frame_received"] <= r["t_request_sent"] <= r["t_response_received"]
+
+
+def test_poll_prediction_that_overflows_loses_only_its_batch(tmp_path, caplog):
+    gw = PollGateway(poll_config(tmp_path), gain_server(tmp_path), 0.1)
+    try:
+        with caplog.at_level(logging.ERROR, logger="shmlink.gateway"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            gw.ingest(frame(0, (1e306, 43.0)))  # finite cell, 1e309 prediction
+            wait_until(lambda: "predictions lost for (node, counter) [(0, 0)]" in caplog.text)
+        gw.ingest(frame(1))
+        wait_until(lambda: gw.answered == 1)
+    finally:
+        gw.close()
+    assert [r["frame_counter"] for r in latency_log(gw)] == [1]
+
+
+def test_poll_close_answers_the_queue_without_waiting_for_the_scan(tmp_path, model_server):
+    gw = PollGateway(poll_config(tmp_path), model_server, 3600.0)
+    gw.ingest(frame(0))
+    gw.ingest(frame(1, (47.5, 120.0)))
+    closing = time.perf_counter()
     gw.close()
-    persisted = read_table_csv((tmp_path / "telemetry.csv").read_text())
-    uploaded = read_table_csv((tmp_path / "uploads" / "trigger_0000_00000005.csv").read_text())
-    assert [r.time for r in uploaded] == [r.time for r in persisted] == [1000.0]
+    assert time.perf_counter() - closing < 5.0
+    assert gw.answered == 2
+    assert [r["frame_counter"] for r in latency_log(gw)] == [0, 1]
+    assert not gw._sender.is_alive()
 
 
 # -- crash-safe persistence ----------------------------------------------------------------
@@ -1025,24 +1087,6 @@ def test_read_node_stream_survives_unwritable_latency_log(served_gateway, tmp_pa
     assert gw.answered == 5
     assert "latency row for counter 4 from node 0 lost" in caplog.text
     assert (tmp_path / "full.csv").read_text().startswith("frame_counter,")
-
-
-def test_read_node_stream_survives_unwritable_upload(tmp_path, caplog):
-    blocker = tmp_path / "not_a_dir"
-    blocker.write_text("")
-    gw = PollGateway(GatewayConfig(persistence_path=str(tmp_path / "t.csv")), blocker)
-    server, client = socket.socketpair()
-    with client:
-        for counter in range(5):
-            send_message(client, encode(frame(counter)))
-    with server, caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
-        count = read_node_stream(server, gw)
-    gw.close()
-    assert count == 5
-    rows = read_table_csv((tmp_path / "t.csv").read_text())
-    assert [r.t for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
-    assert gw._uploads == {}
-    assert "prediction lost for (node, counter) (0, 4)" in caplog.text
 
 
 def test_request_prediction_reconnects_after_server_restart(tmp_path):

@@ -465,10 +465,31 @@ def test_train_config_rejects_rate_that_is_not_positive_and_finite(rate):
 
 @pytest.mark.parametrize("fields", [{"hidden_width": 8.0}, {"batch_size": 7.5},
                                     {"max_epochs": 5.0}, {"plateau_patience": 2.0},
-                                    {"hidden_width": "8"}])
+                                    {"hidden_width": "8"}, {"hidden_width": True},
+                                    {"plateau_patience": True}, {"batch_size": False}])
 def test_train_config_rejects_counts_that_are_not_integers(fields):
     with pytest.raises(ValueError, match="integers"):
         TrainConfig(**fields)
+
+
+@pytest.mark.parametrize("patience", [0, -5])
+def test_train_config_rejects_plateau_patience_below_one(patience):
+    with pytest.raises(ValueError, match="plateau_patience"):
+        TrainConfig(plateau_patience=patience)
+
+
+@pytest.mark.parametrize("split,column", [("train_y", "Strain"), ("test_y", "Strain"),
+                                          ("train_x", "R2"), ("test_x", "R1")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_train_data_refuses_values_that_are_not_finite(split, column, bad):
+    arrays = vars(linear_data(n=20))
+    damaged = arrays[split].copy()
+    if damaged.ndim == 2:
+        damaged[3, int(column[1:]) - 1] = bad
+    else:
+        damaged[3] = bad
+    with pytest.raises(mlp.MlError, match=f"column {column} "):
+        TrainData(**{**arrays, split: damaged})
 
 
 # -- evaluate -----------------------------------------------------------------------

@@ -1,19 +1,16 @@
-"""Inference service: message protocol, prediction semantics, the bench's poll scan."""
+"""Inference service: message protocol and prediction semantics."""
 
 import gc
 import json
 import socket
 import struct
 import threading
-import time
 import warnings
 
 import numpy as np
 import pytest
 
 from shmlink import mlp
-from shmlink.bench import answer_uploads, scan_uploads
-from shmlink.dataset import AlignedRecord, write_table_csv
 from shmlink.protocol import MAX_MESSAGE_SIZE, ConnectionClosed, recv_message, send_message
 from shmlink.server import InferenceServer, ModelNotLoaded, ServerConfig, serve
 
@@ -276,50 +273,13 @@ def test_failed_bind_closes_listening_socket():
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-# -- the bench's poll topology: uploads answered through handle_predict -----------------
-
-
-def upload_record_csv(tmp_path, name, resistances):
-    rec = AlignedRecord(time=0.0, strain=float("nan"), t=0.0, resistances=resistances)
-    path = tmp_path / "uploads" / name
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(write_table_csv([rec]), encoding="utf-8")
-    return path
-
-
-def test_poll_scan_predicts_new_files(running_server, tmp_path, model_file):
-    path = upload_record_csv(tmp_path, "t1.csv", (51.0, 43.0))
-    handled = answer_uploads(running_server, tmp_path / "uploads")
-    assert handled == 1
-    doc = json.loads(path.with_suffix(".pred.json").read_text())
-    local = mlp.load_model(model_file)
-    assert doc["predictions"] == [mlp.forward(local, [51.0, 43.0])]
-    # second scan leaves answered files alone
-    assert answer_uploads(running_server, tmp_path / "uploads") == 0
-
-
-def test_poll_scan_skips_bad_files_and_continues(running_server, tmp_path):
-    (tmp_path / "uploads").mkdir(exist_ok=True)
-    (tmp_path / "uploads" / "broken.csv").write_text("not,a,table\n1,2,3\n")
-    upload_record_csv(tmp_path, "good.csv", (51.0, 43.0))
-    assert answer_uploads(running_server, tmp_path / "uploads") == 1
-    assert (tmp_path / "uploads" / "good.pred.json").exists()
-    assert not (tmp_path / "uploads" / "broken.pred.json").exists()
+# -- predictions that cannot be answered as strict JSON ---------------------------------
 
 
 def strict_json(text: str):
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
     return json.loads(text, parse_constant=refuse)
-
-
-@pytest.mark.parametrize("cell", [float("nan"), float("inf"), float("-inf")])
-def test_poll_scan_skips_uploads_with_non_finite_cells(running_server, tmp_path, cell):
-    upload_record_csv(tmp_path, "bad.csv", (cell, 43.0))
-    good = upload_record_csv(tmp_path, "good.csv", (51.0, 43.0))
-    assert answer_uploads(running_server, tmp_path / "uploads") == 1
-    assert not (tmp_path / "uploads" / "bad.pred.json").exists()
-    assert len(strict_json(good.with_suffix(".pred.json").read_text())["predictions"]) == 1
 
 
 def gain_server(tmp_path) -> InferenceServer:
@@ -331,14 +291,6 @@ def gain_server(tmp_path) -> InferenceServer:
     return InferenceServer(ServerConfig(model_files={"default": str(tmp_path / "gain.json")}))
 
 
-def test_poll_scan_refuses_a_prediction_that_overflows(tmp_path):
-    server = gain_server(tmp_path)
-    upload_record_csv(tmp_path, "huge.csv", (1e306, 43.0))  # finite cell, 1e309 prediction
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert answer_uploads(server, tmp_path / "uploads") == 0
-    assert not (tmp_path / "uploads" / "huge.pred.json").exists()
-
-
 def test_predict_that_overflows_is_a_bad_message(tmp_path):
     request = {"type": "predict", "request_id": 5, "rows": [[1e306, 43.0]]}
     with pytest.warns(RuntimeWarning, match="overflow"):
@@ -346,31 +298,3 @@ def test_predict_that_overflows_is_a_bad_message(tmp_path):
     # serialized as the connection handler sends it; a gateway must be able to parse it
     doc = strict_json(json.dumps(reply))
     assert (doc["type"], doc["error"], doc["request_id"]) == ("error", "bad_message", 5)
-
-
-def test_poll_empty_dir_no_outputs(running_server, tmp_path):
-    (tmp_path / "uploads").mkdir(exist_ok=True)
-    assert answer_uploads(running_server, tmp_path / "uploads") == 0
-    assert list((tmp_path / "uploads").iterdir()) == []
-
-
-def test_poll_mode_answers_on_next_scan(running_server, tmp_path):
-    interval = 0.1
-    stop = threading.Event()
-    scanner = threading.Thread(target=scan_uploads,
-                               args=(running_server, tmp_path / "uploads", interval, stop))
-    scanner.start()
-    try:
-        time.sleep(interval / 2)  # land between scans
-        path = upload_record_csv(tmp_path, "timed.csv", (51.0, 43.0))
-        submitted = time.perf_counter()
-        result = path.with_suffix(".pred.json")
-        while not result.exists():
-            assert time.perf_counter() - submitted < 5.0
-            time.sleep(0.002)
-        delay = time.perf_counter() - submitted
-        assert 0.0 < delay <= interval + 0.25  # next scan plus processing slack
-    finally:
-        stop.set()
-        scanner.join(timeout=10)
-    assert not scanner.is_alive()
