@@ -3,8 +3,9 @@
 Spins up the full chain — emulated node firmware streaming framed telemetry
 over TCP into the gateway's ``serve_nodes`` intake, gateway ingesting and
 triggering, inference server answering — and measures trigger-to-response
-time per frame on the monotonic clock.  The calling thread waits for the last
-answer, and the report is computed from the gateway's latency log.
+time per frame on the monotonic clock.  The node runs on the calling thread,
+which then waits for the last answer; the report is computed from the
+gateway's latency log.
 
 Push mode: every frame triggers an immediate TCP predict round trip.
 Poll mode, the legacy baseline that lives only here: ``PollGateway``'s sender
@@ -13,8 +14,8 @@ thread is a scan that answers the queued triggers every interval through
 arrive on the node tick schedule, spreading arrivals across poll cycles; with
 the default 0.2 s tick, 200 triggers span several 5 s cycles and the measured
 mean approaches interval/2 plus the processing base, without serializing the
-waits.  ``stream_node`` is the node loop that ``shmlink simulate-node`` runs
-as well.
+waits.  ``run_node`` is the one emulated node, which ``shmlink simulate-node``
+runs as well; ``stream_node`` is its tick loop.
 """
 
 from __future__ import annotations
@@ -59,22 +60,39 @@ def stream_node(sock: socket.socket, firmware: NodeFirmware,
                 resistances=None, frames: int | None = None) -> int:
     """Tick the firmware every ``firmware.tick_period`` seconds and send each frame.
 
-    Tick i runs at ``i * tick_period`` on the signal clock.  Each vector of
-    ``resistances``, if given, sets the emulated sensors for one tick; the
-    loop ends when they run out or after ``frames`` frames, and returns the
-    number sent.  A failed send raises OSError.
+    Tick i runs at ``i * tick_period`` on the signal clock, whatever the
+    firmware's wrapping counter says.  Each vector of ``resistances``, if
+    given, sets the emulated sensors for one tick; the loop ends when they run
+    out or after ``frames`` frames, and returns the number sent.  A failed
+    send raises OSError.
     """
     tick = firmware.tick_period
     sent = 0
     for vector in itertools.repeat(()) if resistances is None else resistances:
         for ch, r in enumerate(vector):
             firmware.bus.sensors.set_resistance(ch, r)
-        send_message(sock, encode(firmware.run_tick(now=firmware.counter * tick)))
+        send_message(sock, encode(firmware.run_tick(now=sent * tick)))
         sent += 1
         if frames is not None and sent >= frames:
             break
         time.sleep(tick)
     return sent
+
+
+def run_node(endpoint: tuple[str, int], channels: int, tick: float, seed: int = 0,
+             noise: float = 0.0, node_id: int = 0, resistances=None,
+             frames: int | None = None) -> int:
+    """Stream the emulated node to ``endpoint`` with ``stream_node``; returns the frames sent.
+
+    Fixture sensors with ``noise`` ohm of noise, a converter seeded with
+    ``seed``, one connection (connect timeout 10 s).  OSError if it fails.
+    """
+    sensors = SensorModel.from_resistances(FIXTURE_RESISTANCES[:channels], noise_std=noise)
+    firmware = NodeFirmware(AdcEmulator(sensors, seed=seed), node_id=node_id,
+                            channel_count=channels, tick_period=tick, trace=False)
+    firmware.init()
+    with socket.create_connection(endpoint, timeout=10.0) as sock:
+        return stream_node(sock, firmware, resistances, frames=frames)
 
 
 class PollGateway(Gateway):
@@ -100,21 +118,6 @@ class PollGateway(Gateway):
                 closed = self._queued.wait_for(lambda: self._closed, scan - time.perf_counter())
                 queued, self._pending = self._pending, []
             self._answer(queued, lambda rows: self.server.handle_predict(DEFAULT_MODEL_ID, rows))
-
-
-def _node_stream(endpoint: tuple[str, int], frames: int, tick: float,
-                 channels: int, seed: int, failures: list) -> None:
-    """Stream ``frames`` fixture frames to the gateway; errors go to ``failures``."""
-    try:
-        sensors = SensorModel.from_resistances(FIXTURE_RESISTANCES[:channels])
-        emulator = AdcEmulator(sensors, seed=seed)
-        firmware = NodeFirmware(emulator, channel_count=channels, tick_period=tick,
-                                trace=False)
-        firmware.init()
-        with socket.create_connection(endpoint, timeout=5.0) as sock:
-            stream_node(sock, firmware, frames=frames)
-    except Exception as exc:
-        failures.append(exc)
 
 
 def run_bench(mode: str, frames: int = 200, tick: float | None = None,
@@ -160,28 +163,19 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
         stop = threading.Event()  # ends the intake
         intake = threading.Thread(target=serve_nodes, args=(listener, gateway, stop),
                                   daemon=True, name="bench-intake")
-        failures: list = []
-        node = threading.Thread(target=_node_stream,
-                                args=(node_endpoint, frames, tick, channels, seed, failures),
-                                daemon=True, name="bench-node")
-
         started = time.perf_counter()
         intake.start()
         running.callback(intake.join)
         running.callback(stop.set)  # before the join above: callbacks run last first
-        node.start()
-        running.callback(node.join)
-        # the node streams for frames * tick; a poll trigger waits for the scan after it
-        deadline = started + frames * tick + 30
+        run_node(node_endpoint, channels, tick, seed=seed, frames=frames)
+        # a poll trigger waits for the scan after it
+        deadline = time.perf_counter() + 30
         if mode == "poll":
             deadline += poll_interval * 2 + 10
-        while (gateway.answered < frames and not failures
-               and time.perf_counter() < deadline):
+        while gateway.answered < frames and time.perf_counter() < deadline:
             time.sleep(0.002)
         running.close()
 
-        if failures:
-            raise failures[0]
         with open(work / "latency.csv", encoding="utf-8", newline="") as fh:
             end_to_end = [float(row["end_to_end"]) for row in csv.DictReader(fh)]
         if len(end_to_end) != frames:

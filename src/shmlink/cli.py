@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import socket
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -17,15 +16,11 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import dataset as ds
 from . import mlp
-from .adc import AdcEmulator, SensorModel
-from .firmware import NodeFirmware
 from .protocol import parse_endpoint
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-FIXTURE_RESISTANCES = bench_mod.FIXTURE_RESISTANCES
 
 
 class UsageError(Exception):
@@ -126,20 +121,13 @@ def _endpoint(text: str) -> tuple[str, int]:
 # -- simulate-node ------------------------------------------------------------------
 
 
-def _ramp(channels: int):
-    base = FIXTURE_RESISTANCES[:channels]
-    tick = 0
-    while True:
-        yield tuple(r + 0.5 * tick for r in base)
-        tick += 1
-
-
 def _profile_resistances(profile: str, channels: int):
-    """Per-tick resistance vectors for the requested profile (validated eagerly)."""
+    """Per-tick resistance vectors for ``run_node``, validated eagerly; None keeps the fixture."""
     if profile == "fixture":
-        return itertools.repeat(FIXTURE_RESISTANCES[:channels])
-    if profile == "ramp":
-        return _ramp(channels)
+        return None
+    if profile == "ramp":  # each tick 0.5 ohm above the last
+        base = bench_mod.FIXTURE_RESISTANCES[:channels]
+        return (tuple(r + 0.5 * tick for r in base) for tick in itertools.count())
     if profile.startswith("replay:"):
         path = Path(profile.split(":", 1)[1])
         try:
@@ -157,25 +145,12 @@ def _profile_resistances(profile: str, channels: int):
 
 def cmd_simulate_node(args) -> int:
     profile = _profile_resistances(args.profile, args.channels)
-    sensors = SensorModel.from_resistances(FIXTURE_RESISTANCES[:args.channels],
-                                           noise_std=args.noise)
-    emulator = AdcEmulator(sensors, seed=args.seed)
-    firmware = NodeFirmware(emulator, node_id=args.node_id, channel_count=args.channels,
-                            tick_period=args.tick, trace=False)
-    firmware.init()
-
     try:
-        sock = socket.create_connection(args.connect, timeout=10.0)
+        sent = bench_mod.run_node(args.connect, args.channels, args.tick, seed=args.seed,
+                                  noise=args.noise, node_id=args.node_id,
+                                  resistances=profile, frames=args.frames or None)
     except OSError as exc:
-        print("error: cannot connect to %s:%d: %s" % (*args.connect, exc), file=sys.stderr)
-        return EXIT_RUNTIME
-
-    try:
-        with sock:
-            sent = bench_mod.stream_node(sock, firmware, profile, frames=args.frames or None)
-    except OSError as exc:
-        # the tick whose send failed already advanced the counter
-        print(f"error: link lost after {firmware.counter - 1} frames: {exc}", file=sys.stderr)
+        print("error: node link to %s:%d: %s" % (*args.connect, exc), file=sys.stderr)
         return EXIT_RUNTIME
     print(f"streamed {sent} frames", file=sys.stderr)
     return EXIT_OK

@@ -87,6 +87,22 @@ def _csv_rows(text: str) -> list[list[str]]:
     return [r for r in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in r)]
 
 
+def _numeric_rows(rows: list[list[str]], skip: int):
+    """Yield each row after the header ``rows[0]`` as floats, from column ``skip`` on.
+
+    A row not as wide as the header, or a cell not a number, is a MalformedRow.
+    """
+    width = len(rows[0])
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise MalformedRow(lineno, f"expected {width} cells, got {len(row)}")
+        try:
+            values = [float(v) for v in row[skip:]]
+        except ValueError:
+            raise MalformedRow(lineno, f"non-numeric value in {row!r}") from None
+        yield values
+
+
 def _find_column(headers: list[str], predicate) -> int | None:
     for i, h in enumerate(headers):
         if predicate(h.strip().lower()):
@@ -149,24 +165,12 @@ def parse_mechanical_csv(text: str) -> list[MechanicalSample]:
 def parse_resistance_csv(text: str) -> list[ResistanceSample]:
     """Parse a resistance log with header ``t,R1..Rn``."""
     rows = _csv_rows(text)
-    if not rows:
+    if not rows or rows[0][0].strip().lower() not in ("t", "time"):
         raise MissingColumn("t")
-    headers = [h.strip().lower() for h in rows[0]]
-    if not headers or headers[0] not in ("t", "time"):
-        raise MissingColumn("t")
-    n_channels = len(headers) - 1
-    if n_channels < 1:
+    if len(rows[0]) < 2:
         raise MissingColumn("R1")
-    samples = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        try:
-            values = [float(v) for v in row]
-        except ValueError:
-            raise MalformedRow(lineno, f"non-numeric value in {row!r}") from None
-        if len(values) != n_channels + 1:
-            raise MalformedRow(lineno, f"expected {n_channels + 1} values, got {len(values)}")
-        samples.append(ResistanceSample(t=values[0], resistances=tuple(values[1:])))
-    return samples
+    return [ResistanceSample(t=values[0], resistances=tuple(values[1:]))
+            for values in _numeric_rows(rows, 0)]
 
 
 # -- synchronization -------------------------------------------------------------
@@ -328,20 +332,9 @@ def write_atomic(path, text: str) -> None:
 def read_table_csv(text: str) -> list[AlignedRecord]:
     """Parse ``index,Time,Strain,t,R1..Rn`` text back into records."""
     rows = _csv_rows(text)
-    if not rows:
-        raise MissingColumn("Time")
-    headers = [h.strip() for h in rows[0]]
+    headers = [h.strip() for h in rows[0]] if rows else []
     if len(headers) < 5 or headers[:4] != ["index", "Time", "Strain", "t"]:
         raise MissingColumn("index,Time,Strain,t,R1..")
-    n_channels = len(headers) - 4
-    records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(headers):
-            raise MalformedRow(lineno, f"expected {len(headers)} cells, got {len(row)}")
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError:
-            raise MalformedRow(lineno, f"non-numeric value in {row!r}") from None
-        records.append(AlignedRecord(time=values[0], strain=values[1], t=values[2],
-                                     resistances=tuple(values[3:3 + n_channels])))
-    return records
+    return [AlignedRecord(time=values[0], strain=values[1], t=values[2],
+                          resistances=tuple(values[3:]))
+            for values in _numeric_rows(rows, 1)]

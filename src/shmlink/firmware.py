@@ -3,7 +3,8 @@
 Reproduces the embedded acquisition procedure exactly: a fixed init sequence,
 then per tick an 8-step choreography per channel (excitation on, arm, poll
 ready, read data, convert to volts then ohms, excitation off, disarm), ending
-with a telemetry frame that carries a monotonically increasing counter.
+with a telemetry frame that carries a counter of completed ticks modulo 2^32
+(the frame's u32 field): it wraps to 0 after 4294967295, 49.7 days at 1 ms.
 Register writes are traced so the sequence can be checked byte for byte.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adc import DATA, IO_CONTROL_1, STATUS, STATUS_RDY_BIT, code_to_resistance
-from .protocol import TelemetryFrame
+from .protocol import COUNTER_MODULUS, TelemetryFrame
 
 
 class ConversionTimeout(Exception):
@@ -63,6 +64,7 @@ class NodeFirmware:
     reset / set_time, as the emulator does).  ``channel_count`` is 2 or 8; the
     2-sensor configuration scans channels 0-1 only.  ``tick_period`` is the
     acquisition period in seconds, which ``bench.stream_node`` ticks at.
+    ``counter``, the next frame's, is 0 after ``init()`` and wraps at 2^32.
     """
 
     def __init__(self, bus, node_id: int = 0, channel_count: int = 8,
@@ -105,7 +107,7 @@ class NodeFirmware:
                             for channel in range(self.channel_count))
         frame = TelemetryFrame(counter=self.counter, node_id=self.node_id,
                                resistances=resistances)
-        self.counter += 1
+        self.counter = (self.counter + 1) % COUNTER_MODULUS
         return frame
 
     def _acquire(self, step: ChannelStep, channel: int) -> float:

@@ -3,9 +3,9 @@
 The gateway sits between the sensor link and the inference service.  Each
 decoded frame is appended to a crash-safe CSV (canonical
 ``index,Time,Strain,t,R1..Rn`` layout; strain is unknown at ingest and stored
-as nan, t carries the node counter), a counter at or below the highest its
-node sent on the same connection is dropped as a duplicate, and a
-configurable event rule decides when a frame triggers a prediction request.
+as nan, t carries the node counter), a counter not newer (in serial-number
+order) than the highest its node sent on the same connection is dropped as a
+duplicate, and an event rule decides when a frame triggers a prediction.
 Every answered trigger appends one row to the latency log, stamped on the
 monotonic clock in program order: frame received <= request sent <= response
 received.  Both files are ``CsvAppender`` logs: a torn tail is quarantined on
@@ -20,11 +20,11 @@ one ``t_frame_received``; a frame that arrives alone is a batch of one.
 Triggers go to the server over TCP from one sender thread per gateway, which
 reads no node: ingest only queues a triggered frame and wakes it.  Each pass
 sends the whole queue as one multi-row predict per channel count, in arrival
-order, so what queued during one round trip goes out in the next.  A failed
-attempt gets one immediate reconnect, never a sleep; a batch that still fails
-loses only its own predictions.  A coalesced frame's ``t_request_sent`` is the
-time its batch was sent, and each batch's latency rows are written with one
-write.
+order, so what queued during one round trip goes out in the next.  A
+transport failure gets one immediate reconnect, never a sleep, and an error
+reply none; a batch that still fails loses only its own predictions.  A
+coalesced frame's ``t_request_sent`` is the time its batch was sent, and each
+batch's latency rows are written with one write.
 ``Gateway._send_pending`` is the sender thread's loop; the bench's
 periodic-scan baseline overrides it to answer the queue once per interval,
 through the same per-channel-count ``_answer``.
@@ -45,6 +45,7 @@ from pathlib import Path
 
 from .dataset import csv_line, table_csv_header, table_csv_row
 from .protocol import (
+    COUNTER_MODULUS,
     MAX_FRAME_SIZE,
     ConnectionClosed,
     FrameError,
@@ -74,8 +75,12 @@ class ServerUnreachable(GatewayError):
     pass
 
 
-class ShapeMismatch(GatewayError):
-    """The server rejected the feature width: a configuration error, which no retry mends."""
+class ServerRefused(GatewayError):
+    """The server replied with an object that is no answer; ``error`` is its error code or None."""
+
+    def __init__(self, reply: dict):
+        self.error = reply.get("error")
+        super().__init__(f"server refused the request: {reply!r}")
 
 
 class NoRecords(GatewayError):
@@ -388,22 +393,21 @@ class Gateway:
     def request_prediction(self, rows: list[list[float]]) -> list[float]:
         """Round-trip one predict request in at most two attempts, never sleeping.
 
-        A transport failure, a reply that is not an object, an error reply,
-        or ``predictions`` that are not one number per row fails the attempt;
-        a transport failure also drops the connection, so the second attempt
-        reconnects, which covers a server that closed an idle connection or
-        restarted.  Raises ServerUnreachable when both fail, ShapeMismatch
-        when the server rejects the feature width.  A refused connect fails
-        at once; a server that accepts and never answers holds the caller
-        2 x SERVER_TIMEOUT.  Safe to call from any thread: calls take turns
-        on the one server connection.
+        A transport failure or a reply that is not a JSON object fails the
+        attempt and drops the connection, so the second attempt reconnects (a
+        server that closed an idle connection or restarted); ServerUnreachable
+        when both fail.  Any other reply but ``predict_ok`` with one number
+        per row, such as ``shape_mismatch`` or ``model_not_loaded``, raises
+        ServerRefused at once: asking again would get the same answer.  A
+        refused connect fails at once; a server that never answers holds the
+        caller 2 x SERVER_TIMEOUT.  Calls from any thread take turns on the
+        one server connection.
         """
         with self._request_lock:
             self._request_id += 1
             request = {"type": "predict", "request_id": self._request_id, "rows": rows}
             payload = json.dumps(request).encode()
-            last_error: Exception | None = None
-            for _ in range(2):
+            for attempt in range(2):
                 try:
                     sock = self._server_connection()
                     send_message(sock, payload)
@@ -411,19 +415,17 @@ class Gateway:
                     reply = json.loads(recv_message(sock).decode("utf-8"), parse_int=float)
                     if not isinstance(reply, dict):
                         raise ValueError(f"reply {reply!r} is not an object")
+                    break
                 except (OSError, ConnectionClosed, ValueError) as exc:
-                    last_error = exc
                     self._drop_server_connection()
-                    continue
-                predictions = reply.get("predictions")
-                if (reply.get("type") == "predict_ok" and isinstance(predictions, list)
-                        and len(predictions) == len(rows)
-                        and all(type(p) is float for p in predictions)):
-                    return predictions
-                if reply.get("error") == "shape_mismatch":
-                    raise ShapeMismatch(reply.get("detail", "shape mismatch"))
-                last_error = GatewayError(f"server reply {reply!r}")
-            raise ServerUnreachable(f"2 attempts failed: {last_error}")
+                    if attempt:
+                        raise ServerUnreachable(f"2 attempts failed: {exc}") from exc
+            predictions = reply.get("predictions")
+            if (reply.get("type") == "predict_ok" and isinstance(predictions, list)
+                    and len(predictions) == len(rows)
+                    and all(type(p) is float for p in predictions)):
+                return predictions
+            raise ServerRefused(reply)
 
     def _server_connection(self) -> socket.socket:
         if self._server_sock is None:
@@ -484,11 +486,13 @@ def read_node_stream(conn: socket.socket, gateway: Gateway) -> int:
     """Ingest length-prefixed frames from one node connection until EOF.
 
     Each ``recv`` is one arrival: the frames it completed are decoded and
-    ingested as one batch (``Gateway.ingest_frames``).  A frame whose counter
-    is at or below the highest its node sent on this connection is dropped
-    as a duplicate: a node's frames arrive in counter order over its one
-    connection (a reordering transport would need an anti-replay window),
-    and a node that restarts reconnects, so its new counters are kept.
+    ingested as one batch (``Gateway.ingest_frames``).  A frame is kept only
+    when its counter ``c`` is newer than the highest its node sent on this
+    connection in serial-number order (RFC 1982), ``0 < (c - highest) mod 2^32
+    < 2^31``, so 0 follows 4294967295.  Others are dropped as duplicates: a
+    node's frames arrive in counter order over its one connection (a
+    reordering transport would need an anti-replay window), and a node that
+    restarts reconnects, so its new counters are kept.
     Undecodable frames are logged and skipped, and the server is never
     waited on here (see ``Gateway.ingest_frames``).
     A length prefix above the widest frame (MAX_FRAME_SIZE) ends it.
@@ -504,7 +508,9 @@ def read_node_stream(conn: socket.socket, gateway: Gateway) -> int:
             except FrameError:
                 log.exception("undecodable frame, skipping")
                 continue
-            if frame.counter <= highest.get(frame.node_id, -1):
+            # a node's first frame on this connection is kept: it counts as one ahead
+            last = highest.get(frame.node_id, frame.counter - 1)
+            if not 0 < (frame.counter - last) % COUNTER_MODULUS < COUNTER_MODULUS // 2:
                 log.debug("dropping duplicate counter %d from node %d",
                           frame.counter, frame.node_id)
                 continue

@@ -97,6 +97,9 @@ class MlpModel:
             expect = (self.layer_sizes[i + 1], self.layer_sizes[i])
             if w.shape != expect or b.shape != (expect[0],):
                 raise ShapeMismatch(f"layer {i + 1}: weights {w.shape}, expected {expect}")
+        if not self.feature_mean.shape == self.feature_std.shape == (self.d_in,):
+            raise ShapeMismatch(f"feature_mean {self.feature_mean.shape} and feature_std "
+                                f"{self.feature_std.shape} are not ({self.d_in},)")
         if not np.all(self.feature_std > 0.0):  # also refuses nan
             raise ShapeMismatch("feature_std components must be > 0")
 
@@ -314,8 +317,9 @@ class TrainReport:
 class TrainData:
     """Chronological train/test split of (features, target) arrays, all finite.
 
-    A value that is not finite (a gateway log's unknown Strain) raises
-    MlError naming its column, Strain or R1..Rn, before any training.
+    Before any training, an empty test slice, on which no model could be
+    selected, raises EmptyTestSet, and a value that is not finite (a gateway
+    log's unknown Strain) raises MlError naming its column, Strain or R1..Rn.
     """
 
     train_x: np.ndarray
@@ -324,6 +328,8 @@ class TrainData:
     test_y: np.ndarray
 
     def __post_init__(self):
+        if len(self.test_y) == 0:
+            raise EmptyTestSet("no test rows: the split leaves every row for training")
         for y in (self.train_y, self.test_y):
             if not np.isfinite(y).all():
                 raise MlError("column Strain holds a value that is not finite")
@@ -391,7 +397,7 @@ def train(data: TrainData, config: TrainConfig) -> tuple[MlpModel, TrainReport]:
             if improvement < config.plateau_tolerance:
                 break
 
-    mse, mae = evaluate(model, data.test_x, data.test_y) if data.test_x.shape[0] else (math.nan, math.nan)
+    mse, mae = evaluate(model, data.test_x, data.test_y)
     report = TrainReport(epoch_losses=losses,
                          hyperparameters=asdict(config),
                          test_mse=mse, test_mae=mae, epochs_run=epochs_run)
@@ -471,10 +477,5 @@ def model_from_doc(doc: dict) -> MlpModel:
         raise CorruptModelFile("a weight, bias or normalization statistic is not finite")
     if activations != ACTIVATIONS:
         raise CorruptModelFile(f"activations {activations}: the forward pass is {ACTIVATIONS}")
-    for w in weights:
-        if w.ndim != 2:
-            raise ShapeMismatch(f"weight array with shape {w.shape} is not a matrix")
-    if mean.shape != std.shape or (sizes and mean.shape != (sizes[0],)):
-        raise ShapeMismatch("normalization statistics do not match d_in")
     return MlpModel(layer_sizes=sizes, weights=weights, biases=biases,
                     feature_mean=mean, feature_std=std)

@@ -46,6 +46,7 @@ log = logging.getLogger(__name__)
 MAGIC = b"SHM1"
 VERSION = 1
 MAX_CHANNELS = 8
+COUNTER_MODULUS = 1 << 32  # the u32 frame counter wraps to 0 here
 _HEADER = struct.Struct("<4sBHIB")  # magic, version, node_id, counter, channel_count
 _CRC = struct.Struct("<I")
 MAX_FRAME_SIZE = _HEADER.size + 8 * MAX_CHANNELS + _CRC.size  # the widest frame, in bytes
@@ -94,7 +95,7 @@ class TelemetryFrame:
 def _validate(frame: TelemetryFrame) -> None:
     if not 1 <= frame.channel_count <= MAX_CHANNELS:
         raise InvalidFrame(f"channel_count {frame.channel_count} outside 1..{MAX_CHANNELS}")
-    if not 0 <= frame.counter <= 0xFFFFFFFF:
+    if not 0 <= frame.counter < COUNTER_MODULUS:
         raise InvalidFrame(f"counter {frame.counter} does not fit u32")
     if not 0 <= frame.node_id <= 0xFFFF:
         raise InvalidFrame(f"node_id {frame.node_id} does not fit u16")

@@ -248,6 +248,19 @@ def test_train_grid_with_patience_below_one_exits_two_before_training(tmp_path, 
     assert "plateau_patience" in result.stderr and not out.exists()
 
 
+def test_train_with_no_test_rows_exits_two_before_training(tmp_path, small_grid):
+    # ceil(6 * 0.9) = 6: every row trains, and no model could be selected on the test slice
+    data = tmp_path / "six.csv"
+    data.write_text(write_table_csv(strain_records(n=6, channels=2, noise=0.01, seed=0)),
+                    encoding="utf-8")
+    out = tmp_path / "m.json"
+    result = run_cli("train", "--data", str(data), "--channels", "2", "--grid", str(small_grid),
+                     "--train-fraction", "0.9", "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert "no test rows" in result.stderr and "selected" not in result.stdout
+    assert not out.exists()
+
+
 def test_train_on_a_gateway_log_names_its_unknown_strain(tmp_path, small_grid):
     # a gateway persists Strain as nan: no strain is known at ingest
     records = [dataclasses.replace(r, strain=math.nan)

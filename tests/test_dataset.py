@@ -91,6 +91,21 @@ def test_parse_resistance_log():
         parse_resistance_csv("t,R1\n0.0,x\n")
 
 
+@pytest.mark.parametrize("parse,text", [
+    (parse_resistance_csv, "t,R1,R2\n0.0,47.0,120.0\n0.1,47.1\n"),
+    (parse_resistance_csv, "t,R1,R2\n0.0,47.0,120.0\n0.1,47.1,120.1,9.0\n"),
+    (parse_resistance_csv, "t,R1,R2\n0.0,47.0,120.0\n0.1,oops,120.1\n"),
+    (read_table_csv, "index,Time,Strain,t,R1\n0,0.0,0.0,0.0,47.0\n1,0.1,0.0,0.1\n"),
+    (read_table_csv, "index,Time,Strain,t,R1\n0,0.0,0.0,0.0,47.0\n1,0.1,0.0,0.1,x\n"),
+], ids=["resistance_short", "resistance_long", "resistance_text",
+        "table_short", "table_text"])
+def test_malformed_data_row_names_its_line(parse, text):
+    with pytest.raises(MalformedRow) as excinfo:
+        parse(text)
+    assert excinfo.value.line == 3
+    assert str(excinfo.value).startswith("line 3: ")
+
+
 # -- synchronize -------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from shmlink.adc import STATUS, AdcEmulator, SensorModel, UnknownRegister
 from shmlink.firmware import CHANNEL_PLAN, INIT_SEQUENCE, ConversionTimeout, NodeFirmware
+from shmlink.protocol import decode, encode
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE = (47.0, 47.0, 100.0, 100.0, 120.0, 120.0, 120.0, 120.0)
@@ -104,6 +105,15 @@ def test_counters_across_ticks():
     f0 = fw.run_tick(now=0.0)
     f1 = fw.run_tick(now=10.0)
     assert (f0.counter, f1.counter) == (0, 1)
+
+
+def test_counter_wraps_after_u32_max():
+    """Tick 2^32 - 1 is followed by counter 0, and every frame still encodes."""
+    fw = fresh_firmware(channel_count=2, trace=False)
+    fw.counter = 2**32 - 2
+    frames = [fw.run_tick(now=0.1 * i) for i in range(4)]
+    assert [f.counter for f in frames] == [2**32 - 2, 2**32 - 1, 0, 1]
+    assert [decode(encode(f)).counter for f in frames] == [2**32 - 2, 2**32 - 1, 0, 1]
 
 
 def test_zero_resistances_give_zero_frame():

@@ -33,8 +33,8 @@ from shmlink.gateway import (
     Gateway,
     GatewayConfig,
     NoRecords,
+    ServerRefused,
     ServerUnreachable,
-    ShapeMismatch,
     TriggerRule,
     latency_summary,
     node_listener,
@@ -42,6 +42,7 @@ from shmlink.gateway import (
     serve_nodes,
 )
 from shmlink.protocol import (
+    COUNTER_MODULUS,
     TelemetryFrame,
     encode,
     listen,
@@ -191,6 +192,33 @@ def test_counter_at_or_below_the_highest_is_dropped(quiet_gateway, tmp_path):
     quiet_gateway.close()
     # 3 was never seen, but it is below 5; 6 is above it and kept
     assert [r.t for r in read_table_csv((tmp_path / "telemetry.csv").read_text())] == [5.0, 6.0]
+
+
+def test_counter_wrap_keeps_counting(quiet_gateway, tmp_path):
+    """4294967295 is followed by 0: the frames after the wrap are newer, not duplicates."""
+    top = COUNTER_MODULUS - 1
+    wrapped = [top - 1, top, 0, 1]
+    assert stream(quiet_gateway, [frame(c) for c in wrapped]) == [True, False, False, False]
+    quiet_gateway.close()
+    assert [r.t for r in read_table_csv((tmp_path / "telemetry.csv").read_text())] \
+        == [float(c) for c in wrapped]
+
+
+def test_counter_before_the_wrap_is_dropped_after_it(quiet_gateway, tmp_path):
+    top = COUNTER_MODULUS - 1
+    stream(quiet_gateway, [frame(c) for c in (top - 1, top, 0, top, 1)])
+    quiet_gateway.close()
+    assert [r.t for r in read_table_csv((tmp_path / "telemetry.csv").read_text())] \
+        == [float(top - 1), float(top), 0.0, 1.0]
+
+
+def test_counter_half_the_circle_ahead_is_not_newer(quiet_gateway, tmp_path):
+    """Serial-number order: 2^31 ahead is undefined, and dropped; 2^31 - 1 ahead is newer."""
+    half = COUNTER_MODULUS // 2
+    stream(quiet_gateway, [frame(c) for c in (0, half, half - 1)])
+    quiet_gateway.close()
+    assert [r.t for r in read_table_csv((tmp_path / "telemetry.csv").read_text())] \
+        == [0.0, float(half - 1)]
 
 
 def test_ingest_memory_does_not_grow_with_frames(tmp_path):
@@ -697,8 +725,41 @@ def test_server_endpoint_must_be_host_and_port(endpoint):
 
 def test_wrong_width_raises_shape_mismatch(served_gateway):
     gw, _ = served_gateway
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ServerRefused) as refused:
         gw.request_prediction([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]])
+    assert refused.value.error == "shape_mismatch"
+
+
+@pytest.mark.parametrize("models,rows,error", [
+    (True, [[1.0, 2.0, 3.0]], "shape_mismatch"),
+    (False, [[1.0, 2.0]], "model_not_loaded"),
+], ids=["wrong_width", "no_model"])
+def test_server_refusal_is_asked_once(tmp_path, models, rows, error):
+    """A server that answers with an error was reached: one request, then ServerRefused."""
+    model_files = {}
+    if models:
+        model_files["default"] = str(tmp_path / "model.json")
+        mlp.save_model(mlp.init_model(2, 4, mu=np.zeros(2), sigma=np.ones(2),
+                                      rng=np.random.default_rng(0)), model_files["default"])
+    server = serve(ServerConfig(host="127.0.0.1", port=0, model_files=model_files))
+    answered = []
+    handle_message = server.handle_message
+
+    def counting(raw):
+        answered.append(raw)
+        return handle_message(raw)
+
+    server.handle_message = counting
+    gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % server.address,
+                               persistence_path=str(tmp_path / "t.csv")))
+    try:
+        with pytest.raises(ServerRefused) as refused:
+            gw.request_prediction(rows)
+    finally:
+        gw.close()
+        server.stop()
+    assert refused.value.error == error
+    assert len(answered) == 1
 
 
 @pytest.mark.parametrize("reply", [

@@ -33,6 +33,7 @@ from shmlink.mlp import (
     save_model,
     train,
 )
+from shmlink.synthetic import strain_records
 
 R1_COLUMN = [50.988, 51.002, 50.994, 50.990, 50.992]  # pinned recording values
 
@@ -492,6 +493,16 @@ def test_train_data_refuses_values_that_are_not_finite(split, column, bad):
         TrainData(**{**arrays, split: damaged})
 
 
+def test_train_data_refuses_an_empty_test_slice():
+    # ceil(40 * 0.99) = 40 rows train; selecting on no test rows would pick by tie-break
+    records = strain_records(n=40, channels=2, noise=0.01, seed=0)
+    with pytest.raises(EmptyTestSet):
+        TrainData.from_records(records, train_fraction=0.99)
+    arrays = vars(linear_data(n=20))
+    with pytest.raises(EmptyTestSet):
+        TrainData(**{**arrays, "test_x": np.zeros((0, 2)), "test_y": np.zeros(0)})
+
+
 # -- evaluate -----------------------------------------------------------------------
 
 
@@ -578,6 +589,25 @@ def test_reshaped_weights_shape_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ShapeMismatch):
         load_model(path)
+
+
+@pytest.mark.parametrize("mu,sigma", [
+    ([50.0], [1.0, 1.0]),
+    ([50.0, 50.0], [1.0]),
+    ([[50.0, 50.0]], [[1.0, 1.0]]),
+], ids=["short_mean", "short_std", "row_matrices"])
+def test_model_refuses_normalizer_of_another_shape(mu, sigma):
+    # one mean would broadcast over both columns, and the saved model would not load back
+    with pytest.raises(ShapeMismatch, match="feature_mean"):
+        mlp.init_model(2, 4, mu=np.array(mu), sigma=np.array(sigma),
+                       rng=np.random.default_rng(0))
+
+
+def test_model_file_with_a_short_mean_is_refused():
+    doc = mlp.model_to_doc(seeded_model(d_in=2, width=8))
+    doc["feature_mean"] = doc["feature_mean"][:1]
+    with pytest.raises(ShapeMismatch):
+        mlp.model_from_doc(doc)
 
 
 def test_unsupported_version(tmp_path):
