@@ -82,12 +82,14 @@ class CodeOutOfRange(ValueError):
 def resistance_to_code(r: float) -> int:
     """Quantize a resistance (ohm) to a 24-bit code.
 
-    Rounds half away from zero and clamps to [0, 2^24 - 1]; out-of-range
-    inputs saturate like a physical converter, they never fail.
+    Clamps to [0, 2^24 - 1], then rounds half up.  Out-of-range inputs,
+    infinities included, saturate like a physical converter: an open wire
+    modelled as ``math.inf`` reads full scale.  NaN raises ValueError.
     """
+    if math.isnan(r):
+        raise ValueError("resistance is NaN")
     x = r * DEFAULT_EXCITATION / VREF * RESOLUTION
-    code = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
-    return min(max(code, 0), MAX_CODE)
+    return math.floor(min(max(x, 0.0), MAX_CODE) + 0.5)
 
 
 def code_to_resistance(code: int) -> float:
@@ -116,7 +118,7 @@ class ChannelInput:
     interference_freq: float = 0.0
 
     def __post_init__(self):
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:  # also refuses nan
             raise ValueError("noise_std must be >= 0")
 
 
@@ -285,9 +287,9 @@ class AdcEmulator:
         n = kernel.size
         if ch.interference_amplitude != 0.0 or ch.noise_std != 0.0:
             # oversampled modulator stream ending at the current signal clock
-            t = self._now - (n - 1 - np.arange(n)) / SINC3.modulator_rate
             signal = np.full(n, ch.resistance, dtype=float)
             if ch.interference_amplitude != 0.0:
+                t = self._now - (n - 1 - np.arange(n)) / SINC3.modulator_rate
                 signal += ch.interference_amplitude * np.sin(2 * math.pi * ch.interference_freq * t)
             if ch.noise_std > 0.0:
                 signal += self._rng.normal(0.0, ch.noise_std, n)

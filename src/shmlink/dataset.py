@@ -82,18 +82,22 @@ class AlignedRecord:
 _SUMMARY_LABELS = ("mean", "standard deviation")
 
 
-def _csv_rows(text: str) -> list[list[str]]:
-    """The rows of CSV ``text``, blank rows dropped."""
-    return [r for r in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in r)]
+def _csv_rows(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header row of CSV ``text`` ([] if none) and ``(line, row)`` for each row after it.
 
-
-def _numeric_rows(rows: list[list[str]], skip: int):
-    """Yield each row after the header ``rows[0]`` as floats, from column ``skip`` on.
-
-    A row not as wide as the header, or a cell not a number, is a MalformedRow.
+    Blank rows are dropped; ``line`` is the 1-based line a row ends on.
     """
-    width = len(rows[0])
-    for lineno, row in enumerate(rows[1:], start=2):
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
+    return (rows[0][1], rows[1:]) if rows else ([], [])
+
+
+def _numeric_rows(width: int, rows: list[tuple[int, list[str]]], skip: int):
+    """Yield each ``(line, row)`` of ``rows`` as floats, from column ``skip`` on.
+
+    A row not ``width`` cells wide, or a cell not a number, is a MalformedRow.
+    """
+    for lineno, row in rows:
         if len(row) != width:
             raise MalformedRow(lineno, f"expected {width} cells, got {len(row)}")
         try:
@@ -118,10 +122,7 @@ def parse_mechanical_csv(text: str) -> list[MechanicalSample]:
     to dimensionless on ingest.  Summary rows labelled Mean / Standard
     deviation are skipped.
     """
-    rows = _csv_rows(text)
-    if not rows:
-        raise MissingColumn("time")
-    headers = rows[0]
+    headers, rows = _csv_rows(text)
     time_col = _find_column(headers, lambda h: "time" in h or h == "t")
     strain_col = _find_column(headers, lambda h: "strain" in h)
     if time_col is None:
@@ -134,7 +135,7 @@ def parse_mechanical_csv(text: str) -> list[MechanicalSample]:
     disp_col = _find_column(headers, lambda h: "displacement" in h and "strain" not in h)
 
     samples = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows:
         label = " ".join(cell.strip().lower() for cell in row[:2])
         if any(label.startswith(s) for s in _SUMMARY_LABELS):
             continue
@@ -164,13 +165,13 @@ def parse_mechanical_csv(text: str) -> list[MechanicalSample]:
 
 def parse_resistance_csv(text: str) -> list[ResistanceSample]:
     """Parse a resistance log with header ``t,R1..Rn``."""
-    rows = _csv_rows(text)
-    if not rows or rows[0][0].strip().lower() not in ("t", "time"):
+    headers, rows = _csv_rows(text)
+    if not headers or headers[0].strip().lower() not in ("t", "time"):
         raise MissingColumn("t")
-    if len(rows[0]) < 2:
+    if len(headers) < 2:
         raise MissingColumn("R1")
     return [ResistanceSample(t=values[0], resistances=tuple(values[1:]))
-            for values in _numeric_rows(rows, 0)]
+            for values in _numeric_rows(len(headers), rows, 0)]
 
 
 # -- synchronization -------------------------------------------------------------
@@ -331,10 +332,9 @@ def write_atomic(path, text: str) -> None:
 
 def read_table_csv(text: str) -> list[AlignedRecord]:
     """Parse ``index,Time,Strain,t,R1..Rn`` text back into records."""
-    rows = _csv_rows(text)
-    headers = [h.strip() for h in rows[0]] if rows else []
-    if len(headers) < 5 or headers[:4] != ["index", "Time", "Strain", "t"]:
+    headers, rows = _csv_rows(text)
+    if len(headers) < 5 or [h.strip() for h in headers[:4]] != ["index", "Time", "Strain", "t"]:
         raise MissingColumn("index,Time,Strain,t,R1..")
     return [AlignedRecord(time=values[0], strain=values[1], t=values[2],
                           resistances=tuple(values[3:]))
-            for values in _numeric_rows(rows, 1)]
+            for values in _numeric_rows(len(headers), rows, 1)]

@@ -32,11 +32,11 @@ through the same per-channel-count ``_answer``.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import logging
 import math
+import mmap
 import socket
 import threading
 import time
@@ -147,11 +147,12 @@ def latency_summary(end_to_end: list[float]) -> dict[str, float]:
 class CsvAppender:
     """Append-only CSV log with torn-line quarantine on restart.
 
-    On open, a final line that is incomplete (no newline) or unparseable is
-    moved to ``<path>.quarantine`` rather than silently accepted, and
-    ``last_row`` holds the cells of the last row kept, or None.  A new file
-    gets the ``header`` line; an existing file whose header line differs
-    raises PersistenceFailure and is left as it is.  ``append`` takes rows
+    On open, the file is scanned back from its end as bytes, and the lines
+    after the last row that parses (an incomplete one, without its newline,
+    included) are moved to ``<path>.quarantine`` rather than silently
+    accepted; ``last_row`` holds the cells of the last row kept, or None.
+    A new file gets the ``header`` line; an existing file whose header line
+    differs raises PersistenceFailure and is left as it is.  ``append`` takes rows
     already rendered to text (``dataset.csv_line``) and writes them with one
     unbuffered write; a failed or short write is cut back off the file and
     raises PersistenceFailure, so the rows are lost whole and nothing of them
@@ -172,10 +173,10 @@ class CsvAppender:
             raise
 
     def _recover(self) -> list[str] | None:
-        """Quarantine the torn tail and return the last row kept, reading back from the end.
+        """Quarantine the torn tail and return the last row kept, scanning back from the end.
 
-        Only the header and the lines after the last row that parses are
-        read, so a restart costs the same whatever the file's size.  Of the
+        The file is mapped read-only and scanned back to the last row that
+        parses, so a restart costs the same whatever the file's size.  Of the
         header, only a torn one (all the file holds) is quarantined.
         """
         if not self.path.exists():
@@ -188,16 +189,21 @@ class CsvAppender:
             if not expected.startswith(first):
                 raise PersistenceFailure(f"header {first!r} is not {expected!r}")
             end = fh.seek(0, io.SEEK_END)
+            if end == 0:  # an empty file cannot be mapped
+                return None
             keep = end
-            for offset, line in _lines_backward(fh, end):
-                if line.endswith(b"\n"):
-                    last = self._parsed(line[:-1])
-                    if last is not None or offset == 0:
-                        break
-                keep = offset
-            if keep < end:
-                fh.seek(keep)
-                torn = fh.read()
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+                while keep > 0:  # view[keep:] is the tail; view[start:keep] the line before it
+                    start = view.rfind(b"\n", 0, keep - 1) + 1
+                    if view[keep - 1] == ord("\n"):
+                        last = self._parsed(view[start:keep - 1])
+                        if last is not None or start == 0:
+                            break
+                    keep = start
+                torn = view[keep:]
+            # unmapped first: Windows cannot truncate a mapped file, and on
+            # Linux a mapped page past the new end would fault (SIGBUS)
+            if torn:
                 with open(self.path.with_suffix(self.path.suffix + ".quarantine"), "ab") as q:
                     q.write(torn)
                 fh.truncate(keep)
@@ -205,15 +211,19 @@ class CsvAppender:
         return last
 
     def _parsed(self, line: bytes) -> list[str] | None:
-        """The cells of a data row: an int, then floats, as many as the header; else None."""
+        """The cells of a data row: an int, then floats, as many as the header; else None.
+
+        The package writes no quoted cell (``dataset.csv_line``), so a row
+        splits at its commas.
+        """
         try:
-            row = next(csv.reader(io.StringIO(line.decode("utf-8"))))
+            row = line.decode("utf-8").split(",")
             if len(row) != len(self.header):
                 return None
             int(row[0])
             for v in row[1:]:
                 float(v)
-        except (StopIteration, UnicodeDecodeError, csv.Error, ValueError):
+        except ValueError:  # UnicodeDecodeError is one
             return None
         return row
 
@@ -234,30 +244,6 @@ class CsvAppender:
 
     def close(self) -> None:
         self._fh.close()
-
-
-def _lines_backward(fh, end: int):
-    """Yield ``(offset, line)`` for each line of the file's first ``end`` bytes, last first.
-
-    A line keeps its newline; only the last one can lack it.
-    """
-    pos, buf = end, b""
-    while True:
-        stop = len(buf)
-        cut = buf.rfind(b"\n", 0, stop - 1)
-        while cut >= 0:  # buf[cut + 1:stop] starts a line
-            yield pos + cut + 1, buf[cut + 1:stop]
-            stop = cut + 1
-            cut = buf.rfind(b"\n", 0, stop - 1)
-        buf = buf[:stop]
-        if pos == 0:
-            if buf:
-                yield 0, buf
-            return
-        step = min(io.DEFAULT_BUFFER_SIZE, pos)
-        pos -= step
-        fh.seek(pos)
-        buf = fh.read(step) + buf
 
 
 class Gateway:

@@ -156,10 +156,12 @@ class LinkConfig:
     latency: float = 0.0
 
     def __post_init__(self):
-        if self.throughput <= 0:
+        if not self.throughput > 0:  # the nots also refuse nan
             raise ValueError("throughput must be > 0")
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError("loss must be within [0, 1]")
+        if not self.latency >= 0:
+            raise ValueError("latency must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ with a ``type`` field of predict / load_model / health.  ``handle_predict`` is
 the model application behind every predict answer; the bench's periodic-scan
 baseline calls it directly.
 
-A malformed message earns an error response on its own connection and never
-disturbs other clients: ``bad_message`` for an unknown type, a missing field, a
-cell that is not a finite number or a prediction that overflows,
-``shape_mismatch`` for rows of the wrong width.  Model state is read-shared and
-replaced atomically by load_model.
+A malformed message earns an error reply, built by ``Refused.reply``, on its
+own connection and never disturbs other clients: ``bad_message`` for an
+unknown type, a missing field, a cell that is not a finite number or a
+prediction that overflows, ``shape_mismatch`` for rows that are not an
+(n, d_in) matrix, ``model_not_loaded``, ``bad_model``, and ``internal`` for a
+fault of the server's own.  Model state is read-shared and replaced
+atomically by load_model.
 """
 
 from __future__ import annotations
@@ -32,14 +34,25 @@ DEFAULT_PORT = 7420
 DEFAULT_MODEL_ID = "default"  # what a predict without a model_id is answered by
 
 
-class ModelNotLoaded(Exception):
+class Refused(Exception):
+    """A request answered with an error reply: ``error`` is its code, the message its detail."""
+
+    def __init__(self, error: str, detail: str):
+        super().__init__(detail)
+        self.error = error
+
+    def reply(self, request_id: int | None = None) -> dict:
+        """The error reply document; it echoes ``request_id`` when one is given."""
+        reply = {"type": "error", "error": self.error, "detail": str(self)}
+        if request_id is not None:
+            reply["request_id"] = request_id
+        return reply
+
+
+class ModelNotLoaded(Refused):
     def __init__(self, model_id: str):
-        super().__init__(f"no model loaded under id {model_id!r}")
+        super().__init__("model_not_loaded", f"no model loaded under id {model_id!r}")
         self.model_id = model_id
-
-
-class NotFinite(Exception):
-    """A row cell or a prediction is not a finite number; answered ``bad_message``."""
 
 
 @dataclass
@@ -104,7 +117,7 @@ class InferenceServer:
                     reply = self.handle_message(raw)
                 except Exception as exc:  # never let one client kill the worker
                     log.exception("unhandled error on %s", conn)
-                    reply = {"type": "error", "error": "internal", "detail": str(exc)}
+                    reply = Refused("internal", str(exc)).reply()
                 try:
                     send_message(conn, json.dumps(reply).encode())
                 except OSError:
@@ -113,51 +126,40 @@ class InferenceServer:
     # -- message handling ----------------------------------------------------------
 
     def handle_message(self, raw: bytes) -> dict:
-        """Dispatch one request document and build the reply document."""
+        """Dispatch one request document and build the reply document, a Refused's included."""
+        request_id = None  # a predict's error reply echoes it once found an integer
         try:
-            msg = json.loads(raw.decode("utf-8"))
-            if not isinstance(msg, dict):
-                raise ValueError("not an object")
-            mtype = msg["type"]
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
-            return {"type": "error", "error": "bad_message", "detail": str(exc)}
-
-        if mtype == "health":
-            return {"type": "health_ok", "model_id": DEFAULT_MODEL_ID,
-                    "models": sorted(self._models)}
-        if mtype == "predict":
-            return self._on_predict(msg)
-        if mtype == "load_model":
-            return self._on_load_model(msg)
-        return {"type": "error", "error": "bad_message", "detail": f"unknown type {mtype!r}"}
-
-    def _on_predict(self, msg: dict) -> dict:
-        request_id = msg.get("request_id", 0)
-        if not isinstance(request_id, int) or isinstance(request_id, bool):
-            return {"type": "error", "error": "bad_message",
-                    "detail": f"request_id {request_id!r} is not an integer"}
-        if "rows" not in msg:
-            return {"type": "error", "error": "bad_message", "detail": "missing 'rows'",
-                    "request_id": request_id}
-        try:
+            try:
+                msg = json.loads(raw.decode("utf-8"))
+                if not isinstance(msg, dict):
+                    raise ValueError("not an object")
+                mtype = msg["type"]
+            except (ValueError, KeyError) as exc:  # UnicodeDecodeError is a ValueError
+                raise Refused("bad_message", str(exc)) from None
+            if mtype == "health":
+                return {"type": "health_ok", "model_id": DEFAULT_MODEL_ID,
+                        "models": sorted(self._models)}
+            if mtype == "load_model":
+                return self._on_load_model(msg)
+            if mtype != "predict":
+                raise Refused("bad_message", f"unknown type {mtype!r}")
+            given = msg.get("request_id", 0)
+            if not isinstance(given, int) or isinstance(given, bool):
+                raise Refused("bad_message", f"request_id {given!r} is not an integer")
+            request_id = given
+            if "rows" not in msg:
+                raise Refused("bad_message", "missing 'rows'")
             result = self.handle_predict(str(msg.get("model_id") or DEFAULT_MODEL_ID), msg["rows"])
-        except NotFinite as exc:
-            return {"type": "error", "error": "bad_message", "detail": str(exc),
-                    "request_id": request_id}
-        except ModelNotLoaded as exc:
-            return {"type": "error", "error": "model_not_loaded", "detail": str(exc),
-                    "request_id": request_id}
-        except (mlp.DimensionMismatch, TypeError, ValueError) as exc:
-            return {"type": "error", "error": "shape_mismatch", "detail": str(exc),
-                    "request_id": request_id}
-        return {"type": "predict_ok", "request_id": request_id, **result}
+            return {"type": "predict_ok", "request_id": request_id, **result}
+        except Refused as exc:
+            return exc.reply(request_id)
 
     def handle_predict(self, model_id: str, rows) -> dict:
         """Pure model application: ``{"model_id", "predictions", "processing_time"}``.
 
-        Raises NotFinite when a cell of ``rows`` or a prediction is not a
-        finite number, so every answer is strict JSON; ModelNotLoaded; or
-        DimensionMismatch / ValueError when ``rows`` is not an (n, d_in)
+        Raises Refused: ``bad_message`` when a cell of ``rows`` or a
+        prediction is not a finite number, so every answer is strict JSON;
+        ModelNotLoaded; ``shape_mismatch`` when ``rows`` is not an (n, d_in)
         matrix.  The result for a given row is
         bit-identical however clients batch their requests, so a gateway may
         coalesce triggers freely.  A single (n, d_in) matrix product may round
@@ -171,9 +173,12 @@ class InferenceServer:
         if model is None:
             raise ModelNotLoaded(model_id)
         started = time.perf_counter()
-        predictions = mlp.forward_rows(model, rows).tolist()
+        try:
+            predictions = mlp.forward_rows(model, rows).tolist()
+        except (mlp.DimensionMismatch, TypeError, ValueError) as exc:
+            raise Refused("shape_mismatch", str(exc)) from None
         if not all(map(math.isfinite, predictions)):
-            raise NotFinite("a prediction overflowed")
+            raise Refused("bad_message", "a prediction overflowed")
         return {"model_id": model_id, "predictions": predictions,
                 "processing_time": time.perf_counter() - started}
 
@@ -185,16 +190,16 @@ class InferenceServer:
             else:
                 model = mlp.load_model(str(msg["path"]))
         except KeyError as exc:
-            return {"type": "error", "error": "bad_message", "detail": f"missing {exc}"}
+            raise Refused("bad_message", f"missing {exc}") from None
         except (mlp.MlError, OSError) as exc:
-            return {"type": "error", "error": "bad_model", "detail": str(exc)}
+            raise Refused("bad_model", str(exc)) from None
         with self._models_lock:
             self._models[model_id] = model
         return {"type": "load_model_ok", "model_id": model_id}
 
 
 def _check_cells(rows) -> None:
-    """Raises NotFinite at the first cell of a list row that is not a finite JSON number.
+    """Refuses ``bad_message`` at the first cell of a list row that is not a finite JSON number.
 
     A bool is not a number here.  Whether ``rows`` is an (n, d_in) matrix is
     left to the shape check.
@@ -206,7 +211,7 @@ def _check_cells(rows) -> None:
                     continue
             except OverflowError:  # an int beyond float range
                 pass
-            raise NotFinite(f"cell {v!r} is not a finite number")
+            raise Refused("bad_message", f"cell {v!r} is not a finite number")
 
 
 def serve(config: ServerConfig) -> InferenceServer:

@@ -72,6 +72,21 @@ def test_clamping_never_fails():
     assert resistance_to_code(2500.0) == (1 << 24) - 1  # full scale saturates
 
 
+def test_infinite_resistance_saturates():
+    assert resistance_to_code(math.inf) == (1 << 24) - 1  # an open wire reads full scale
+    assert resistance_to_code(-math.inf) == 0
+
+
+def test_nan_resistance_is_refused():
+    with pytest.raises(ValueError, match="NaN"):
+        resistance_to_code(math.nan)
+
+
+def test_nan_noise_std_is_refused():
+    with pytest.raises(ValueError):
+        ChannelInput(resistance=100.0, noise_std=math.nan)
+
+
 def test_round_trip_bound():
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -260,6 +275,21 @@ def test_seeded_noise_is_deterministic():
 
     assert run(42) == run(42)
     assert run(42) != run(43)
+
+
+@pytest.mark.parametrize("disturbance,codes", [
+    ({"noise_std": 0.5}, [671132, 671084, 671101, 671085, 671085, 671086]),
+    ({"noise_std": 0.5, "interference_amplitude": 0.3, "interference_freq": 13.0},
+     [671127, 671071, 671113, 671090, 671069, 671091]),
+])
+def test_seeded_noisy_codes_pinned(disturbance, codes):
+    emu = armed_emulator([ChannelInput(resistance=100.0, **disturbance)] + [ChannelInput()] * 7,
+                         seed=11)
+    measured = []
+    for i in range(6):
+        emu.write_register(0x09, 0x8011)
+        measured.append(emu.sample_channel(0, now=0.1 * i))
+    assert measured == codes
 
 
 @pytest.mark.parametrize("disturbance", [{"noise_std": 0.01},

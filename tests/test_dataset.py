@@ -106,6 +106,18 @@ def test_malformed_data_row_names_its_line(parse, text):
     assert str(excinfo.value).startswith("line 3: ")
 
 
+@pytest.mark.parametrize("parse,text,line", [
+    (parse_resistance_csv, "t,R1\n\n\n0.0,x\n", 4),
+    (read_table_csv, "index,Time,Strain,t,R1\n\n0,1.0,nan,0.0,x\n", 3),
+    (parse_mechanical_csv, "Time (s),Strain\n\n\n0.0,abc\n", 4),
+    (parse_mechanical_csv, "\nTime (s),Strain\n0.0,0.1\n,\n1.0,oops\n", 5),
+], ids=["resistance", "table", "mechanical", "mechanical_leading_blank"])
+def test_malformed_row_line_counts_blank_lines(parse, text, line):
+    with pytest.raises(MalformedRow) as excinfo:
+        parse(text)
+    assert excinfo.value.line == line
+
+
 # -- synchronize -------------------------------------------------------------------
 
 

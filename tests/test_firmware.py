@@ -1,5 +1,6 @@
 """Acquisition loop: init sequence, golden trace, counters, error handling."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,15 @@ def test_zero_resistances_give_zero_frame():
     fw.init()
     frame = fw.run_tick(now=0.0)
     assert frame.resistances == (0.0,) * 8
+
+
+@pytest.mark.parametrize("open_wire", [1e6, math.inf])
+@pytest.mark.parametrize("noise_std", [0.0, 0.02])
+def test_open_wire_reads_full_scale(open_wire, noise_std):
+    emu = AdcEmulator(SensorModel.from_resistances((open_wire, 47.0), noise_std=noise_std), seed=1)
+    fw = NodeFirmware(emu, channel_count=2)
+    fw.init()
+    assert fw.run_tick(now=0.0).resistances[0] == 2499.999850988388
 
 
 def test_fixture_resistances_within_half_lsb():

@@ -424,6 +424,18 @@ def test_torn_header_quarantined(tmp_path):
     assert (tmp_path / "t.csv.quarantine").read_text() == "index,Ti"
 
 
+@pytest.mark.parametrize("text", ["", ",".join(HEADER) + "\n"], ids=["empty", "header_only"])
+def test_file_without_rows_reopens_clean(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    appender = CsvAppender(path, HEADER)
+    appender.append("0,1.0,nan,0.0,47.0\n")
+    appender.close()
+    assert appender.last_row is None
+    assert path.read_text() == "index,Time,Strain,t,R1\n0,1.0,nan,0.0,47.0\n"
+    assert not (tmp_path / "t.csv.quarantine").exists()
+
+
 def test_restart_with_another_width_loses_the_row_not_the_log(tmp_path, caplog):
     gw = intake_gateway(tmp_path, delta_ohm=1e9)
     gw.ingest_frames([frame(c, (47.0,) * 8) for c in range(5)])

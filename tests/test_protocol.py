@@ -1,5 +1,6 @@
 """Frame codec: pinned bytes, CRC oracle, totality, link simulation."""
 
+import math
 import random
 import socket
 import struct
@@ -240,6 +241,10 @@ def test_invalid_link_config():
         LinkConfig(throughput=0.0)
     with pytest.raises(ValueError):
         LinkConfig(loss=1.5)
+    for fields in ({"throughput": math.nan}, {"loss": math.nan},
+                   {"latency": -1.0}, {"latency": math.nan}):
+        with pytest.raises(ValueError):
+            LinkConfig(**fields)
 
 
 # -- buffered stream reader --------------------------------------------------------------

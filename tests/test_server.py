@@ -2,10 +2,12 @@
 
 import gc
 import json
+import logging
 import socket
 import struct
 import threading
 import warnings
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
@@ -298,3 +300,75 @@ def test_predict_that_overflows_is_a_bad_message(tmp_path):
     # serialized as the connection handler sends it; a gateway must be able to parse it
     doc = strict_json(json.dumps(reply))
     assert (doc["type"], doc["error"], doc["request_id"]) == ("error", "bad_message", 5)
+
+
+# -- every refusal, as sent ---------------------------------------------------------------
+
+
+def predict(**fields) -> bytes:
+    return json.dumps({"type": "predict", **fields}).encode()
+
+
+def load(**fields) -> bytes:
+    return json.dumps({"type": "load_model", **fields}).encode()
+
+
+REFUSALS = [  # request bytes, error code, detail (ANY where numpy or the OS words it), echoed id
+    (b"\xff{}", "bad_message",
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte", None),
+    (b"{nope", "bad_message",
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)", None),
+    (b"[1, 2]", "bad_message", "not an object", None),
+    (b"{}", "bad_message", "'type'", None),
+    (b'{"type": "bogus", "request_id": 4}', "bad_message", "unknown type 'bogus'", None),
+    (predict(request_id="x", rows=[[1.0, 2.0]]), "bad_message",
+     "request_id 'x' is not an integer", None),
+    (predict(request_id=None, rows=[[1.0, 2.0]]), "bad_message",
+     "request_id None is not an integer", None),
+    (predict(request_id=True, rows=[[1.0, 2.0]]), "bad_message",
+     "request_id True is not an integer", None),
+    (predict(request_id=7), "bad_message", "missing 'rows'", 7),
+    (predict(), "bad_message", "missing 'rows'", 0),
+    (predict(request_id=1, rows=[[True, 43.0]]), "bad_message",
+     "cell True is not a finite number", 1),
+    (predict(request_id=2, rows=[[51.0, "x"]]), "bad_message",
+     "cell 'x' is not a finite number", 2),
+    (b'{"type": "predict", "request_id": 3, "rows": [[NaN, 1.0]]}', "bad_message",
+     "cell nan is not a finite number", 3),
+    (predict(request_id=4, rows=[[10**400, 1.0]]), "bad_message",
+     f"cell {10**400!r} is not a finite number", 4),
+    (predict(request_id=5, rows=[[1e306, 43.0]]), "bad_message", "a prediction overflowed", 5),
+    (predict(request_id=6, rows=[[1.0, 2.0], [1.0]]), "shape_mismatch", ANY, 6),
+    (predict(request_id=7, rows=[[1.0, 2.0, 3.0]]), "shape_mismatch",
+     "expected (n, 2) rows, got shape (1, 3)", 7),
+    (predict(request_id=8, rows=5), "shape_mismatch", "expected (n, 2) rows, got shape ()", 8),
+    (predict(request_id=9, model_id="ghost", rows=[[1.0, 2.0]]), "model_not_loaded",
+     "no model loaded under id 'ghost'", 9),
+    (load(request_id=3), "bad_message", "missing 'model_id'", None),
+    (load(model_id="a"), "bad_message", "missing 'path'", None),
+    (load(model_id="a", path="no/such/model.json"), "bad_model", ANY, None),
+    (load(model_id="a", document=5), "bad_model", "not a model document", None),
+]
+
+
+@pytest.mark.parametrize("raw,error,detail,request_id", REFUSALS)
+def test_refusal_reply_is_exact(tmp_path, raw, error, detail, request_id):
+    with np.errstate(over="ignore"):
+        reply = gain_server(tmp_path).handle_message(raw)
+    expected = {"type": "error", "error": error, "detail": detail}
+    if request_id is not None:  # echoed only once a predict's id was found an integer
+        expected["request_id"] = request_id
+    assert reply == expected
+    assert list(reply) == list(expected)
+    assert isinstance(reply["detail"], str)
+
+
+def test_fault_in_the_server_is_an_internal_reply(running_server, monkeypatch, caplog):
+    def broken(raw):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(running_server, "handle_message", broken)
+    with caplog.at_level(logging.ERROR, logger="shmlink.server"):
+        reply = roundtrip(running_server, {"type": "health"})
+    assert list(reply.items()) == [("type", "error"), ("error", "internal"), ("detail", "boom")]
+    assert "unhandled error" in caplog.text
