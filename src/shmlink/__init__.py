@@ -43,7 +43,6 @@ from .mlp import (
     forward,
     grid_search,
     load_model,
-    predict,
     save_model,
     train,
 )
@@ -60,7 +59,7 @@ __all__ = [
     "Gateway", "GatewayConfig", "TriggerRule", "latency_summary",
     "HyperGrid", "MlpModel", "TrainConfig", "TrainData", "TrainReport",
     "evaluate", "fit_normalizer", "forward", "grid_search", "load_model",
-    "predict", "save_model", "train",
+    "save_model", "train",
     "LinkConfig", "TelemetryFrame", "decode", "encode", "link_send",
     "InferenceServer", "ServerConfig", "serve",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -139,7 +140,12 @@ def _profile_resistances(profile: str, channels: int):
         if len(records[0].resistances) < channels:
             raise UsageError(f"replay file has {len(records[0].resistances)} channels, "
                              f"need {channels}")
-        return iter([rec.resistances[:channels] for rec in records])
+        replay = [rec.resistances[:channels] for rec in records]
+        for row, cells in enumerate(replay, 1):
+            if not all(map(math.isfinite, cells)):
+                raise UsageError(f"replay file {path}: data row {row} holds a resistance "
+                                 f"that is not finite")
+        return iter(replay)
     raise UsageError(f"unknown profile {profile!r}")
 
 

@@ -10,6 +10,10 @@ keeps the weights and their gradients in two flat vectors, so a step is one
 vector update; the result is bit-identical to standardizing each batch,
 calling ``backward`` on it and updating each array in place.  Models persist
 as a versioned JSON document that reproduces forward outputs bit-identically.
+
+Every number the model reports or serves, ``evaluate``'s scores and the
+server's answers alike, comes from ``forward_rows``; only training's loss and
+gradients use the single (n, d_in) matrix product.
 """
 
 from __future__ import annotations
@@ -139,16 +143,12 @@ def forward_rows(model: MlpModel, rows) -> np.ndarray:
 
     Each layer multiplies a stack of 1-row matrices, ``x[:, None, :] @ W.T``:
     numpy runs the same 1-row product for every slice of the stack, so a
-    row's result is bit-identical to ``predict`` on that row alone, whatever
-    the number of rows beside it.  ``predict``'s single (n, d_in) product may
-    round differently per batch shape.
+    row's result is bit-identical to that row's alone, whatever the number of
+    rows beside it.  A single (n, d_in) product may round differently per
+    batch shape, so every score and every served answer comes from here, and
+    only training's loss and gradients use that product.
     """
     return _layers(model, _standardized(model, rows)[:, None, :])[-1].reshape(-1)
-
-
-def predict(model: MlpModel, rows: np.ndarray) -> np.ndarray:
-    """Predictions for a (n, d_in) feature matrix."""
-    return _layers(model, _standardized(model, rows))[-1].ravel()
 
 
 def _standardized(model: MlpModel, rows) -> np.ndarray:
@@ -219,21 +219,17 @@ def _parameter_views(flat: np.ndarray, sizes: list[int]):
     return weights, biases
 
 
-def mse_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    return _mse(model, _standardized(model, x), y)
-
-
 def _mse(model: MlpModel, xn: np.ndarray, y: np.ndarray) -> float:
     residual = _layers(model, xn)[-1].ravel() - np.asarray(y, dtype=float).ravel()
     return float(np.mean(residual * residual))
 
 
 def evaluate(model: MlpModel, test_x: np.ndarray, test_y: np.ndarray) -> tuple[float, float]:
-    """(MSE, MAE) over the test rows, target in ingested units."""
+    """(MSE, MAE) of the ``forward_rows`` predictions on the test rows, in ingested units."""
     test_x = np.asarray(test_x, dtype=float)
     if test_x.size == 0 or test_x.shape[0] == 0:
         raise EmptyTestSet("no test rows")
-    residual = predict(model, test_x) - np.asarray(test_y, dtype=float).ravel()
+    residual = forward_rows(model, test_x) - np.asarray(test_y, dtype=float).ravel()
     return float(np.mean(residual * residual)), float(np.mean(np.abs(residual)))
 
 

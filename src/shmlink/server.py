@@ -49,12 +49,6 @@ class Refused(Exception):
         return reply
 
 
-class ModelNotLoaded(Refused):
-    def __init__(self, model_id: str):
-        super().__init__("model_not_loaded", f"no model loaded under id {model_id!r}")
-        self.model_id = model_id
-
-
 @dataclass
 class ServerConfig:
     host: str = DEFAULT_HOST
@@ -136,6 +130,8 @@ class InferenceServer:
                 mtype = msg["type"]
             except (ValueError, KeyError) as exc:  # UnicodeDecodeError is a ValueError
                 raise Refused("bad_message", str(exc)) from None
+            except RecursionError:  # json.loads on deeply nested arrays or objects
+                raise Refused("bad_message", "nested too deeply") from None
             if mtype == "health":
                 return {"type": "health_ok", "model_id": DEFAULT_MODEL_ID,
                         "models": sorted(self._models)}
@@ -159,19 +155,18 @@ class InferenceServer:
 
         Raises Refused: ``bad_message`` when a cell of ``rows`` or a
         prediction is not a finite number, so every answer is strict JSON;
-        ModelNotLoaded; ``shape_mismatch`` when ``rows`` is not an (n, d_in)
-        matrix.  The result for a given row is
+        ``model_not_loaded``; ``shape_mismatch`` when ``rows`` is not an
+        (n, d_in) matrix.  The answers come from ``mlp.forward_rows``, the
+        one forward behind every score and every answer: a row's answer is
         bit-identical however clients batch their requests, so a gateway may
-        coalesce triggers freely.  A single (n, d_in) matrix product may round
-        differently per batch shape; ``mlp.forward_rows`` instead multiplies a
-        stack of 1-row matrices, and numpy applies the same 1-row kernel to
-        every slice of the stack.
+        coalesce triggers freely, and it is the prediction ``mlp.evaluate``
+        scores for that row.
         """
         _check_cells(rows)
         with self._models_lock:
             model = self._models.get(model_id)
         if model is None:
-            raise ModelNotLoaded(model_id)
+            raise Refused("model_not_loaded", f"no model loaded under id {model_id!r}")
         started = time.perf_counter()
         try:
             predictions = mlp.forward_rows(model, rows).tolist()

@@ -25,6 +25,7 @@ from shmlink.bench import run_bench
 from shmlink.dataset import estimate_offset, parse_mechanical_csv, read_table_csv
 from shmlink.firmware import NodeFirmware
 from shmlink.protocol import CrcMismatch, FrameError, TelemetryFrame, decode, encode
+from shmlink.server import InferenceServer, ServerConfig
 from shmlink.synthetic import offset_pair
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -193,6 +194,38 @@ def test_criterion_07_plateau(bundled_grid_search):
     ok = late < 0.05 * early
     report(7, "loss plateau", ok,
            f"decrease epochs 200-400 is {late / early:.3%} of decrease 0-200 (< 5%)")
+
+
+# -- 1 and 6 together: the acquisition chain under the served model -------------------
+
+
+def test_adc_chain_costs_nothing_in_accuracy(tmp_path):
+    records = read_table_csv(BUNDLED.read_text(encoding="utf-8"))
+    data = mlp.TrainData.from_records(records, train_fraction=0.8)
+    model, rep = mlp.train(data, mlp.TrainConfig(hidden_width=16, learning_rate=1e-2,
+                                                 batch_size=32))
+    firmware = NodeFirmware(AdcEmulator(SensorModel.from_resistances(data.test_x[0])),
+                            channel_count=2)
+    firmware.init()
+    acquired = []
+    for tick, row in enumerate(data.test_x):
+        for channel, r in enumerate(row):
+            firmware.bus.sensors.set_resistance(channel, r)
+        frame = decode(encode(firmware.run_tick(now=tick * firmware.tick_period)))
+        acquired.append(frame.resistances)
+    acquired = np.array(acquired)
+    assert np.abs(acquired - data.test_x).max() <= HALF_LSB_BOUND
+
+    mlp.save_model(model, tmp_path / "model.json")
+    server = InferenceServer(ServerConfig(model_files={"default": str(tmp_path / "model.json")}))
+    answers = np.array(server.handle_predict("default", acquired.tolist())["predictions"])
+    assert [a.hex() for a in answers.tolist()] == \
+        [f.hex() for f in mlp.forward_rows(model, acquired).tolist()]
+    # |MAE(a) - MAE(b)| <= mean |a - b|: the chain moves the score by no more
+    # than it moves the answers
+    chain_mae = float(np.mean(np.abs(answers - data.test_y)))
+    moved = float(np.mean(np.abs(answers - mlp.forward_rows(model, data.test_x))))
+    assert abs(chain_mae - rep.test_mae) <= moved, (chain_mae, rep.test_mae, moved)
 
 
 # -- 8 and 9: latency --------------------------------------------------------------------

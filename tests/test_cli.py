@@ -165,11 +165,28 @@ def test_simulate_node_bad_replay_file_exits_two(tmp_path):
     assert result.returncode == 2
 
 
-def test_simulate_node_connect_failure_exits_nonzero():
+def unused_port() -> int:
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
+    return port
+
+
+def test_simulate_node_nan_in_replay_file_exits_two_before_connecting(tmp_path):
+    records = strain_records(n=6, channels=2, noise=0.0, seed=0)
+    records[1] = dataclasses.replace(records[1], resistances=(math.nan, records[1].resistances[1]))
+    replay_file = tmp_path / "replay.csv"
+    replay_file.write_text(write_table_csv(records), encoding="utf-8")
+    # nothing listens on the port, so only a check made before connecting exits 2
+    result = run_cli("simulate-node", "--channels", "2", "--profile", f"replay:{replay_file}",
+                     "--connect", f"127.0.0.1:{unused_port()}", "--frames", "6")
+    assert result.returncode == 2
+    assert "data row 2 holds a resistance that is not finite" in result.stderr
+
+
+def test_simulate_node_connect_failure_exits_nonzero():
+    port = unused_port()
     result = run_cli("simulate-node", "--connect", f"127.0.0.1:{port}", "--frames", "1")
     assert result.returncode == 1
     assert "error" in result.stderr.lower()

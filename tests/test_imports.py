@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module; every
+name in the package's ``__all__`` exists, and every public name its
+``__init__.py`` imports is listed there."""
 
 import ast
 from pathlib import Path
@@ -33,3 +35,14 @@ def test_module_has_no_dead_imports(module):
 def test_dead_import_is_found():
     source = "from __future__ import annotations\nimport os, socket as s\nfrom a import b, c\nc()\n"
     assert unused_imports(source) == ["os", "s", "b"]
+
+
+def test_package_all_resolves_and_lists_every_public_import():
+    import shmlink
+
+    assert [name for name in shmlink.__all__ if not hasattr(shmlink, name)] == []
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [name for name in imported
+            if not name.startswith("_") and name not in shmlink.__all__] == []

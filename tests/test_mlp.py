@@ -29,7 +29,6 @@ from shmlink.mlp import (
     grid_search,
     init_model,
     load_model,
-    predict,
     save_model,
     train,
 )
@@ -136,8 +135,9 @@ def test_forward_rows_bit_equal_to_single_row_predict(d_in, width, n, seed, data
     x = rng.normal(0, 50, (n, d_in))
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6))) if n > 1 else []
     batched = np.concatenate([forward_rows(model, chunk) for chunk in np.split(x, cuts)])
-    alone = [float(predict(model, row[None])[0]) for row in x]
+    alone = [float(forward_rows(model, row[None])[0]) for row in x]
     assert [v.hex() for v in batched.tolist()] == [v.hex() for v in alone]
+    assert [forward(model, row).hex() for row in x] == [v.hex() for v in alone]
 
 
 def test_forward_rows_dimension_mismatch():
@@ -162,9 +162,9 @@ def finite_difference_grads(model, x, y, h=1e-5):
             for k in range(flat.size):
                 keep = flat[k]
                 flat[k] = keep + h
-                up = mlp.mse_loss(model, x, y)
+                up = evaluate(model, x, y)[0]
                 flat[k] = keep - h
-                down = mlp.mse_loss(model, x, y)
+                down = evaluate(model, x, y)[0]
                 flat[k] = keep
                 gflat[k] = (up - down) / (2 * h)
             grads.append(g)
@@ -216,7 +216,7 @@ def test_zero_residual_batch_has_zero_gradients():
     model = seeded_model(d_in=2, width=4, seed=1)
     rng = np.random.default_rng(2)
     x = rng.normal(0, 1, (8, 2))
-    y = predict(model, x)  # targets equal predictions
+    y = forward_rows(model, x)  # targets equal predictions
     wg, bg = backward(model, x, y)
     for g in wg + bg:
         assert np.max(np.abs(g)) <= 1e-12
@@ -350,7 +350,11 @@ def reference_train(data, config):
     batch = n if config.batch_size is None else min(config.batch_size, n)
 
     def loss():
-        residual = predict(model, x) - y
+        xn = (x - model.feature_mean) / model.feature_std
+        w1, w2, w3 = model.weights
+        b1, b2, b3 = model.biases
+        a2 = np.maximum(np.maximum(xn @ w1.T + b1, 0.0) @ w2.T + b2, 0.0)
+        residual = (a2 @ w3.T + b3).ravel() - y
         return float(np.mean(residual * residual))
 
     losses = [loss()]
@@ -509,7 +513,7 @@ def test_train_data_refuses_an_empty_test_slice():
 def test_evaluate_perfect_predictions():
     model = identity_chain_model()
     x = np.array([[1.0], [2.0], [3.0]])
-    assert evaluate(model, x, predict(model, x)) == (0.0, 0.0)
+    assert evaluate(model, x, forward_rows(model, x)) == (0.0, 0.0)
 
 
 def test_evaluate_constant_prediction_hand_values():

@@ -14,7 +14,7 @@ import pytest
 
 from shmlink import mlp
 from shmlink.protocol import MAX_MESSAGE_SIZE, ConnectionClosed, recv_message, send_message
-from shmlink.server import InferenceServer, ModelNotLoaded, ServerConfig, serve
+from shmlink.server import InferenceServer, Refused, ServerConfig, serve
 
 
 @pytest.fixture
@@ -207,6 +207,19 @@ def test_handle_predict_matches_local_forward(running_server, model_file):
     assert result["predictions"] == [mlp.forward(local, r) for r in rows]
 
 
+def test_evaluate_scores_the_served_answers(model_file):
+    rng = np.random.default_rng(6)
+    x = rng.normal([51.0, 43.0], 1.0, (480, 2))
+    server = InferenceServer(ServerConfig(model_files={"default": str(model_file)}))
+    answers = np.array(server.handle_predict("default", x.tolist())["predictions"])
+    # targets within a trained model's error of the answers, so an answer's last
+    # bit shows in the scores; one (480, 2) product rounds many of these rows differently
+    y = answers + rng.normal(0.0, 0.01, 480)
+    residual = answers - y
+    served = (float(np.mean(residual * residual)), float(np.mean(np.abs(residual))))
+    assert mlp.evaluate(mlp.load_model(model_file), x, y) == served
+
+
 def test_identical_rows_identical_predictions(running_server):
     rows = [[51.0, 43.0]] * 3
     reply = roundtrip(running_server, {"type": "predict", "request_id": 1, "rows": rows})
@@ -229,8 +242,9 @@ def test_purity_across_restarts(tmp_path, model_file):
 
 def test_handle_predict_model_not_loaded():
     server = InferenceServer(ServerConfig(port=0))
-    with pytest.raises(ModelNotLoaded):
+    with pytest.raises(Refused) as exc:
         server.handle_predict("default", [[0.0, 0.0]])
+    assert exc.value.error == "model_not_loaded"
 
 
 # -- lifecycle ---------------------------------------------------------------------------
@@ -319,6 +333,7 @@ REFUSALS = [  # request bytes, error code, detail (ANY where numpy or the OS wor
     (b"{nope", "bad_message",
      "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)", None),
     (b"[1, 2]", "bad_message", "not an object", None),
+    pytest.param(b"[" * 100000, "bad_message", "nested too deeply", None, id="deep_nesting"),
     (b"{}", "bad_message", "'type'", None),
     (b'{"type": "bogus", "request_id": 4}', "bad_message", "unknown type 'bogus'", None),
     (predict(request_id="x", rows=[[1.0, 2.0]]), "bad_message",
