@@ -7,9 +7,10 @@ as ingested.  Training is plain mini-batch gradient descent with a fixed rate
 and a plateau stop, deterministic under a fixed seed.  It standardizes the
 training rows once, takes each batch as a slice of one per-epoch gather, and
 keeps the weights and their gradients in two flat vectors, so a step is one
-vector update; the result is bit-identical to standardizing each batch,
-calling ``backward`` on it and updating each array in place.  Models persist
-as a versioned JSON document that reproduces forward outputs bit-identically.
+vector update, and writes every step into arrays allocated once per call;
+the result is bit-identical to standardizing each batch, calling
+``backward`` on it and updating each array in place.  Models persist as a
+versioned JSON document that reproduces forward outputs bit-identically.
 
 Every number the model reports or serves, ``evaluate``'s scores and the
 server's answers alike, comes from ``forward_rows``; only training's loss and
@@ -182,29 +183,63 @@ def backward(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray):
         raise DimensionMismatch("batch features and targets disagree")
     size = sum(w.size + b.size for w, b in zip(model.weights, model.biases))
     grads = _parameter_views(np.empty(size), model.layer_sizes)
-    _gradients(model, xn, y, grads)
+    _gradients(xn, y, _network(model), _work_arrays(n, model.layer_sizes), grads)
     return grads
 
 
-def _gradients(model: MlpModel, xn: np.ndarray, y: np.ndarray, out) -> None:
+def _network(model: MlpModel):
+    """(weights, their transposed views, biases): what the work-array passes read."""
+    return model.weights, [w.T for w in model.weights], model.biases
+
+
+def _work_arrays(rows: int, sizes: list[int]):
+    """One row count's arrays for a forward and its gradients: a1, a2, output, two masks."""
+    _, h1, h2, _ = sizes
+    return (np.empty((rows, h1)), np.empty((rows, h2)), np.empty((rows, 1)),
+            np.empty((rows, h1), dtype=bool), np.empty((rows, h2), dtype=bool))
+
+
+def _forward_into(xn: np.ndarray, network, work) -> np.ndarray:
+    """``_layers``' products and sums for rows ``xn``, in ``work``; returns the output column."""
+    _, (w1t, w2t, w3t), (b1, b2, b3) = network
+    a1, a2, out = work[:3]
+    np.maximum(np.add(np.dot(xn, w1t, out=a1), b1, out=a1), 0.0, out=a1)
+    np.maximum(np.add(np.dot(a1, w2t, out=a2), b2, out=a2), 0.0, out=a2)
+    return np.add(np.dot(a2, w3t, out=out), b3, out=out)
+
+
+def _loss(xn: np.ndarray, y: np.ndarray, network, work) -> float:
+    """Mean squared error of the rows ``xn`` against ``y``, computed in ``work``."""
+    residual = _forward_into(xn, network, work)[:, 0]
+    residual -= y
+    residual *= residual
+    return float(np.mean(residual))
+
+
+def _gradients(xn: np.ndarray, y: np.ndarray, network, work, out) -> None:
     """Gradients for standardized rows ``xn``, written into ``out`` = (weight views, bias views).
 
-    ``np.add.reduce`` is the reduction ``ndarray.sum`` runs, so each gradient
-    has the bits of the plain ``dz.T @ a`` and ``dz.sum(axis=0)``.
+    ``np.add.reduce`` is ``ndarray.sum``'s reduction and the mask ``a > 0`` equals
+    ``z > 0``, so each gradient has the bits of the plain ``dz.T @ a`` and
+    ``dz.sum(axis=0)``; each delta overwrites the activation it no longer needs.
     """
     (gw1, gw2, gw3), (gb1, gb2, gb3) = out
-    z1, a1, z2, a2, pred = _layers(model, xn)
-    _, w2, w3 = model.weights
+    (_, w2, w3), _, _ = network
+    a1, a2, dpred, m1, m2 = work
+    _forward_into(xn, network, work)
 
     # loss = mean((pred - y)^2); d loss / d pred = 2 (pred - y) / n
-    dpred = (2.0 / xn.shape[0]) * (pred.ravel() - y)[:, None]
-    np.matmul(dpred.T, a2, out=gw3)
+    dpred[:, 0] -= y
+    dpred *= 2.0 / xn.shape[0]
+    np.dot(dpred.T, a2, out=gw3)
     np.add.reduce(dpred, axis=0, out=gb3)
-    dz2 = (dpred @ w3) * (z2 > 0)
-    np.matmul(dz2.T, a1, out=gw2)
+    np.greater(a2, 0.0, out=m2)
+    dz2 = np.multiply(np.dot(dpred, w3, out=a2), m2, out=a2)
+    np.dot(dz2.T, a1, out=gw2)
     np.add.reduce(dz2, axis=0, out=gb2)
-    dz1 = (dz2 @ w2) * (z1 > 0)
-    np.matmul(dz1.T, xn, out=gw1)
+    np.greater(a1, 0.0, out=m1)
+    dz1 = np.multiply(np.dot(dz2, w2, out=a1), m1, out=a1)
+    np.dot(dz1.T, xn, out=gw1)
     np.add.reduce(dz1, axis=0, out=gb1)
 
 
@@ -217,11 +252,6 @@ def _parameter_views(flat: np.ndarray, sizes: list[int]):
         biases.append(flat[at:at + fan_out])
         at += fan_out
     return weights, biases
-
-
-def _mse(model: MlpModel, xn: np.ndarray, y: np.ndarray) -> float:
-    residual = _layers(model, xn)[-1].ravel() - np.asarray(y, dtype=float).ravel()
-    return float(np.mean(residual * residual))
 
 
 def evaluate(model: MlpModel, test_x: np.ndarray, test_y: np.ndarray) -> tuple[float, float]:
@@ -349,11 +379,13 @@ def train(data: TrainData, config: TrainConfig) -> tuple[MlpModel, TrainReport]:
     The features are standardized once.  Each epoch gathers the rows in its
     seeded order once, and its batches are contiguous slices of that gather.
     Weights and biases are views into one flat vector, their gradients views
-    into a second, so a step's update is one vector operation.  Standardizing
-    is elementwise and every product and sum is the one the per-batch loop
-    runs, so the model and report are bit-identical to standardizing each
-    batch, calling ``backward`` on it and updating each array in place
-    (``tests/test_mlp.py`` keeps that loop as the reference).
+    into a second, so a step's update is one vector operation.  Every array a
+    step writes is allocated once per call, one set per row count (all rows,
+    the batch, a shorter last batch).  Standardizing is elementwise and every
+    product and sum is the one the per-batch loop runs, so the model and
+    report are bit-identical to standardizing each batch, calling ``backward``
+    on it and updating each array in place (``tests/test_mlp.py`` keeps that
+    loop as the reference).
 
     The plateau stop fires when the relative full-train loss improvement over
     the last ``plateau_patience`` epochs drops below ``plateau_tolerance``.
@@ -367,22 +399,29 @@ def train(data: TrainData, config: TrainConfig) -> tuple[MlpModel, TrainReport]:
     model.weights, model.biases = _parameter_views(params, sizes)
     grads = np.empty_like(params)
     grad_views = _parameter_views(grads, sizes)
+    network = _network(model)
     xn = _standardized(model, data.train_x)
     y = np.asarray(data.train_y, dtype=float).ravel()
     n = xn.shape[0]
     batch = n if config.batch_size is None else min(config.batch_size, n)
+    work = {rows: _work_arrays(rows, sizes) for rows in (n, batch, n % batch) if rows}
+    xs, ys = np.empty_like(xn), np.empty_like(y)
 
-    losses = [_mse(model, xn, y)]
+    losses = [_loss(xn, y, network, work[n])]
     epochs_run = 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
-        xs, ys = xn[order], y[order]
+        # mode="clip" writes straight into out; "raise" gathers into a copy first
+        np.take(xn, order, axis=0, out=xs, mode="clip")
+        np.take(y, order, out=ys, mode="clip")
         # overflow while diverging is expected; the loss check below handles it
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, batch):
-                _gradients(model, xs[start:start + batch], ys[start:start + batch], grad_views)
-                params -= config.learning_rate * grads
-            loss = _mse(model, xn, y)
+                end = min(start + batch, n)
+                _gradients(xs[start:end], ys[start:end], network, work[end - start], grad_views)
+                grads *= config.learning_rate
+                params -= grads
+            loss = _loss(xn, y, network, work[n])
         if not math.isfinite(loss):
             raise NonFiniteLoss(f"epoch {epoch}: loss {loss}")
         losses.append(loss)

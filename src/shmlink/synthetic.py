@@ -43,11 +43,17 @@ def strain_records(n: int = 2400, channels: int = 2, noise: float = 0.01,
 
     Resistances respond smoothly (mildly nonlinear) to the latent strain;
     ``noise`` is the target noise std relative to the unit target std.
+    Raises ValueError when every sample falls on a load-cycle start (``n`` of
+    at most 4, or 7), where the latent does not vary and has no standard form.
     """
     rng = np.random.default_rng(seed)
     t = np.arange(n) * SAMPLE_INTERVAL
-    latent = load_cycle_strain(t)
-    target = (latent - latent.mean()) / latent.std()
+    latent = load_cycle_strain(t) if n else t
+    spread = latent.std() if n else 0.0
+    if not spread > 0.0:
+        raise ValueError(f"{n} samples span no strain variation; the target cannot be "
+                         "standardized")
+    target = (latent - latent.mean()) / spread
     target = target + rng.normal(0.0, noise, n)
 
     base = np.array(BASE_RESISTANCES[:channels])

@@ -30,7 +30,7 @@ from shmlink.dataset import (
     write_atomic,
     write_table_csv,
 )
-from shmlink.synthetic import offset_pair
+from shmlink.synthetic import offset_pair, strain_records
 
 DATA_DIR = Path(__file__).parent / "data"
 BUNDLED_DIR = Path(__file__).parent.parent / "data"
@@ -368,3 +368,19 @@ def test_read_rejects_malformed_rows():
         read_table_csv("index,Time,Strain,t,R1\n0,1.0,x,2.0,47.0\n")
     with pytest.raises(MissingColumn):
         read_table_csv("a,b\n1,2\n")
+
+
+# -- synthetic series --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+def test_strain_records_refuse_a_span_with_no_strain_variation(n):
+    # every sample falls on a load-cycle start, so the latent never moves
+    with pytest.raises(ValueError, match="no strain variation"):
+        strain_records(n=n, channels=2, noise=0.0, seed=0)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_strain_records_of_a_short_span_are_finite(n):
+    strains = [r.strain for r in strain_records(n=n, channels=2, noise=0.0, seed=0)]
+    assert all(math.isfinite(s) for s in strains)

@@ -410,6 +410,20 @@ def test_train_bit_equal_to_per_batch_reference(d_in, width, n, seed, rate, plat
                                                                       config)
 
 
+@pytest.mark.parametrize("batch", [32, 50, None])  # 50 leaves a tail batch of 20
+@pytest.mark.parametrize("width", [8, 16])
+def test_train_bit_equal_to_per_batch_reference_at_calibrate_scale(width, batch):
+    # 1920 training rows: the full-train arrays are larger than the allocator's
+    # mmap threshold, and every product sees a calibration's row counts
+    split = TrainData.from_records(strain_records(n=2400, channels=2, noise=0.01, seed=0),
+                                   train_fraction=0.8)
+    assert len(split.train_y) == 1920
+    config = TrainConfig(hidden_width=width, learning_rate=1e-2, batch_size=batch,
+                         max_epochs=3, seed=0)
+    assert training_outcome(train, split, config) == training_outcome(reference_train, split,
+                                                                      config)
+
+
 # -- grid search --------------------------------------------------------------------
 
 
