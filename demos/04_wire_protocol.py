@@ -8,6 +8,8 @@ is total -- arbitrary bytes produce a typed error, corrupted payloads always
 surface as a CRC mismatch.
 """
 
+import random
+
 from shmlink import LinkConfig, TelemetryFrame, decode, encode, link_send
 from shmlink.protocol import CrcMismatch, Truncated
 
@@ -33,5 +35,9 @@ except Truncated as exc:
     print(f"truncated input    -> Truncated ({exc})")
 
 config = LinkConfig(throughput=2_000_000, latency=0.0)
-delivery = link_send(frame, config, now=0.0)
+delivery = link_send(frame, config, now=0.0, rng=random.Random(0))  # draws only when loss > 0
 print(f"\nover a 2 Mbit/s link this frame takes {delivery.time * 1e6:.1f} us on the wire")
+
+lossy, rng = LinkConfig(loss=0.1), random.Random(7)  # the seed fixes which frames drop
+dropped = sum(link_send(frame, lossy, now=0.0, rng=rng) is None for _ in range(1000))
+print(f"at 10% loss the seeded link drops {dropped} of 1000 frames, the same ones every run")

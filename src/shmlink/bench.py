@@ -35,7 +35,7 @@ from . import mlp
 from .adc import AdcEmulator, SensorModel
 from .dataset import read_table_csv
 from .firmware import NodeFirmware
-from .gateway import Gateway, GatewayConfig, TriggerRule, latency_summary, node_listener, serve_nodes
+from .gateway import Gateway, GatewayConfig, latency_summary, node_listener, serve_nodes
 from .protocol import encode, send_message
 from .server import DEFAULT_MODEL_ID, InferenceServer, ServerConfig
 
@@ -150,12 +150,9 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
 
         listener = running.enter_context(node_listener("127.0.0.1", 0))
         node_endpoint = listener.getsockname()
-        config = GatewayConfig(
-            node_endpoints=[f"{node_endpoint[0]}:{node_endpoint[1]}"],
-            server_endpoint=f"{host}:{port}",
-            persistence_path=str(work / "telemetry.csv"),
-            trigger=TriggerRule(every_frame=True),
-            latency_log_path=str(work / "latency.csv"))
+        config = GatewayConfig(server_endpoint=f"{host}:{port}",
+                               persistence_path=str(work / "telemetry.csv"),
+                               latency_log_path=str(work / "latency.csv"))
         gateway = (PollGateway(config, server, poll_interval) if mode == "poll"
                    else Gateway(config))
         running.callback(gateway.close)

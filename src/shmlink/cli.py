@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="grid-search the strain regressor on a dataset")
     train.add_argument("--data", required=True, metavar="FILE")
-    train.add_argument("--channels", type=int, choices=(2, 8), default=2)
     train.add_argument("--grid", metavar="FILE", help="JSON hyperparameter grid")
     train.add_argument("--out", required=True, metavar="MODEL")
     train.add_argument("--seed", type=_non_negative_int, default=0)
@@ -184,9 +183,6 @@ def cmd_train(args) -> int:
         records = ds.read_table_csv(Path(args.data).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"data file: {exc}") from exc
-    if records and len(records[0].resistances) != args.channels:
-        raise UsageError(f"data has {len(records[0].resistances)} channels, "
-                         f"--channels says {args.channels}")
     data = mlp.TrainData.from_records(records, train_fraction=args.train_fraction)
     grid = _load_grid(args.grid)
 

@@ -177,6 +177,19 @@ def parse_resistance_csv(text: str) -> list[ResistanceSample]:
 # -- synchronization -------------------------------------------------------------
 
 
+def _check_time_order(series: str, times: np.ndarray) -> None:
+    """DatasetError naming the first sample of ``series`` whose time is below the one before.
+
+    A clock that steps back, such as a restarted logger's, would mix two
+    recordings into one join.  Equal times pass: ``_median_interval`` skips them.
+    """
+    back = np.flatnonzero(~(np.diff(times) >= 0))  # the not also catches nan
+    if back.size:
+        i = int(back[0]) + 1
+        raise DatasetError(f"{series}: time is out of order at sample {i} "
+                           f"({float(times[i - 1])!r} then {float(times[i])!r})")
+
+
 def _median_interval(times: np.ndarray) -> float:
     diffs = np.diff(times)
     diffs = diffs[diffs > 0]
@@ -190,11 +203,14 @@ def synchronize(mech: list[MechanicalSample], res: list[ResistanceSample],
     Each mechanical sample takes the nearest resistance sample on the shifted
     clock; when the nearest one is farther than half the resistance sampling
     interval, resistances are linearly interpolated at the exact shifted time
-    instead.  Mechanical samples outside the overlap are dropped.
+    instead.  Mechanical samples outside the overlap are dropped.  A series
+    whose time decreases is refused (DatasetError).
     """
     if not mech or not res:
         raise NoOverlap("empty series")
+    _check_time_order("mechanical series", np.array([m.time for m in mech]))
     res_t = np.array([s.t for s in res])
+    _check_time_order("resistance log", res_t)
     res_r = np.array([s.resistances for s in res])
     half_interval = _median_interval(res_t) / 2.0
     lo, hi = res_t[0], res_t[-1]
@@ -227,7 +243,8 @@ def estimate_offset(mech: list[MechanicalSample], res: list[ResistanceSample]) -
     the resistance response is irrelevant).  Requires >= 10 samples with
     variation on each side, and considers only lags where at least a quarter
     of the shorter series overlaps: parallel recordings of one event overlap
-    substantially, and small-overlap lags alias on cyclic loads.
+    substantially, and small-overlap lags alias on cyclic loads.  A series
+    whose time decreases is refused (DatasetError).
     """
     if len(mech) < 10 or len(res) < 10:
         raise InsufficientVariation("need at least 10 samples per series")
@@ -235,6 +252,8 @@ def estimate_offset(mech: list[MechanicalSample], res: list[ResistanceSample]) -
     strain = np.array([s.strain for s in mech])
     res_t = np.array([s.t for s in res])
     mean_r = np.array([np.mean(s.resistances) for s in res])
+    _check_time_order("mechanical series", mech_t)
+    _check_time_order("resistance log", res_t)
     if np.std(strain) == 0.0 or np.std(mean_r) == 0.0:
         raise InsufficientVariation("constant series")
 

@@ -46,6 +46,8 @@ from pathlib import Path
 from .dataset import csv_line, table_csv_header, table_csv_row
 from .protocol import (
     COUNTER_MODULUS,
+    DEFAULT_HOST,
+    DEFAULT_PORT,
     MAX_FRAME_SIZE,
     ConnectionClosed,
     FrameError,
@@ -113,7 +115,7 @@ class GatewayConfig:
     # node endpoints are bind addresses: the gateway listens and emulated
     # nodes dial out (see serve_nodes / node_listener)
     node_endpoints: list[str] = field(default_factory=lambda: ["127.0.0.1:0"])
-    server_endpoint: str = "127.0.0.1:7420"  # host:port, port in 1..65535
+    server_endpoint: str = f"{DEFAULT_HOST}:{DEFAULT_PORT}"  # host:port, port in 1..65535
     mode: str = "push"  # the only mode; kept while perfbench/sut.py passes it
     persistence_path: str = "telemetry.csv"
     trigger: TriggerRule = field(default_factory=TriggerRule)

@@ -28,7 +28,7 @@ import numpy as np
 from .dataset import split_chronological, write_atomic
 
 MODEL_FORMAT_VERSION = 1
-# what _layers computes, as model documents name it; no other value loads
+# what forward_rows computes, as model documents name it; no other value loads
 ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "identity"}
 
 
@@ -127,10 +127,6 @@ def init_model(d_in: int, hidden_width: int, mu: np.ndarray, sigma: np.ndarray,
                     feature_std=np.asarray(sigma, dtype=float))
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def forward(model: MlpModel, features) -> float:
     """Strain prediction for a single feature vector."""
     x = np.asarray(features, dtype=float)
@@ -149,7 +145,12 @@ def forward_rows(model: MlpModel, rows) -> np.ndarray:
     batch shape, so every score and every served answer comes from here, and
     only training's loss and gradients use that product.
     """
-    return _layers(model, _standardized(model, rows)[:, None, :])[-1].reshape(-1)
+    w1, w2, w3 = model.weights
+    b1, b2, b3 = model.biases
+    x = _standardized(model, rows)[:, None, :]
+    a1 = np.maximum(x @ w1.T + b1, 0.0)
+    a2 = np.maximum(a1 @ w2.T + b2, 0.0)
+    return (a2 @ w3.T + b3).reshape(-1)
 
 
 def _standardized(model: MlpModel, rows) -> np.ndarray:
@@ -158,17 +159,6 @@ def _standardized(model: MlpModel, rows) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.d_in:
         raise DimensionMismatch(f"expected (n, {model.d_in}) rows, got shape {x.shape}")
     return (x - model.feature_mean) / model.feature_std
-
-
-def _layers(model: MlpModel, xn: np.ndarray):
-    """(z1, a1, z2, a2, out) for standardized (n, d_in) rows or an (n, 1, d_in) stack."""
-    w1, w2, w3 = model.weights
-    b1, b2, b3 = model.biases
-    z1 = xn @ w1.T + b1
-    a1 = _relu(z1)
-    z2 = a1 @ w2.T + b2
-    a2 = _relu(z2)
-    return z1, a1, z2, a2, a2 @ w3.T + b3
 
 
 def backward(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray):
@@ -200,7 +190,7 @@ def _work_arrays(rows: int, sizes: list[int]):
 
 
 def _forward_into(xn: np.ndarray, network, work) -> np.ndarray:
-    """``_layers``' products and sums for rows ``xn``, in ``work``; returns the output column."""
+    """Training's three layers for (n, d_in) rows ``xn``, in ``work``; returns the output column."""
     _, (w1t, w2t, w3t), (b1, b2, b3) = network
     a1, a2, out = work[:3]
     np.maximum(np.add(np.dot(xn, w1t, out=a1), b1, out=a1), 0.0, out=a1)

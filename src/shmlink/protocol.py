@@ -12,8 +12,8 @@ Frame layout, little-endian throughout:
     12+8n   4     CRC-32 (IEEE reflected, init/xorout 0xFFFFFFFF) over all
                   preceding bytes
 
-In live mode frames travel over TCP, one frame per length-prefixed message
-(u32 LE length); in simulation they cross in-process queues.  Both TCP
+Frames travel over TCP, one frame per length-prefixed message (u32 LE
+length); :func:`link_send` models the radio link's budget and losses.  Both TCP
 listeners read their streams through :func:`recv_batches`, one ``recv`` per
 arrival, which yields every message that ``recv`` completed; request/response
 clients read one reply with :func:`recv_message`.  The decoder is
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import logging
 import math
-import random
 import socket
 import struct
 import threading
@@ -172,18 +171,17 @@ class Delivery:
     data: bytes
 
 
-def link_send(frame: TelemetryFrame, config: LinkConfig, now: float,
-              rng=None) -> Delivery | None:
+def link_send(frame: TelemetryFrame, config: LinkConfig, now: float, rng) -> Delivery | None:
     """Push one frame onto the simulated link.
 
     Returns the delivery event at ``now + latency + bits/throughput``, or
-    None when the link dropped the frame (probability ``config.loss``).
+    None when the link dropped the frame (probability ``config.loss``, drawn
+    from ``rng``, anything with a ``random()`` in [0, 1), so a seeded
+    generator repeats the losses).
     """
     data = encode(frame)
-    if config.loss > 0.0:
-        draw = rng.random() if rng is not None else random.random()
-        if draw < config.loss:
-            return None
+    if config.loss > 0.0 and rng.random() < config.loss:
+        return None
     return Delivery(time=now + config.latency + len(data) * 8 / config.throughput, data=data)
 
 
@@ -263,6 +261,8 @@ def recv_batches(sock: socket.socket, max_size: int):
 
 # -- listening services ----------------------------------------------------------
 
+DEFAULT_HOST = "127.0.0.1"  # where the inference server listens and the gateway sends
+DEFAULT_PORT = 7420
 LISTEN_BACKLOG = 32
 ACCEPT_POLL_S = 0.2   # how often the accept loop looks at its stop event
 JOIN_TIMEOUT_S = 5.0  # per handler thread, on stop
@@ -277,16 +277,8 @@ def parse_endpoint(text: str) -> tuple[str, int]:
 
 
 def listen(host: str, port: int) -> socket.socket:
-    """Bind a listening TCP socket; raises on an unbindable address."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(LISTEN_BACKLOG)
-    except OSError:
-        sock.close()
-        raise
-    return sock
+    """A listening TCP socket with ``SO_REUSEADDR`` on POSIX; raises on an unbindable address."""
+    return socket.create_server((host, port), backlog=LISTEN_BACKLOG)
 
 
 def serve_connections(listener: socket.socket, handle, stop: threading.Event) -> None:

@@ -25,12 +25,11 @@ import time
 from dataclasses import dataclass, field
 
 from . import mlp
-from .protocol import MAX_MESSAGE_SIZE, listen, recv_batches, send_message, serve_connections
+from .protocol import (DEFAULT_HOST, DEFAULT_PORT, MAX_MESSAGE_SIZE, listen, recv_batches,
+                       send_message, serve_connections)
 
 log = logging.getLogger(__name__)
 
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 7420
 DEFAULT_MODEL_ID = "default"  # what a predict without a model_id is answered by
 
 

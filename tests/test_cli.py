@@ -214,7 +214,7 @@ def small_grid(tmp_path):
 
 def test_train_writes_model_and_report(tmp_path, small_dataset, small_grid):
     out = tmp_path / "model.json"
-    result = run_cli("train", "--data", str(small_dataset), "--channels", "2",
+    result = run_cli("train", "--data", str(small_dataset),
                      "--grid", str(small_grid), "--out", str(out), "--seed", "3")
     assert result.returncode == 0, result.stderr
     assert "MSE" in result.stdout and "MAE" in result.stdout
@@ -227,16 +227,20 @@ def test_train_writes_model_and_report(tmp_path, small_dataset, small_grid):
 def test_train_same_seed_byte_identical(tmp_path, small_dataset, small_grid):
     out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
     for out in (out1, out2):
-        result = run_cli("train", "--data", str(small_dataset), "--channels", "2",
+        result = run_cli("train", "--data", str(small_dataset),
                          "--grid", str(small_grid), "--out", str(out), "--seed", "3")
         assert result.returncode == 0, result.stderr
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_train_channel_mismatch_exits_two(tmp_path, small_dataset, small_grid):
-    result = run_cli("train", "--data", str(small_dataset), "--channels", "8",
-                     "--grid", str(small_grid), "--out", str(tmp_path / "m.json"))
-    assert result.returncode == 2
+def test_train_takes_its_width_from_the_data(tmp_path, small_grid):
+    data = tmp_path / "eight.csv"
+    data.write_text(write_table_csv(strain_records(n=300, channels=8, noise=0.01, seed=0)),
+                    encoding="utf-8")
+    out = tmp_path / "m.json"
+    result = run_cli("train", "--data", str(data), "--grid", str(small_grid), "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(out.read_text())["layer_sizes"][0] == 8
 
 
 def test_train_bad_grid_value_exits_two_before_training(tmp_path, small_dataset):
@@ -245,7 +249,7 @@ def test_train_bad_grid_value_exits_two_before_training(tmp_path, small_dataset)
                                 "batch_sizes": [32], "max_epochs": 40,
                                 "plateau_patience": 20}))
     out = tmp_path / "m.json"
-    result = run_cli("train", "--data", str(small_dataset), "--channels", "2",
+    result = run_cli("train", "--data", str(small_dataset),
                      "--grid", str(grid), "--out", str(out))
     assert result.returncode == 2, result.stderr
     assert "learning_rate" in result.stderr and not out.exists()
@@ -259,7 +263,7 @@ def test_train_grid_with_patience_below_one_exits_two_before_training(tmp_path, 
                                 "batch_sizes": [32], "max_epochs": 40,
                                 "plateau_patience": patience}))
     out = tmp_path / "m.json"
-    result = run_cli("train", "--data", str(small_dataset), "--channels", "2",
+    result = run_cli("train", "--data", str(small_dataset),
                      "--grid", str(grid), "--out", str(out))
     assert result.returncode == 2, result.stderr
     assert "plateau_patience" in result.stderr and not out.exists()
@@ -271,7 +275,7 @@ def test_train_with_no_test_rows_exits_two_before_training(tmp_path, small_grid)
     data.write_text(write_table_csv(strain_records(n=6, channels=2, noise=0.01, seed=0)),
                     encoding="utf-8")
     out = tmp_path / "m.json"
-    result = run_cli("train", "--data", str(data), "--channels", "2", "--grid", str(small_grid),
+    result = run_cli("train", "--data", str(data), "--grid", str(small_grid),
                      "--train-fraction", "0.9", "--out", str(out))
     assert result.returncode == 2, result.stderr
     assert "no test rows" in result.stderr and "selected" not in result.stdout
@@ -285,7 +289,7 @@ def test_train_on_a_gateway_log_names_its_unknown_strain(tmp_path, small_grid):
     data = tmp_path / "telemetry.csv"
     data.write_text(write_table_csv(records), encoding="utf-8")
     out = tmp_path / "m.json"
-    result = run_cli("train", "--data", str(data), "--channels", "2",
+    result = run_cli("train", "--data", str(data),
                      "--grid", str(small_grid), "--out", str(out))
     assert result.returncode == 2, result.stderr
     assert "Strain" in result.stderr and "diverged" not in result.stderr
@@ -347,6 +351,21 @@ def test_sync_disjoint_ranges_exits_two(tmp_path):
     result = run_cli("sync", "--mech", str(mech_path), "--res", str(res_path),
                      "--offset", "1e6", "--out", str(tmp_path / "out.csv"))
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("offset", [[], ["--offset", "0"]])
+def test_sync_refuses_a_log_whose_clock_steps_back(tmp_path, offset):
+    # a restarted logger: its clock runs 0..9 s, then 0..9 s again
+    mech_path, res_path = tmp_path / "mech.csv", tmp_path / "res.csv"
+    mech_path.write_text("Time,Strain\n" + "".join(f"{0.5 * i},{0.001 * (i % 7)}\n"
+                                                    for i in range(20)))
+    res_path.write_text("t,R1\n" + "".join(f"{i % 10},{47 + i % 3}\n" for i in range(20)))
+    out = tmp_path / "out.csv"
+    result = run_cli("sync", "--mech", str(mech_path), "--res", str(res_path), *offset,
+                     "--out", str(out))
+    assert result.returncode == 2, result.stdout
+    assert "resistance log: time is out of order at sample 10" in result.stderr
+    assert not out.exists()
 
 
 # -- bench-latency --------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from shmlink.dataset import (
     AlignedRecord,
+    DatasetError,
     InsufficientVariation,
     MalformedRow,
     MechanicalSample,
@@ -169,6 +170,26 @@ def test_synchronize_interpolates_between_sparse_neighbors():
     aligned = synchronize(mech, res, offset=0.0)
     assert aligned[0].t == 3.0
     assert aligned[0].resistances == (40.0,)
+
+
+@pytest.mark.parametrize("join", [lambda m, r: synchronize(m, r, 0.0), estimate_offset],
+                         ids=["synchronize", "estimate_offset"])
+@pytest.mark.parametrize("series", ["mechanical series", "resistance log"])
+def test_a_clock_that_steps_back_is_refused(join, series):
+    restarted = [float(i % 10) for i in range(20)]  # a restarted recorder: 0..9 s, then again
+    steady = [0.5 * i for i in range(20)]
+    mech_t, res_t = (restarted, steady) if series == "mechanical series" else (steady, restarted)
+    mech = [MechanicalSample(time=t, strain=0.001 * (i % 7)) for i, t in enumerate(mech_t)]
+    res = [ResistanceSample(t=t, resistances=(47.0 + i % 3,)) for i, t in enumerate(res_t)]
+    with pytest.raises(DatasetError, match=f"{series}: time is out of order at sample 10 "
+                                           r"\(9\.0 then 0\.0\)"):
+        join(mech, res)
+
+
+def test_repeated_timestamps_still_join():
+    mech = [MechanicalSample(time=float(t), strain=0.01 * t) for t in range(10)]
+    res = [ResistanceSample(t=float(t // 2), resistances=(47.0 + t,)) for t in range(20)]
+    assert len(synchronize(mech, res, 0.0)) == 10
 
 
 # -- estimate_offset ------------------------------------------------------------------

@@ -140,6 +140,31 @@ def test_forward_rows_bit_equal_to_single_row_predict(d_in, width, n, seed, data
     assert [forward(model, row).hex() for row in x] == [v.hex() for v in alone]
 
 
+def test_forward_rows_bit_equal_to_stacked_product_reference():
+    # the served forward written out: every layer a stack of 1-row products
+    rng = np.random.default_rng(2024)
+    far = clipped1 = clipped2 = 0
+    for trial in range(300):
+        d_in, width = int(rng.integers(1, 9)), int(rng.integers(1, 33))
+        n = 1 if trial % 10 == 0 else int(rng.integers(1, 201))  # 1: what a push sends
+        mu, sigma = rng.normal(0, 50, d_in), rng.uniform(0.01, 2.0, d_in)
+        model = init_model(d_in, width, mu=mu, sigma=sigma, rng=rng)
+        model.biases = [rng.normal(0, 0.5, b.shape) for b in model.biases]
+        x = mu + sigma * rng.normal(0, 10.0 ** rng.integers(0, 5), (n, d_in))
+        (w1, w2, w3), (b1, b2, b3) = model.weights, model.biases
+        stack = ((x - mu) / sigma)[:, None, :]
+        h1 = np.maximum(np.matmul(stack, w1.T) + b1, 0.0)
+        h2 = np.maximum(np.matmul(h1, w2.T) + b2, 0.0)
+        want = (np.matmul(h2, w3.T) + b3)[:, 0, 0]
+        got = forward_rows(model, x)
+        assert got.shape == (n,)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        far += int(np.abs(stack).max() > 1000)
+        clipped1 += int((h1 == 0).any())
+        clipped2 += int((h2 == 0).any())
+    assert far and clipped1 and clipped2  # rows past |z| = 1000, and both rectifiers clipped
+
+
 def test_forward_rows_dimension_mismatch():
     model = seeded_model(d_in=2)
     with pytest.raises(DimensionMismatch):

@@ -191,7 +191,7 @@ def test_decoder_total_over_magic_prefixed_bytes(data):
 def test_delivery_time_from_size_and_throughput():
     frame = TelemetryFrame(counter=0, node_id=0, resistances=(1.0, 2.0))
     config = LinkConfig(throughput=2e6, loss=0.0, latency=0.0)
-    delivery = link_send(frame, config, now=5.0)
+    delivery = link_send(frame, config, now=5.0, rng=random.Random(0))
     size = len(encode(frame))
     assert delivery.time == pytest.approx(5.0 + size * 8 / 2e6)
     # a 30-byte message at 2 Mbit/s takes 1.2e-4 s
@@ -200,8 +200,9 @@ def test_delivery_time_from_size_and_throughput():
 
 def test_latency_adds_exactly():
     frame = TelemetryFrame(counter=0, node_id=0, resistances=(1.0,))
-    base = link_send(frame, LinkConfig(latency=0.0), now=0.0).time
-    slow = link_send(frame, LinkConfig(latency=0.05), now=0.0).time
+    rng = random.Random(0)
+    base = link_send(frame, LinkConfig(latency=0.0), now=0.0, rng=rng).time
+    slow = link_send(frame, LinkConfig(latency=0.05), now=0.0, rng=rng).time
     assert slow - base == pytest.approx(0.05)
 
 
