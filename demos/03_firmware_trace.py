@@ -9,9 +9,8 @@ channel, 32 per tick, in channel order.
 """
 
 from shmlink.adc import AdcEmulator, SensorModel
+from shmlink.bench import FIXTURE_RESISTANCES as FIXTURE
 from shmlink.firmware import NodeFirmware
-
-FIXTURE = [47.0, 47.0, 100.0, 100.0, 120.0, 120.0, 120.0, 120.0]
 
 emu = AdcEmulator(SensorModel.from_resistances(FIXTURE))
 fw = NodeFirmware(emu, channel_count=8)

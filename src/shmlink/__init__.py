@@ -14,7 +14,6 @@ from .adc import (
     AdcEmulator,
     ChannelInput,
     SensorModel,
-    Sinc3Config,
     code_to_resistance,
     resistance_to_code,
 )
@@ -50,7 +49,7 @@ from .protocol import LinkConfig, TelemetryFrame, decode, encode, link_send
 from .server import InferenceServer, ServerConfig, serve
 
 __all__ = [
-    "AdcEmulator", "ChannelInput", "SensorModel", "Sinc3Config",
+    "AdcEmulator", "ChannelInput", "SensorModel",
     "code_to_resistance", "resistance_to_code",
     "AlignedRecord", "MechanicalSample", "ResistanceSample",
     "estimate_offset", "parse_mechanical_csv", "parse_resistance_csv",

@@ -140,49 +140,23 @@ class SensorModel:
         self.channels[channel].resistance = r
 
 
-class Sinc3Config:
-    """Triple-boxcar decimation filter of the converter.
-
-    Spectral nulls fall at every multiple of ``output_rate`` =
-    modulator_rate / decimation; the 10 Hz rate therefore rejects both
-    50 Hz and 60 Hz mains interference.  One settled conversion consumes a
-    window of 3*decimation - 2 modulator samples.
-    """
-
-    modulator_rate = 19200.0
-    decimation = 1920
-
-    @property
-    def output_rate(self) -> float:
-        return self.modulator_rate / self.decimation
-
-    @property
-    def window_len(self) -> int:
-        return 3 * self.decimation - 2
-
-    @property
-    def settle_time(self) -> float:
-        return self.window_len / self.modulator_rate
-
-    @staticmethod
-    @functools.cache
-    def kernel() -> np.ndarray:
-        """Impulse response of three cascaded boxcars, normalized to unit DC gain; built once."""
-        box = np.ones(Sinc3Config.decimation)
-        return np.convolve(np.convolve(box, box), box) / float(Sinc3Config.decimation) ** 3
-
-    def frequency_response(self, f: float) -> float:
-        """|H(f)| of the triple boxcar at modulator rate fs: |sin(pi f N/fs) / (N sin(pi f/fs))|^3."""
-        if f == 0.0:
-            return 1.0
-        fs, n = self.modulator_rate, self.decimation
-        den = n * math.sin(math.pi * f / fs)
-        if den == 0.0:
-            return 1.0  # alias of DC
-        return abs(math.sin(math.pi * f * n / fs) / den) ** 3
+# Sinc3 decimation filter: three cascaded boxcars of DECIMATION modulator
+# samples.  Its spectral nulls fall at every multiple of OUTPUT_RATE, so the
+# 10 Hz rate rejects both 50 Hz and 60 Hz mains interference.  One settled
+# conversion consumes a window of 3*DECIMATION - 2 modulator samples.
+MODULATOR_RATE = 19200.0
+DECIMATION = 1920
+OUTPUT_RATE = MODULATOR_RATE / DECIMATION
+SETTLE_TIME = (3 * DECIMATION - 2) / MODULATOR_RATE
 
 
-SINC3 = Sinc3Config()
+@functools.cache
+def sinc3_kernel() -> np.ndarray:
+    """Impulse response of the sinc3 filter, normalized to unit DC gain; built once."""
+    box = np.ones(DECIMATION)
+    return np.convolve(np.convolve(box, box), box) / float(DECIMATION) ** 3
+
+
 POLLS_TO_READY = 2  # STATUS reads until an armed conversion completes
 
 
@@ -223,8 +197,6 @@ class AdcEmulator:
     # -- register bus ---------------------------------------------------------
 
     def write_register(self, addr: int, value: int) -> None:
-        if not 0 <= addr <= 0xFF:
-            raise UnknownRegister(addr)
         if addr in READONLY_ADDRS:
             raise ReadOnlyRegister(addr)
         if addr not in WRITABLE_ADDRS:
@@ -283,13 +255,13 @@ class AdcEmulator:
         if not self.registers[IO_CONTROL_1] & 0xFF00:
             raise ExcitationOff("IO_CONTROL_1 excitation bits are clear")
         ch = self.sensors.channels[channel]
-        kernel = SINC3.kernel()
+        kernel = sinc3_kernel()
         n = kernel.size
         if ch.interference_amplitude != 0.0 or ch.noise_std != 0.0:
             # oversampled modulator stream ending at the current signal clock
             signal = np.full(n, ch.resistance, dtype=float)
             if ch.interference_amplitude != 0.0:
-                t = self._now - (n - 1 - np.arange(n)) / SINC3.modulator_rate
+                t = self._now - (n - 1 - np.arange(n)) / MODULATOR_RATE
                 signal += ch.interference_amplitude * np.sin(2 * math.pi * ch.interference_freq * t)
             if ch.noise_std > 0.0:
                 signal += self._rng.normal(0.0, ch.noise_std, n)
@@ -301,5 +273,5 @@ class AdcEmulator:
         self._rdy = 0
         self._pending_channel = None
         self._polls_left = 0
-        self._now += SINC3.settle_time
+        self._now += SETTLE_TIME
         return code

@@ -17,6 +17,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import dataset as ds
 from . import mlp
+from .firmware import CHANNEL_COUNTS, DEFAULT_TICK_PERIOD
 from .protocol import parse_endpoint
 
 EXIT_OK = 0
@@ -51,8 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     node = sub.add_parser("simulate-node", help="run an emulated sensor node streaming frames")
-    node.add_argument("--channels", type=int, choices=(2, 8), default=8)
-    node.add_argument("--tick", type=_seconds, default=10.0, help="tick period, seconds")
+    node.add_argument("--channels", type=int, choices=CHANNEL_COUNTS, default=8)
+    node.add_argument("--tick", type=_seconds, default=DEFAULT_TICK_PERIOD,
+                      help="tick period, seconds")
     node.add_argument("--profile", default="fixture",
                       help="fixture | replay:FILE | ramp")
     node.add_argument("--connect", type=_endpoint, required=True, metavar="HOST:PORT")
@@ -79,8 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     lat.add_argument("--poll-interval", type=_seconds, default=5.0)
     lat.add_argument("--frames", type=_number(int), default=200)
     lat.add_argument("--tick", type=_seconds, default=None,
-                     help="node tick period (default 0.02 push / 0.2 poll)")
-    lat.add_argument("--channels", type=int, choices=(2, 8), default=2)
+                     help=f"node tick period (default {bench_mod.DEFAULT_PUSH_TICK} push"
+                          f" / {bench_mod.DEFAULT_POLL_TICK} poll)")
+    lat.add_argument("--channels", type=int, choices=CHANNEL_COUNTS, default=2)
     lat.add_argument("--seed", type=_non_negative_int, default=0)
     lat.add_argument("--out", required=True, metavar="REPORT")
     lat.set_defaults(func=cmd_bench_latency)

@@ -53,6 +53,7 @@ INIT_SEQUENCE = (
     (0x21, 0x060030),
 )
 
+CHANNEL_COUNTS = (2, 8)  # channels a node scans: the 2-sensor configuration's 0-1, or all
 DEFAULT_TICK_PERIOD = 10.0
 POLL_BUDGET = 1000  # STATUS reads per channel before a conversion times out
 
@@ -69,9 +70,9 @@ class NodeFirmware:
 
     def __init__(self, bus, node_id: int = 0, channel_count: int = 8,
                  tick_period: float = DEFAULT_TICK_PERIOD, trace: bool = True):
-        if channel_count not in (2, 8):
-            raise ValueError("channel_count must be 2 or 8")
-        if tick_period <= 0:
+        if channel_count not in CHANNEL_COUNTS:
+            raise ValueError(f"channel_count must be one of {CHANNEL_COUNTS}")
+        if not tick_period > 0:  # also refuses nan
             raise ValueError("tick_period must be > 0")
         self.bus = bus
         self.node_id = node_id

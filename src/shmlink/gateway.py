@@ -288,11 +288,14 @@ class Gateway:
         is not the log's, is lost (logged) and monitoring continues.  Safe to
         call from several node-reader threads.  Fired frames are queued for
         the sender thread: this never waits on the server or raises its errors.
+        GatewayError after ``close()``: no sender would read a queued trigger.
         """
         if not frames:
             return []
         received = time.perf_counter()
         with self._ingest_lock:
+            if self._closed:
+                raise GatewayError("gateway is closed")
             # Time = arrival wall clock, stamped under the lock so the rows keep time order
             wall = time.time()
             fired = []

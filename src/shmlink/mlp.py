@@ -279,8 +279,14 @@ class TrainConfig:
                              "must be integers")
         if self.hidden_width < 1 or self.max_epochs < 1 or self.plateau_patience < 1:
             raise ValueError("hidden_width, max_epochs and plateau_patience must be positive")
-        if not 0 < self.learning_rate < math.inf:  # NaN fails both comparisons
+        # NaN fails both comparisons; True would pass them as 1
+        if isinstance(self.learning_rate, bool) or not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate {self.learning_rate!r} is not positive and finite")
+        tolerance = self.plateau_tolerance
+        if tolerance is not None and (isinstance(tolerance, bool) or math.isnan(tolerance)):
+            # no improvement is below NaN: the stop would never fire
+            raise ValueError(f"plateau_tolerance {tolerance!r} is not a number (None turns "
+                             "the stop off)")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be None (full) or >= 1")
 
@@ -489,7 +495,7 @@ def model_from_doc(doc: dict) -> MlpModel:
     if doc["format_version"] != MODEL_FORMAT_VERSION:
         raise UnsupportedVersion(f"format_version {doc['format_version']}")
     try:
-        sizes = [int(s) for s in doc["layer_sizes"]]
+        sizes = list(doc["layer_sizes"])
         weights = [np.array(w, dtype=float) for w in doc["weights"]]
         biases = [np.array(b, dtype=float) for b in doc["biases"]]
         mean = np.array(doc["feature_mean"], dtype=float)
@@ -497,6 +503,8 @@ def model_from_doc(doc: dict) -> MlpModel:
         activations = {key: doc[key] for key in ACTIVATIONS}
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelFile(str(exc)) from None
+    if not all(type(s) is int for s in sizes):  # int() would take 2.9, "4" and true
+        raise CorruptModelFile(f"layer_sizes {sizes!r} are not all integers")
     # json reads NaN and Infinity; a model holding one answers no prediction
     if not all(np.isfinite(a).all() for a in (*weights, *biases, mean, std)):
         raise CorruptModelFile("a weight, bias or normalization statistic is not finite")

@@ -148,7 +148,11 @@ def decode(data: bytes) -> TelemetryFrame:
 
 @dataclass
 class LinkConfig:
-    """Radio link budget: throughput cap (bit/s), drop probability, latency (s)."""
+    """Radio link budget: bit rate (bit/s), drop probability, latency (s).
+
+    Each frame is delayed by its own serialization time at ``throughput``;
+    frames do not queue, so two sent at one ``now`` arrive together.
+    """
 
     throughput: float = 2_000_000.0
     loss: float = 0.0

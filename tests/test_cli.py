@@ -269,6 +269,20 @@ def test_train_grid_with_patience_below_one_exits_two_before_training(tmp_path, 
     assert "plateau_patience" in result.stderr and not out.exists()
 
 
+def test_train_grid_with_nan_plateau_tolerance_exits_two_before_training(tmp_path,
+                                                                        small_dataset):
+    grid = tmp_path / "grid.json"
+    # json writes (and reads back) the bare NaN token, which is not JSON
+    grid.write_text(json.dumps({"hidden_widths": [8], "learning_rates": [1e-2],
+                                "batch_sizes": [32], "max_epochs": 40,
+                                "plateau_patience": 20, "plateau_tolerance": math.nan}))
+    out = tmp_path / "m.json"
+    result = run_cli("train", "--data", str(small_dataset),
+                     "--grid", str(grid), "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert "plateau_tolerance" in result.stderr and not out.exists()
+
+
 def test_train_with_no_test_rows_exits_two_before_training(tmp_path, small_grid):
     # ceil(6 * 0.9) = 6: every row trains, and no model could be selected on the test slice
     data = tmp_path / "six.csv"

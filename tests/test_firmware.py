@@ -167,6 +167,12 @@ def test_invalid_channel_count_rejected():
         NodeFirmware(AdcEmulator(), channel_count=3)
 
 
+@pytest.mark.parametrize("tick_period", [0.0, -1.0, math.nan])
+def test_tick_period_that_is_not_positive_rejected(tick_period):
+    with pytest.raises(ValueError, match="tick_period"):
+        NodeFirmware(AdcEmulator(), tick_period=tick_period)
+
+
 # -- failure semantics ----------------------------------------------------------------------
 
 

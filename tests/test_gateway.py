@@ -32,6 +32,7 @@ from shmlink.gateway import (
     CsvAppender,
     Gateway,
     GatewayConfig,
+    GatewayError,
     NoRecords,
     ServerRefused,
     ServerUnreachable,
@@ -396,6 +397,15 @@ def test_unparseable_complete_line_quarantined(tmp_path):
     assert reopened.last_row == ["0", "1.0", "nan", "0.0", "47.0"]
     assert "not,a,valid" in (tmp_path / "t.csv.quarantine").read_text()
     assert len(read_table_csv(path.read_text())) == 1
+
+
+def test_complete_line_with_too_few_cells_quarantined(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(",".join(HEADER) + "\n0,1.0,nan,0.0,47.0\n1,2.0,nan,1.0\n")
+    reopened = CsvAppender(path, HEADER)
+    reopened.close()
+    assert reopened.last_row == ["0", "1.0", "nan", "0.0", "47.0"]
+    assert (tmp_path / "t.csv.quarantine").read_text() == "1,2.0,nan,1.0\n"
 
 
 def test_restart_reads_only_the_tail(tmp_path):
@@ -987,6 +997,16 @@ def test_close_sends_what_is_queued_and_leaves_no_thread(tmp_path):
     assert gw.answered == 5
     assert [r["frame_counter"] for r in latency_log(gw)] == [0, 1, 2, 3, 4]
     assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_closed_gateway_refuses_frames(tmp_path):
+    gw = intake_gateway(tmp_path, delta_ohm=0.0)
+    assert gw.ingest(frame(0)) is True
+    gw.close()
+    with pytest.raises(GatewayError, match="gateway is closed"):
+        gw.ingest(frame(1))
+    assert gw._pending == []
+    assert [r.t for r in read_table_csv((tmp_path / "t.csv").read_text())] == [0.0]
 
 
 # -- latency summary -----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Regressor: normalizer, forward/backward oracles, training, persistence."""
 
+import dataclasses
 import json
 import math
 
@@ -501,10 +502,16 @@ def test_grid_rejects_every_bad_combination_at_construction(fields):
         HyperGrid(**fields)
 
 
-@pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan, math.inf, True])
 def test_train_config_rejects_rate_that_is_not_positive_and_finite(rate):
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=rate)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, True, False])
+def test_train_config_rejects_plateau_tolerance_that_is_not_a_number(tolerance):
+    with pytest.raises(ValueError, match="plateau_tolerance"):
+        TrainConfig(plateau_tolerance=tolerance)
 
 
 @pytest.mark.parametrize("fields", [{"hidden_width": 8.0}, {"batch_size": 7.5},
@@ -646,6 +653,17 @@ def test_model_refuses_normalizer_of_another_shape(mu, sigma):
                        rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("field,spoil,match", [
+    ("layer_sizes", lambda m: [2, 8, 1], "is not"),
+    ("weights", lambda m: m.weights[:2], "three weight layers"),
+    ("feature_std", lambda m: np.array([1.0, 0.0]), "must be > 0"),
+], ids=["three_sizes", "two_weight_layers", "zero_std"])
+def test_model_refuses_a_structure_it_cannot_run(field, spoil, match):
+    model = seeded_model(d_in=2, width=8)
+    with pytest.raises(ShapeMismatch, match=match):
+        dataclasses.replace(model, **{field: spoil(model)})
+
+
 def test_model_file_with_a_short_mean_is_refused():
     doc = mlp.model_to_doc(seeded_model(d_in=2, width=8))
     doc["feature_mean"] = doc["feature_mean"][:1]
@@ -677,8 +695,13 @@ def test_missing_file_corrupt(tmp_path):
     lambda doc: doc["feature_std"].__setitem__(1, math.nan),
     lambda doc: doc["feature_std"].__setitem__(0, math.inf),
     lambda doc: doc.__setitem__("format_version", True),
+    lambda doc: doc["layer_sizes"].__setitem__(0, 2.9),
+    lambda doc: doc["layer_sizes"].__setitem__(0, 2.0),
+    lambda doc: doc["layer_sizes"].__setitem__(1, "8"),
+    lambda doc: doc["layer_sizes"].__setitem__(3, True),
+    lambda doc: doc.pop("weights"),
 ], ids=["nan_weight", "inf_weight", "inf_bias", "nan_mean", "nan_std", "inf_std",
-        "version_true"])
+        "version_true", "size_2.9", "size_float", "size_str", "size_true", "no_weights"])
 def test_model_that_cannot_predict_is_corrupt(tmp_path, spoil):
     doc = mlp.model_to_doc(seeded_model())
     spoil(doc)

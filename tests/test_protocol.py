@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from shmlink.protocol import (
     MAX_FRAME_SIZE,
+    MAX_MESSAGE_SIZE,
     BadMagic,
     CrcMismatch,
     Delivery,
@@ -24,6 +25,7 @@ from shmlink.protocol import (
     encode,
     link_send,
     recv_batches,
+    recv_message,
     send_message,
 )
 
@@ -89,6 +91,12 @@ def test_nine_channels_invalid():
         encode(TelemetryFrame(counter=0, node_id=0, resistances=(0.0,) * 9))
 
 
+@pytest.mark.parametrize("counter,node_id", [(2**32, 0), (0, 65536)])
+def test_counter_or_node_id_past_its_field_invalid(counter, node_id):
+    with pytest.raises(InvalidFrame):
+        encode(TelemetryFrame(counter=counter, node_id=node_id, resistances=(0.0,)))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_non_finite_or_negative_resistance_invalid(bad):
     with pytest.raises(InvalidFrame):
@@ -129,6 +137,12 @@ def test_unsupported_version():
 def test_truncated_mid_payload():
     with pytest.raises(Truncated):
         decode(EXAMPLE_FRAME_BYTES[:15])
+
+
+@pytest.mark.parametrize("length", range(5, 12))
+def test_truncated_mid_header(length):
+    with pytest.raises(Truncated, match="header needs"):
+        decode(EXAMPLE_FRAME_BYTES[:length])
 
 
 def test_trailing_bytes_rejected():
@@ -286,6 +300,15 @@ def test_recv_batches_yields_a_lone_message_without_waiting():
         reader.settimeout(5)
         send_message(writer, b"alone")
         assert next(recv_batches(reader, 64)) == [b"alone"]
+
+
+def test_recv_message_refuses_a_length_past_its_cap():
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        reader.settimeout(5)
+        writer.sendall(struct.pack("<I", MAX_MESSAGE_SIZE + 1))
+        with pytest.raises(ValueError, match="exceeds cap"):
+            recv_message(reader)
 
 
 def test_recv_batches_stops_at_an_oversized_prefix():

@@ -170,7 +170,8 @@ def test_load_model_inline_document(running_server):
 
 
 @pytest.mark.parametrize("key,value", [("feature_std", [float("nan"), 1.0]),
-                                       ("format_version", True)])
+                                       ("format_version", True),
+                                       ("layer_sizes", [2.9, "4", 4, True])])
 def test_load_model_that_cannot_predict_is_bad_model(running_server, tmp_path, key, value):
     doc = mlp.model_to_doc(mlp.init_model(2, 4, mu=np.zeros(2), sigma=np.ones(2),
                                           rng=np.random.default_rng(3)))
