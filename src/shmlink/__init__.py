@@ -46,7 +46,7 @@ from .mlp import (
     train,
 )
 from .protocol import LinkConfig, TelemetryFrame, decode, encode, link_send
-from .server import InferenceServer, ServerConfig, serve
+from .server import InferenceServer, ServerConfig
 
 __all__ = [
     "AdcEmulator", "ChannelInput", "SensorModel",
@@ -60,5 +60,5 @@ __all__ = [
     "evaluate", "fit_normalizer", "forward", "grid_search", "load_model",
     "save_model", "train",
     "LinkConfig", "TelemetryFrame", "decode", "encode", "link_send",
-    "InferenceServer", "ServerConfig", "serve",
+    "InferenceServer", "ServerConfig",
 ]

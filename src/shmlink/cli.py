@@ -232,6 +232,3 @@ def cmd_sync(args) -> int:
     print(f"{len(records)} aligned records -> {args.out}")
     return EXIT_OK
 
-
-if __name__ == "__main__":
-    sys.exit(main())

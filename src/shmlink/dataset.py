@@ -15,7 +15,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, Overflow
 from pathlib import Path
 
 import numpy as np
@@ -155,7 +155,10 @@ def parse_mechanical_csv(text: str) -> list[MechanicalSample]:
         if strain_is_percent:
             # scale in decimal space so "0.81" % lands exactly on 0.0081; Decimal
             # takes every text float() took above
-            strain = float(Decimal(row[strain_col].strip()) / 100)
+            try:
+                strain = float(Decimal(row[strain_col].strip()) / 100)
+            except Overflow:  # an exponent past Decimal's range, such as 1e999999999
+                raise MalformedRow(lineno, f"strain {row[strain_col]!r} out of range") from None
         samples.append(MechanicalSample(time=time, strain=strain, stress=cell(stress_col),
                                         force=cell(force_col), displacement=cell(disp_col)))
     return samples
@@ -216,12 +219,12 @@ def synchronize(mech: list[MechanicalSample], res: list[ResistanceSample],
     records = []
     for m in mech:
         target = m.time + offset
-        if target < lo or target > hi:
+        if not lo <= target <= hi:  # the not also drops a nan target
             continue
         idx = int(np.searchsorted(res_t, target))
-        best = min((i for i in (idx - 1, idx, idx + 1) if 0 <= i < res_t.size),
-                   key=lambda i: abs(res_t[i] - target))
-        if abs(res_t[best] - target) <= half_interval or res_t.size < 2:
+        # res_t[idx] >= target, so no later sample is nearer; a tie keeps the earlier
+        best = min((i for i in (idx - 1, idx) if i >= 0), key=lambda i: abs(res_t[i] - target))
+        if abs(res_t[best] - target) <= half_interval:
             t, resist = float(res_t[best]), tuple(float(v) for v in res_r[best])
         else:
             cols = [float(np.interp(target, res_t, res_r[:, c])) for c in range(res_r.shape[1])]

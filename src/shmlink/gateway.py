@@ -49,7 +49,6 @@ from .protocol import (
     DEFAULT_HOST,
     DEFAULT_PORT,
     MAX_FRAME_SIZE,
-    ConnectionClosed,
     FrameError,
     TelemetryFrame,
     decode,
@@ -140,7 +139,7 @@ def latency_summary(end_to_end: list[float]) -> dict[str, float]:
     n = len(values)
 
     def nearest_rank(p: float) -> float:
-        return values[max(0, math.ceil(p / 100.0 * n) - 1)]
+        return values[math.ceil(p / 100.0 * n) - 1]
 
     return {"count": float(n), "mean": sum(values) / n,
             "p50": nearest_rank(50.0), "p95": nearest_rank(95.0), "max": values[-1]}
@@ -407,7 +406,7 @@ class Gateway:
                     if not isinstance(reply, dict):
                         raise ValueError(f"reply {reply!r} is not an object")
                     break
-                except (OSError, ConnectionClosed, ValueError) as exc:
+                except (OSError, ValueError) as exc:
                     self._drop_server_connection()
                     if attempt:
                         raise ServerUnreachable(f"2 attempts failed: {exc}") from exc

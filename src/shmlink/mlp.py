@@ -62,10 +62,6 @@ class CorruptModelFile(MlError):
     pass
 
 
-class ShapeMismatch(MlError):
-    pass
-
-
 def fit_normalizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column means and population standard deviations of a feature matrix.
 
@@ -95,18 +91,18 @@ class MlpModel:
 
     def __post_init__(self):
         if len(self.layer_sizes) != 4 or self.layer_sizes[-1] != 1:
-            raise ShapeMismatch(f"layer_sizes {self.layer_sizes} is not [d_in, h1, h2, 1]")
+            raise DimensionMismatch(f"layer_sizes {self.layer_sizes} is not [d_in, h1, h2, 1]")
         if len(self.weights) != 3 or len(self.biases) != 3:
-            raise ShapeMismatch("exactly three weight layers expected")
+            raise DimensionMismatch("exactly three weight layers expected")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             expect = (self.layer_sizes[i + 1], self.layer_sizes[i])
             if w.shape != expect or b.shape != (expect[0],):
-                raise ShapeMismatch(f"layer {i + 1}: weights {w.shape}, expected {expect}")
+                raise DimensionMismatch(f"layer {i + 1}: weights {w.shape}, expected {expect}")
         if not self.feature_mean.shape == self.feature_std.shape == (self.d_in,):
-            raise ShapeMismatch(f"feature_mean {self.feature_mean.shape} and feature_std "
-                                f"{self.feature_std.shape} are not ({self.d_in},)")
+            raise DimensionMismatch(f"feature_mean {self.feature_mean.shape} and feature_std "
+                                    f"{self.feature_std.shape} are not ({self.d_in},)")
         if not np.all(self.feature_std > 0.0):  # also refuses nan
-            raise ShapeMismatch("feature_std components must be > 0")
+            raise DimensionMismatch("feature_std components must be > 0")
 
     @property
     def d_in(self) -> int:
@@ -247,7 +243,7 @@ def _parameter_views(flat: np.ndarray, sizes: list[int]):
 def evaluate(model: MlpModel, test_x: np.ndarray, test_y: np.ndarray) -> tuple[float, float]:
     """(MSE, MAE) of the ``forward_rows`` predictions on the test rows, in ingested units."""
     test_x = np.asarray(test_x, dtype=float)
-    if test_x.size == 0 or test_x.shape[0] == 0:
+    if test_x.size == 0:
         raise EmptyTestSet("no test rows")
     residual = forward_rows(model, test_x) - np.asarray(test_y, dtype=float).ravel()
     return float(np.mean(residual * residual)), float(np.mean(np.abs(residual)))

@@ -77,14 +77,14 @@ class CrcMismatch(FrameError):
 
 @dataclass(frozen=True)
 class TelemetryFrame:
-    """One telemetry message: node counter plus per-channel resistances (ohm)."""
+    """One telemetry message: node counter plus per-channel resistances (ohm).
+
+    The resistances are kept as given, so pass a tuple of floats.
+    """
 
     counter: int
     resistances: tuple[float, ...]
     node_id: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "resistances", tuple(float(r) for r in self.resistances))
 
     @property
     def channel_count(self) -> int:
@@ -196,8 +196,8 @@ READ_SIZE = 64 * 1024  # bytes asked of one recv by recv_batches
 _LENGTH = struct.Struct("<I")
 
 
-class ConnectionClosed(Exception):
-    pass
+class ConnectionClosed(ConnectionError):
+    """The peer closed the stream in the middle of a message."""
 
 
 def send_message(sock: socket.socket, payload: bytes) -> None:

@@ -207,9 +207,3 @@ def _check_cells(rows) -> None:
                 pass
             raise Refused("bad_message", f"cell {v!r} is not a finite number")
 
-
-def serve(config: ServerConfig) -> InferenceServer:
-    """Load models, bind, and return the running service."""
-    server = InferenceServer(config)
-    server.start()
-    return server

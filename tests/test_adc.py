@@ -184,6 +184,8 @@ def test_channel_not_armed():
     emu.write_register(IO_CONTROL_1, 0x003811)
     with pytest.raises(ChannelNotArmed):
         emu.sample_channel(0, now=0.0)
+    with pytest.raises(ChannelNotArmed):  # past the last channel
+        emu.sample_channel(8, now=0.0)
 
 
 def test_excitation_off():

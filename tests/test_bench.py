@@ -50,6 +50,12 @@ def test_run_bench_stops_what_it_started_when_setup_fails(monkeypatch):
     assert [t for t in threading.enumerate() if t not in before] == []
 
 
+def test_run_bench_refuses_an_unknown_mode_before_starting_anything(monkeypatch):
+    monkeypatch.setattr(bench, "InferenceServer", None)  # building one raises TypeError
+    with pytest.raises(ValueError, match="unknown mode 'pull'"):
+        run_bench("pull")
+
+
 def test_run_bench_refuses_no_frames_before_starting_anything(monkeypatch):
     monkeypatch.setattr(bench, "InferenceServer", None)  # building one raises TypeError
     with pytest.raises(ValueError, match="frames"):

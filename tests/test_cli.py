@@ -382,6 +382,18 @@ def test_sync_refuses_a_log_whose_clock_steps_back(tmp_path, offset):
     assert not out.exists()
 
 
+def test_sync_percent_strain_past_decimal_range_exits_two(tmp_path):
+    mech_path, res_path = tmp_path / "mech.csv", tmp_path / "res.csv"
+    mech_path.write_text("Time (s),Strain (%)\n0,0.5\n1,1e999999999\n")
+    res_path.write_text("t,R1\n0,47\n1,48\n")
+    out = tmp_path / "out.csv"
+    result = run_cli("sync", "--mech", str(mech_path), "--res", str(res_path),
+                     "--offset", "0", "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert "error: line 3: strain '1e999999999' out of range" in result.stderr
+    assert not out.exists()
+
+
 # -- bench-latency --------------------------------------------------------------------
 
 

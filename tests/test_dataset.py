@@ -78,6 +78,21 @@ def test_parse_non_numeric_strain_reports_line():
     assert excinfo.value.line == 3
 
 
+def test_parse_missing_strain_cell_names_its_line():
+    with pytest.raises(MalformedRow, match="line 3: missing time or strain value"):
+        parse_mechanical_csv("Time,Strain\n0.0,0.1\n1.0,\n")
+
+
+def test_percent_strain_past_decimal_range_is_a_malformed_row():
+    # Decimal's default context overflows dividing 1e999999999 by 100
+    with pytest.raises(MalformedRow, match="line 3: strain '1e999999999' out of range"):
+        parse_mechanical_csv("Time (s),Strain (%)\n0,0.5\n1,1e999999999\n")
+
+
+def test_percent_strain_past_float_range_still_parses():
+    assert [s.strain for s in parse_mechanical_csv("Time (s),Strain (%)\n0,1e400\n")] == [math.inf]
+
+
 def test_parse_plain_time_series():
     samples = parse_mechanical_csv("Time,Strain\n0.0,0.001\n0.1,0.002\n")
     assert [s.strain for s in samples] == [0.001, 0.002]  # no % header, no rescale
@@ -88,6 +103,9 @@ def test_parse_resistance_log():
     assert samples[0] == ResistanceSample(t=0.0, resistances=(47.0, 120.0))
     with pytest.raises(MissingColumn):
         parse_resistance_csv("")
+    with pytest.raises(MissingColumn) as excinfo:
+        parse_resistance_csv("t\n0\n")
+    assert excinfo.value.name == "R1"
     with pytest.raises(MalformedRow):
         parse_resistance_csv("t,R1\n0.0,x\n")
 
@@ -139,6 +157,31 @@ def test_synchronize_no_overlap():
     res = [ResistanceSample(t=t, resistances=(47.0,)) for t in np.arange(0, 10, 0.1)]
     with pytest.raises(NoOverlap):
         synchronize(mech, res, offset=1000.0)
+    with pytest.raises(NoOverlap, match="empty series"):
+        synchronize([], res, offset=0.0)
+
+
+def test_synchronize_nan_offset_has_no_overlap():
+    # a nan shifted time lies in no overlap; it used to join with nan resistances
+    mech = [MechanicalSample(time=t, strain=0.1) for t in (0.0, 0.5, 1.0)]
+    for log_times in ((0.5,), (0.0, 0.5, 1.0)):
+        res = [ResistanceSample(t=t, resistances=(47.0,)) for t in log_times]
+        with pytest.raises(NoOverlap):
+            synchronize(mech, res, math.nan)
+
+
+def test_one_sample_log_joins_only_its_instant():
+    mech = [MechanicalSample(time=t, strain=0.1) for t in (0.0, 0.5, 1.0)]
+    res = [ResistanceSample(t=0.5, resistances=(47.0, 120.0))]
+    assert [(r.time, r.t) for r in synchronize(mech, res, 0.0)] == [(0.5, 0.5)]
+
+
+def test_target_midway_between_samples_takes_the_earlier():
+    # both neighbors lie exactly half an interval away, so neither is interpolated
+    mech = [MechanicalSample(time=0.5, strain=0.1), MechanicalSample(time=1.5, strain=0.2)]
+    res = [ResistanceSample(t=float(t), resistances=(47.0 + t,)) for t in range(3)]
+    assert [(r.t, r.resistances) for r in synchronize(mech, res, 0.0)] == [
+        (0.0, (47.0,)), (1.0, (48.0,))]
 
 
 def test_synchronize_identity_join():
@@ -250,6 +293,13 @@ def test_estimate_too_few_samples_rejected():
         estimate_offset(mech, res)
 
 
+def test_estimate_degenerate_time_axis_rejected():
+    mech = [MechanicalSample(time=0.0, strain=float(t)) for t in range(20)]
+    res = [ResistanceSample(t=float(t), resistances=(float(t),)) for t in range(20)]
+    with pytest.raises(InsufficientVariation, match="degenerate time axis"):
+        estimate_offset(mech, res)
+
+
 def test_recovered_offset_survives_synchronize():
     mech, res = offset_pair(offset=42.5, n=1500, seed=9)
     estimate = estimate_offset(mech, res)
@@ -293,6 +343,12 @@ def test_split_ceiling_rule():
 def test_split_too_few():
     with pytest.raises(TooFewRecords):
         split_chronological(make_records(3), 0.5)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, math.nan])
+def test_split_fraction_outside_open_unit_interval(fraction):
+    with pytest.raises(ValueError, match="train_fraction"):
+        split_chronological(make_records(10), fraction)
 
 
 def test_split_preserves_order():

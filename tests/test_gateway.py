@@ -44,14 +44,16 @@ from shmlink.gateway import (
 )
 from shmlink.protocol import (
     COUNTER_MODULUS,
+    ConnectionClosed,
     TelemetryFrame,
     encode,
     listen,
     recv_batches,
+    recv_message,
     send_message,
     serve_connections,
 )
-from shmlink.server import ServerConfig, serve
+from shmlink.server import InferenceServer, ServerConfig
 from test_protocol import CutReads
 from test_server import gain_server
 
@@ -117,8 +119,9 @@ def model_server(tmp_path):
     model = mlp.init_model(2, 8, mu=np.array([47.0, 120.0]), sigma=np.ones(2), rng=rng)
     model_path = tmp_path / "model.json"
     mlp.save_model(model, model_path)
-    server = serve(ServerConfig(host="127.0.0.1", port=0,
-                                model_files={"default": str(model_path)}))
+    server = InferenceServer(ServerConfig(host="127.0.0.1", port=0,
+                                          model_files={"default": str(model_path)}))
+    server.start()
     yield server
     server.stop()
 
@@ -738,6 +741,29 @@ def test_server_that_never_answers_is_unreachable_within_two_timeouts(tmp_path, 
     assert not server.is_alive()
 
 
+def test_server_that_closes_without_a_reply_is_unreachable_after_two_attempts(tmp_path):
+    listener = listen("127.0.0.1", 0)
+    stop = threading.Event()
+    requests = []  # each connection reads one request, then closes without a reply
+    server = threading.Thread(target=serve_connections,
+                              args=(listener, lambda conn: requests.append(recv_message(conn)),
+                                    stop))
+    server.start()
+    gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % listener.getsockname(),
+                               persistence_path=str(tmp_path / "t.csv")))
+    try:
+        with pytest.raises(ServerUnreachable, match="2 attempts failed") as unreachable:
+            gw.request_prediction([[1.0, 2.0]])
+    finally:
+        gw.close()
+        stop.set()
+        server.join(timeout=10)
+        listener.close()
+    assert not server.is_alive()
+    assert isinstance(unreachable.value.__cause__, ConnectionClosed)
+    assert len(requests) == 2
+
+
 @pytest.mark.parametrize("endpoint", ["localhost", "127.0.0.1:99999", "127.0.0.1:0",
                                       ":7420", "127.0.0.1:", "127.0.0.1:http"])
 def test_server_endpoint_must_be_host_and_port(endpoint):
@@ -763,7 +789,8 @@ def test_server_refusal_is_asked_once(tmp_path, models, rows, error):
         model_files["default"] = str(tmp_path / "model.json")
         mlp.save_model(mlp.init_model(2, 4, mu=np.zeros(2), sigma=np.ones(2),
                                       rng=np.random.default_rng(0)), model_files["default"])
-    server = serve(ServerConfig(host="127.0.0.1", port=0, model_files=model_files))
+    server = InferenceServer(ServerConfig(host="127.0.0.1", port=0, model_files=model_files))
+    server.start()
     answered = []
     handle_message = server.handle_message
 
@@ -1193,11 +1220,9 @@ def test_request_prediction_reconnects_after_server_restart(tmp_path):
     port = probe.getsockname()[1]
     probe.close()
 
-    def start_server():
-        return serve(ServerConfig(host="127.0.0.1", port=port,
-                                  model_files={"default": str(model_path)}))
-
-    first = start_server()
+    config = ServerConfig(host="127.0.0.1", port=port, model_files={"default": str(model_path)})
+    first = InferenceServer(config)
+    first.start()
     gw = Gateway(GatewayConfig(node_endpoints=["127.0.0.1:0"],
                                server_endpoint=f"127.0.0.1:{port}",
                                persistence_path=str(tmp_path / "t.csv")))
@@ -1209,7 +1234,8 @@ def test_request_prediction_reconnects_after_server_restart(tmp_path):
     with pytest.raises(ServerUnreachable):
         gw.request_prediction([[0.5, -0.5]])
 
-    second = start_server()
+    second = InferenceServer(config)
+    second.start()
     try:
         after = gw.request_prediction([[0.5, -0.5]])  # reconnects transparently
         assert after == before  # purity across restarts, via the gateway

@@ -18,7 +18,6 @@ from shmlink.mlp import (
     HyperGrid,
     MlpModel,
     NonFiniteLoss,
-    ShapeMismatch,
     TrainConfig,
     TrainData,
     UnsupportedVersion,
@@ -80,6 +79,12 @@ def test_fit_normalizer_rejects_constant_column():
     with pytest.raises(DegenerateFeature) as excinfo:
         fit_normalizer(features)
     assert excinfo.value.column == 1
+
+
+@pytest.mark.parametrize("features", [[[47.0, 120.0]], [47.0, 120.0]], ids=["one_row", "1d"])
+def test_fit_normalizer_needs_a_matrix_of_two_rows(features):
+    with pytest.raises(DimensionMismatch, match=">= 2 rows"):
+        fit_normalizer(np.array(features))
 
 
 def test_fit_normalizer_standardized_column():
@@ -584,8 +589,14 @@ def test_evaluate_pinned_residuals():
 
 
 def test_evaluate_empty_test_set():
-    with pytest.raises(EmptyTestSet):
-        evaluate(identity_chain_model(), np.zeros((0, 1)), np.zeros(0))
+    for shape in ((0, 1), (1, 0), (0,)):
+        with pytest.raises(EmptyTestSet):
+            evaluate(identity_chain_model(), np.zeros(shape), np.zeros(0))
+
+
+def test_evaluate_scalar_test_set_is_not_a_matrix():
+    with pytest.raises(DimensionMismatch):
+        evaluate(identity_chain_model(), np.float64(1.0), np.zeros(1))
 
 
 # -- persistence --------------------------------------------------------------------
@@ -637,7 +648,7 @@ def test_reshaped_weights_shape_mismatch(tmp_path):
     w1 = doc["weights"][0]
     doc["weights"][0] = [sum(w1, [])]  # 8x2 flattened into 1x16
     path.write_text(json.dumps(doc))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         load_model(path)
 
 
@@ -648,7 +659,7 @@ def test_reshaped_weights_shape_mismatch(tmp_path):
 ], ids=["short_mean", "short_std", "row_matrices"])
 def test_model_refuses_normalizer_of_another_shape(mu, sigma):
     # one mean would broadcast over both columns, and the saved model would not load back
-    with pytest.raises(ShapeMismatch, match="feature_mean"):
+    with pytest.raises(DimensionMismatch, match="feature_mean"):
         mlp.init_model(2, 4, mu=np.array(mu), sigma=np.array(sigma),
                        rng=np.random.default_rng(0))
 
@@ -660,14 +671,14 @@ def test_model_refuses_normalizer_of_another_shape(mu, sigma):
 ], ids=["three_sizes", "two_weight_layers", "zero_std"])
 def test_model_refuses_a_structure_it_cannot_run(field, spoil, match):
     model = seeded_model(d_in=2, width=8)
-    with pytest.raises(ShapeMismatch, match=match):
+    with pytest.raises(DimensionMismatch, match=match):
         dataclasses.replace(model, **{field: spoil(model)})
 
 
 def test_model_file_with_a_short_mean_is_refused():
     doc = mlp.model_to_doc(seeded_model(d_in=2, width=8))
     doc["feature_mean"] = doc["feature_mean"][:1]
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         mlp.model_from_doc(doc)
 
 

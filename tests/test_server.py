@@ -14,7 +14,7 @@ import pytest
 
 from shmlink import mlp
 from shmlink.protocol import MAX_MESSAGE_SIZE, ConnectionClosed, recv_message, send_message
-from shmlink.server import InferenceServer, Refused, ServerConfig, serve
+from shmlink.server import InferenceServer, Refused, ServerConfig
 
 
 @pytest.fixture
@@ -30,7 +30,8 @@ def model_file(tmp_path):
 def running_server(model_file):
     config = ServerConfig(host="127.0.0.1", port=0,
                           model_files={"default": str(model_file)})
-    server = serve(config)
+    server = InferenceServer(config)
+    server.start()
     yield server
     server.stop()
 
@@ -231,8 +232,9 @@ def test_purity_across_restarts(tmp_path, model_file):
     row = [[51.2, 42.8]]
 
     def one_run():
-        server = serve(ServerConfig(host="127.0.0.1", port=0,
-                                    model_files={"default": str(model_file)}))
+        server = InferenceServer(ServerConfig(host="127.0.0.1", port=0,
+                                              model_files={"default": str(model_file)}))
+        server.start()
         try:
             return roundtrip(server, {"type": "predict", "request_id": 1, "rows": row})
         finally:
@@ -253,8 +255,9 @@ def test_handle_predict_model_not_loaded():
 
 def test_stop_ends_every_server_thread_with_client_connected(model_file):
     before = set(threading.enumerate())
-    server = serve(ServerConfig(host="127.0.0.1", port=0,
-                                model_files={"default": str(model_file)}))
+    server = InferenceServer(ServerConfig(host="127.0.0.1", port=0,
+                                          model_files={"default": str(model_file)}))
+    server.start()
     client = socket.create_connection(server.address, timeout=5)
     with client:
         assert roundtrip(server, {"type": "health"}, sock=client)["type"] == "health_ok"
