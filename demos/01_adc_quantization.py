@@ -9,7 +9,7 @@ range is [0, 2500) ohm in steps of one LSB ~ 0.149 mOhm.
 
 import numpy as np
 
-from shmlink import code_to_resistance, resistance_to_code
+from shmlink.adc import code_to_resistance, resistance_to_code
 
 lsb = 2.5 / 16777216 / 0.001
 print(f"LSB = {lsb * 1e3:.6f} mOhm, full scale = 2500 Ohm\n")

@@ -16,9 +16,8 @@ import math
 
 import numpy as np
 
-from shmlink import code_to_resistance
 from shmlink.adc import (DECIMATION, MODULATOR_RATE, OUTPUT_RATE, AdcEmulator, ChannelInput,
-                         SensorModel, sinc3_kernel)
+                         SensorModel, code_to_resistance, sinc3_kernel)
 
 print(f"modulator {MODULATOR_RATE:.0f} Hz, decimation {DECIMATION}, "
       f"output rate {OUTPUT_RATE:.0f} Hz\n")

@@ -10,8 +10,8 @@ surface as a CRC mismatch.
 
 import random
 
-from shmlink import LinkConfig, TelemetryFrame, decode, encode, link_send
-from shmlink.protocol import CrcMismatch, Truncated
+from shmlink.protocol import (CrcMismatch, LinkConfig, TelemetryFrame, Truncated, decode, encode,
+                              link_send)
 
 frame = TelemetryFrame(counter=7, node_id=3, resistances=(47.0, 120.0))
 data = encode(frame)

@@ -8,7 +8,7 @@ offset; the join then matches each mechanical sample to the nearest
 resistance sample (interpolating across sparse gaps).
 """
 
-from shmlink import estimate_offset, synchronize, write_table_csv
+from shmlink.dataset import estimate_offset, synchronize, write_table_csv
 from shmlink.synthetic import offset_pair
 
 TRUE_OFFSET = 164.038

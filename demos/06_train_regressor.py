@@ -12,7 +12,8 @@ through its JSON document bit-exactly.
 import tempfile
 from pathlib import Path
 
-from shmlink import HyperGrid, TrainData, forward, grid_search, load_model, read_table_csv, save_model
+from shmlink.dataset import read_table_csv
+from shmlink.mlp import HyperGrid, TrainData, forward, grid_search, load_model, save_model
 
 DATA = Path(__file__).parent.parent / "data" / "synthetic_2ch.csv"
 

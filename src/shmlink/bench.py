@@ -9,12 +9,13 @@ gateway's latency log.
 
 Push mode: every frame triggers an immediate TCP predict round trip.
 Poll mode, the legacy baseline that lives only here: ``PollGateway``'s sender
-thread is a scan that answers the queued triggers every interval through
-``server.handle_predict``, so each trigger waits for the next scan.  Frames
-arrive on the node tick schedule, spreading arrivals across poll cycles; with
-the default 0.2 s tick, 200 triggers span several 5 s cycles and the measured
-mean approaches interval/2 plus the processing base, without serializing the
-waits.  ``run_node`` is the one emulated node, which ``shmlink simulate-node``
+thread is a scan that sends the queued triggers to the server every interval,
+over the same connection and messages as a push gateway, so each trigger
+waits for the next scan and the two modes differ only in when they send.
+Frames arrive on the node tick schedule, spreading arrivals across poll
+cycles; with the default 0.2 s tick, 200 triggers span several 5 s cycles and
+the measured mean approaches interval/2 plus the processing base, without
+serializing the waits.  ``run_node`` is the one emulated node, which ``shmlink simulate-node``
 runs as well; ``stream_node`` is its tick loop.
 """
 
@@ -99,14 +100,12 @@ class PollGateway(Gateway):
     """The legacy poll baseline: a gateway whose sender thread is a periodic scan.
 
     Every ``interval`` (at most MAX_WAIT) seconds from its start, the sender
-    answers the whole queue through ``server.handle_predict`` with
-    ``Gateway._answer``; ``close()`` answers what is still queued at once.
+    sends the whole queue to the server with ``Gateway._answer``, as a push
+    gateway's sender does; ``close()`` answers what is still queued at once.
     """
 
-    def __init__(self, config: GatewayConfig, server: InferenceServer, interval: float):
-        # before super().__init__, which starts the sender thread
-        self.server = server
-        self.interval = interval
+    def __init__(self, config: GatewayConfig, interval: float):
+        self.interval = interval  # before super().__init__, which starts the sender thread
         super().__init__(config)
 
     def _send_pending(self) -> None:
@@ -117,7 +116,7 @@ class PollGateway(Gateway):
             with self._queued:
                 closed = self._queued.wait_for(lambda: self._closed, scan - time.perf_counter())
                 queued, self._pending = self._pending, []
-            self._answer(queued, lambda rows: self.server.handle_predict(DEFAULT_MODEL_ID, rows))
+            self._answer(queued)
 
 
 def run_bench(mode: str, frames: int = 200, tick: float | None = None,
@@ -153,7 +152,7 @@ def run_bench(mode: str, frames: int = 200, tick: float | None = None,
         config = GatewayConfig(server_endpoint=f"{host}:{port}",
                                persistence_path=str(work / "telemetry.csv"),
                                latency_log_path=str(work / "latency.csv"))
-        gateway = (PollGateway(config, server, poll_interval) if mode == "poll"
+        gateway = (PollGateway(config, poll_interval) if mode == "poll"
                    else Gateway(config))
         running.callback(gateway.close)
 

@@ -6,7 +6,8 @@ decoded frame is appended to a crash-safe CSV (canonical
 as nan, t carries the node counter), a counter not newer (in serial-number
 order) than the highest its node sent on the same connection is dropped as a
 duplicate, and an event rule decides when a frame triggers a prediction.
-Every answered trigger appends one row to the latency log, stamped on the
+Every answered trigger appends one row to the latency log, which every
+gateway writes (``latency.csv`` unless configured otherwise), stamped on the
 monotonic clock in program order: frame received <= request sent <= response
 received.  Both files are ``CsvAppender`` logs: a torn tail is quarantined on
 restart, a file with another header is left alone, and rows whose write fails
@@ -27,7 +28,7 @@ coalesced frame's ``t_request_sent`` is the time its batch was sent, and each
 batch's latency rows are written with one write.
 ``Gateway._send_pending`` is the sender thread's loop; the bench's
 periodic-scan baseline overrides it to answer the queue once per interval,
-through the same per-channel-count ``_answer``.
+through the same per-channel-count ``_answer`` and the same server requests.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class GatewayConfig:
     mode: str = "push"  # the only mode; kept while perfbench/sut.py passes it
     persistence_path: str = "telemetry.csv"
     trigger: TriggerRule = field(default_factory=TriggerRule)
-    latency_log_path: str | None = None
+    latency_log_path: str = "latency.csv"
 
     def __post_init__(self):
         if not self.node_endpoints:
@@ -265,8 +266,7 @@ class Gateway:
         self._closed = False
         # triggers answered so far, one latency-log row each; written only by the sender thread
         self.answered = 0
-        self._latency = (CsvAppender(config.latency_log_path, LATENCY_HEADER)
-                         if config.latency_log_path else None)
+        self._latency = CsvAppender(config.latency_log_path, LATENCY_HEADER)
         self._sender = threading.Thread(target=self._send_pending, name="gateway-sender", daemon=True)
         self._sender.start()
 
@@ -357,12 +357,12 @@ class Gateway:
                 queued, self._pending = self._pending, []
             if not queued:
                 return
-            self._answer(queued, self.request_prediction)
+            self._answer(queued)
 
-    def _answer(self, queued: list[tuple[TelemetryFrame, float]], predict) -> None:
-        """Answer ``(frame, received)`` triggers with one ``predict(rows)`` per channel count.
+    def _answer(self, queued: list[tuple[TelemetryFrame, float]]) -> None:
+        """Answer ``(frame, received)`` triggers with one ``request_prediction`` per channel count.
 
-        Batches go in order of arrival.  A batch whose ``predict`` raises any
+        Batches go in order of arrival.  A batch whose request raises any
         Exception loses its frames' predictions (logged); the batches after it
         are answered.  Runs on the sender thread only.
         """
@@ -372,7 +372,7 @@ class Gateway:
             queued = [item for item in queued if item[0].channel_count != width]
             sent = time.perf_counter()
             try:
-                predict([list(f.resistances) for f, _ in batch])
+                self.request_prediction([list(f.resistances) for f, _ in batch])
             except Exception:
                 log.exception("trigger send failed; predictions lost for (node, counter) %s",
                               [(f.node_id, f.counter) for f, _ in batch])
@@ -436,8 +436,6 @@ class Gateway:
     def _record_latency(self, answers: list[tuple[TelemetryFrame, float, float, float]]) -> None:
         """One latency-log row per ``(frame, received, sent, done)``, written with one write."""
         self.answered += len(answers)
-        if self._latency is None or not answers:
-            return
         try:
             self._latency.append("".join(
                 csv_line((frame.counter, frame.node_id, received, sent, done, done - received))
@@ -460,8 +458,7 @@ class Gateway:
             self._drop_server_connection()
         if self._csv is not None:
             self._csv.close()
-        if self._latency is not None:
-            self._latency.close()
+        self._latency.close()
 
 
 # -- live node intake ------------------------------------------------------------------

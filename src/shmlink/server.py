@@ -2,8 +2,8 @@
 
 Clients connect over TCP and exchange length-prefixed (u32 LE) JSON messages
 with a ``type`` field of predict / load_model / health.  ``handle_predict`` is
-the model application behind every predict answer; the bench's periodic-scan
-baseline calls it directly.
+the model application behind every predict answer, a push gateway's and the
+bench's periodic-scan baseline's alike: both send their batches over TCP.
 
 A malformed message earns an error reply, built by ``Refused.reply``, on its
 own connection and never disturbs other clients: ``bad_message`` for an

@@ -168,6 +168,16 @@ def test_status_polling_completes_conversion():
     assert emu.rdy == 0
 
 
+def test_status_read_with_nothing_pending_converts_nothing():
+    emu = armed_emulator([ChannelInput(resistance=120.0)] + [ChannelInput()] * 7)
+    emu.sample_channel(0, now=0.0)
+    status = emu.read_register(STATUS)
+    emu.sensors.set_resistance(0, 100.0)  # a conversion now would latch another code
+    for _ in range(3):
+        assert emu.read_register(STATUS) == status
+    assert emu.read_register(DATA) == 805306
+
+
 def test_sample_channel_pinned():
     emu = armed_emulator([ChannelInput(resistance=100.0)] + [ChannelInput()] * 7)
     assert emu.sample_channel(0, now=0.0) == 671089

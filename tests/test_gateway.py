@@ -130,6 +130,7 @@ def quiet_config(tmp_path, server_endpoint: str) -> GatewayConfig:
     """A gateway whose rule fires only on each node's first frame."""
     return GatewayConfig(server_endpoint=server_endpoint,
                          persistence_path=str(tmp_path / "telemetry.csv"),
+                         latency_log_path=str(tmp_path / "latency.csv"),
                          trigger=TriggerRule(every_frame=False, delta_ohm=1e9))
 
 
@@ -282,9 +283,9 @@ def test_duplicates_are_dropped_per_node_on_a_new_connection(quiet_gateway, tmp_
 # -- the bench's poll baseline: a sender thread that scans ------------------------------
 
 
-def poll_config(tmp_path) -> GatewayConfig:
-    """A gateway that fires on every frame and logs latency; no server is dialled."""
-    return GatewayConfig(server_endpoint=dead_endpoint(),
+def poll_config(tmp_path, server: InferenceServer) -> GatewayConfig:
+    """A gateway that fires on every frame and sends its scans to ``server``."""
+    return GatewayConfig(server_endpoint="%s:%d" % server.address,
                          persistence_path=str(tmp_path / "telemetry.csv"),
                          latency_log_path=str(tmp_path / "latency.csv"))
 
@@ -299,7 +300,7 @@ def wait_until(condition, timeout: float = 5.0) -> None:
 def test_poll_trigger_is_answered_at_the_next_scan_and_not_before(tmp_path, model_server):
     interval = 0.5
     started = time.perf_counter()
-    gw = PollGateway(poll_config(tmp_path), model_server, interval)
+    gw = PollGateway(poll_config(tmp_path, model_server), interval)
     try:
         time.sleep(interval / 5)  # land between the start and the first scan
         gw.ingest(frame(0))
@@ -312,7 +313,7 @@ def test_poll_trigger_is_answered_at_the_next_scan_and_not_before(tmp_path, mode
 
 
 def test_poll_latency_rows_are_in_stage_order(tmp_path, model_server):
-    gw = PollGateway(poll_config(tmp_path), model_server, 0.05)
+    gw = PollGateway(poll_config(tmp_path, model_server), 0.05)
     try:
         for counter in range(6):
             gw.ingest(frame(counter))
@@ -327,7 +328,9 @@ def test_poll_latency_rows_are_in_stage_order(tmp_path, model_server):
 
 
 def test_poll_prediction_that_overflows_loses_only_its_batch(tmp_path, caplog):
-    gw = PollGateway(poll_config(tmp_path), gain_server(tmp_path), 0.1)
+    server = gain_server(tmp_path)
+    server.start()
+    gw = PollGateway(poll_config(tmp_path, server), 0.1)
     try:
         with caplog.at_level(logging.ERROR, logger="shmlink.gateway"), \
                 pytest.warns(RuntimeWarning, match="overflow"):
@@ -337,11 +340,12 @@ def test_poll_prediction_that_overflows_loses_only_its_batch(tmp_path, caplog):
         wait_until(lambda: gw.answered == 1)
     finally:
         gw.close()
+        server.stop()
     assert [r["frame_counter"] for r in latency_log(gw)] == [1]
 
 
 def test_poll_close_answers_the_queue_without_waiting_for_the_scan(tmp_path, model_server):
-    gw = PollGateway(poll_config(tmp_path), model_server, 3600.0)
+    gw = PollGateway(poll_config(tmp_path, model_server), 3600.0)
     gw.ingest(frame(0))
     gw.ingest(frame(1, (47.5, 120.0)))
     closing = time.perf_counter()
@@ -350,6 +354,35 @@ def test_poll_close_answers_the_queue_without_waiting_for_the_scan(tmp_path, mod
     assert gw.answered == 2
     assert [r["frame_counter"] for r in latency_log(gw)] == [0, 1]
     assert not gw._sender.is_alive()
+
+
+def test_poll_scan_sends_one_predict_per_channel_count_over_the_wire(tmp_path, model_server):
+    """The baseline's scan reaches the server as a push gateway's batches do, bits included."""
+    model = mlp.load_model(tmp_path / "model.json")
+    handled = []  # (request, reply) of every message the server handled
+    handle_message = model_server.handle_message
+
+    def recording(raw):
+        reply = handle_message(raw)
+        handled.append((json.loads(raw), reply))
+        return reply
+
+    model_server.handle_message = recording
+    narrow = [frame(c, (47.0 + c / 7, 120.0 - c / 3)) for c in range(4)]
+    wide = frame(4, (47.0, 120.0, 100.0))
+    gw = PollGateway(poll_config(tmp_path, model_server), 3600.0)
+    for f in narrow[:2] + [wide] + narrow[2:]:
+        gw.ingest(f)
+    gw.close()  # one scan answers the whole queue
+    rows = [list(f.resistances) for f in narrow]
+    assert [request["type"] for request, _ in handled] == ["predict", "predict"]
+    assert [request["rows"] for request, _ in handled] == [rows, [list(wide.resistances)]]
+    (_, answer), (_, refusal) = handled
+    assert [p.hex() for p in answer["predictions"]] \
+        == [p.hex() for p in mlp.forward_rows(model, rows).tolist()]
+    assert refusal["error"] == "shape_mismatch"  # the model takes 2 channels
+    assert gw.answered == 4
+    assert [r["frame_counter"] for r in latency_log(gw)] == [0, 1, 2, 3]
 
 
 # -- crash-safe persistence ----------------------------------------------------------------
@@ -651,7 +684,8 @@ def test_loopback_end_to_end_under_one_second(served_gateway):
 def test_server_down_unreachable_after_retries(tmp_path):
     gw = Gateway(GatewayConfig(node_endpoints=["127.0.0.1:0"],
                                server_endpoint=dead_endpoint(),
-                               persistence_path=str(tmp_path / "t.csv")))
+                               persistence_path=str(tmp_path / "t.csv"),
+                               latency_log_path=str(tmp_path / "lat.csv")))
     with pytest.raises(ServerUnreachable):
         gw.request_prediction([[1.0, 2.0]])
     gw.close()
@@ -676,21 +710,30 @@ def silent_server():
 
 @pytest.mark.parametrize("silent", [False, True], ids=["refusing", "silent"])
 def test_server_refusing_costs_no_wait_and_keeps_time(tmp_path, monkeypatch, silent):
-    """A down or silent server must not hold the node's reader: every Time stays within a tick."""
+    """A down or silent server must not hold the node's reader.
+
+    Each row's Time lies inside the wall-clock window of the ingest call that
+    persisted it and within one server timeout of its frame's send, and no
+    ingest call takes a third of the timeout that a reader waiting on the
+    server would spend.
+    """
     tick = 0.05
     monkeypatch.setattr(gateway_mod, "SERVER_TIMEOUT", 0.3)
     with contextlib.ExitStack() as running:
         endpoint = running.enter_context(silent_server()) if silent else dead_endpoint()
         gw = Gateway(GatewayConfig(server_endpoint=endpoint,
-                                   persistence_path=str(tmp_path / "t.csv")))
+                                   persistence_path=str(tmp_path / "t.csv"),
+                                   latency_log_path=str(tmp_path / "lat.csv")))
         running.callback(gw.close)  # before the server stops: callbacks run last first
         seconds = []  # how long each ingest_frames call took
+        window = {}  # counter -> wall-clock (start, end) of the call that persisted it
         ingest_frames = gw.ingest_frames
 
         def timed(frames):
-            started = time.perf_counter()
+            started, wall = time.perf_counter(), time.time()
             ingest_frames(frames)  # every frame triggers
             seconds.append(time.perf_counter() - started)
+            window.update((f.counter, (wall, time.time())) for f in frames)
 
         gw.ingest_frames = timed
         reader, client = socket.socketpair()
@@ -715,7 +758,9 @@ def test_server_refusing_costs_no_wait_and_keeps_time(tmp_path, monkeypatch, sil
     rows = read_table_csv((tmp_path / "t.csv").read_text())
     assert [r.t for r in rows] == [float(c) for c in range(6)]
     for row in rows:
-        assert sent[int(row.t)] <= row.time < sent[int(row.t)] + tick
+        start, end = window[int(row.t)]
+        assert start <= row.time <= end
+        assert sent[int(row.t)] <= row.time < sent[int(row.t)] + gateway_mod.SERVER_TIMEOUT
     assert seconds and max(seconds) < 0.1
 
 
@@ -727,7 +772,8 @@ def test_server_that_never_answers_is_unreachable_within_two_timeouts(tmp_path, 
                               args=(listener, lambda conn: stop.wait(), stop))
     server.start()
     gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % listener.getsockname(),
-                               persistence_path=str(tmp_path / "t.csv")))
+                               persistence_path=str(tmp_path / "t.csv"),
+                               latency_log_path=str(tmp_path / "lat.csv")))
     try:
         started = time.perf_counter()
         with pytest.raises(ServerUnreachable):
@@ -750,7 +796,8 @@ def test_server_that_closes_without_a_reply_is_unreachable_after_two_attempts(tm
                                     stop))
     server.start()
     gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % listener.getsockname(),
-                               persistence_path=str(tmp_path / "t.csv")))
+                               persistence_path=str(tmp_path / "t.csv"),
+                               latency_log_path=str(tmp_path / "lat.csv")))
     try:
         with pytest.raises(ServerUnreachable, match="2 attempts failed") as unreachable:
             gw.request_prediction([[1.0, 2.0]])
@@ -769,6 +816,15 @@ def test_server_that_closes_without_a_reply_is_unreachable_after_two_attempts(tm
 def test_server_endpoint_must_be_host_and_port(endpoint):
     with pytest.raises(ValueError, match="server_endpoint"):
         GatewayConfig(server_endpoint=endpoint)
+
+
+@pytest.mark.parametrize("fields,match", [
+    ({"node_endpoints": []}, "node endpoint"),
+    ({"mode": "poll"}, "unknown mode"),
+], ids=["no_node_endpoint", "poll_mode"])
+def test_gateway_config_refuses(fields, match):
+    with pytest.raises(ValueError, match=match):
+        GatewayConfig(**fields)
 
 
 def test_wrong_width_raises_shape_mismatch(served_gateway):
@@ -800,7 +856,8 @@ def test_server_refusal_is_asked_once(tmp_path, models, rows, error):
 
     server.handle_message = counting
     gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % server.address,
-                               persistence_path=str(tmp_path / "t.csv")))
+                               persistence_path=str(tmp_path / "t.csv"),
+                               latency_log_path=str(tmp_path / "lat.csv")))
     try:
         with pytest.raises(ServerRefused) as refused:
             gw.request_prediction(rows)
@@ -1074,7 +1131,8 @@ def test_serve_nodes_two_concurrent_streams(tmp_path):
     gw = Gateway(GatewayConfig(node_endpoints=[f"{endpoint[0]}:{endpoint[1]}"],
                                server_endpoint=dead_endpoint(),
                                trigger=TriggerRule(every_frame=False, delta_ohm=1e9),
-                               persistence_path=str(tmp_path / "t.csv")))
+                               persistence_path=str(tmp_path / "t.csv"),
+                               latency_log_path=str(tmp_path / "lat.csv")))
     stop = threading.Event()
     acceptor = threading.Thread(target=serve_nodes, args=(listener, gw, stop), daemon=True)
     acceptor.start()
@@ -1155,7 +1213,8 @@ def test_read_node_stream_skips_undecodable_frames(tmp_path, quiet_gateway):
 def test_read_node_stream_survives_unreachable_server(tmp_path):
     gw = Gateway(GatewayConfig(node_endpoints=["127.0.0.1:0"],
                                server_endpoint=dead_endpoint(),
-                               persistence_path=str(tmp_path / "t.csv")))
+                               persistence_path=str(tmp_path / "t.csv"),
+                               latency_log_path=str(tmp_path / "lat.csv")))
     server, client = socket.socketpair()
     with client:
         for counter in range(5):
@@ -1225,7 +1284,8 @@ def test_request_prediction_reconnects_after_server_restart(tmp_path):
     first.start()
     gw = Gateway(GatewayConfig(node_endpoints=["127.0.0.1:0"],
                                server_endpoint=f"127.0.0.1:{port}",
-                               persistence_path=str(tmp_path / "t.csv")))
+                               persistence_path=str(tmp_path / "t.csv"),
+                               latency_log_path=str(tmp_path / "lat.csv")))
     before = gw.request_prediction([[0.5, -0.5]])
     first.stop()
 

@@ -308,7 +308,8 @@ def gain_server(tmp_path) -> InferenceServer:
     model = mlp.MlpModel(layer_sizes=[2, 1, 1, 1], weights=gain, biases=[np.zeros(1)] * 3,
                          feature_mean=np.zeros(2), feature_std=np.ones(2))
     mlp.save_model(model, tmp_path / "gain.json")
-    return InferenceServer(ServerConfig(model_files={"default": str(tmp_path / "gain.json")}))
+    return InferenceServer(ServerConfig(host="127.0.0.1", port=0,
+                                        model_files={"default": str(tmp_path / "gain.json")}))
 
 
 def test_predict_that_overflows_is_a_bad_message(tmp_path):
