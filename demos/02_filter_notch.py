@@ -9,7 +9,9 @@ response printed first is the discrete-time Fourier transform of the very
 kernel the emulator convolves with, so its nulls read at float rounding
 (~1e-17), not zero.  The second table measures the same nulls by injecting a
 sinusoidal interference into the emulated sensor and watching the converted
-output wobble.
+output wobble.  Last, the filter's noise gain g = sqrt(sum k^2): white sensor
+noise of std sigma per modulator sample leaves the filter with std sigma*g,
+which is the one draw each noisy conversion makes.
 """
 
 import math
@@ -17,7 +19,7 @@ import math
 import numpy as np
 
 from shmlink.adc import (DECIMATION, MODULATOR_RATE, OUTPUT_RATE, AdcEmulator, ChannelInput,
-                         SensorModel, code_to_resistance, sinc3_kernel)
+                         SensorModel, code_to_resistance, sinc3_kernel, sinc3_noise_gain)
 
 print(f"modulator {MODULATOR_RATE:.0f} Hz, decimation {DECIMATION}, "
       f"output rate {OUTPUT_RATE:.0f} Hz\n")
@@ -44,3 +46,9 @@ for freq in (23.0, 47.0, 50.0, 60.0):
     db = 20 * math.log10(10.0 / max(worst, floor))
     note = "  <- null" if freq in (50.0, 60.0) else ""
     print(f"  {freq:5.1f} Hz: worst deviation {worst:.3e} Ohm  (>= {db:5.1f} dB){note}")
+
+g = sinc3_noise_gain()
+sigma = 0.05
+lsb = code_to_resistance(1)  # ohm per code
+print(f"\nnoise gain g = sqrt(sum k^2) = {g:.7f}; {sigma} Ohm per modulator sample "
+      f"filters to {sigma * g:.3e} Ohm = {sigma * g / lsb:.2f} LSB std")

@@ -11,6 +11,10 @@ oversampled modulator stream, and the code<->resistance conversion
 Writing a CHANNEL register with its enable bit set arms a conversion; the
 conversion completes while the STATUS register is being polled, after which
 the DATA register holds the filtered, quantized code.
+
+Sensor noise is white Gaussian, std sigma per modulator sample.  The linear
+filter maps it to N(0, (sigma*g)^2), g = sqrt(sum k^2) ~ 0.0169 being the sinc3
+kernel's noise gain, so each noisy conversion draws its filtered noise once.
 """
 
 from __future__ import annotations
@@ -107,9 +111,10 @@ def code_to_resistance(code: int) -> float:
 class ChannelInput:
     """True signal on one channel: resistance plus optional disturbances.
 
-    ``noise_std`` is the std of white Gaussian resistance noise added to every
-    modulator sample; the sinc3 filter attenuates it at the output, as in the
-    real converter.  The sinusoidal interference models mains pickup.
+    ``noise_std`` is the std of white Gaussian resistance noise on every
+    modulator sample; each conversion draws its filtered value once, at
+    ``noise_std * sinc3_noise_gain()``.  The sinusoidal interference models
+    mains pickup.  Every disturbance must be finite.
     """
 
     resistance: float = 0.0
@@ -118,8 +123,10 @@ class ChannelInput:
     interference_freq: float = 0.0
 
     def __post_init__(self):
-        if not self.noise_std >= 0:  # also refuses nan
-            raise ValueError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < math.inf:  # also refuses nan
+            raise ValueError("noise_std must be finite and >= 0")
+        if not (math.isfinite(self.interference_amplitude) and math.isfinite(self.interference_freq)):
+            raise ValueError("interference amplitude and frequency must be finite")
 
 
 @dataclass
@@ -155,6 +162,13 @@ def sinc3_kernel() -> np.ndarray:
     """Impulse response of the sinc3 filter, normalized to unit DC gain; built once."""
     box = np.ones(DECIMATION)
     return np.convolve(np.convolve(box, box), box) / float(DECIMATION) ** 3
+
+
+@functools.cache
+def sinc3_noise_gain() -> float:
+    """sqrt(sum k^2): the filtered std of unit white noise per modulator sample."""
+    kernel = sinc3_kernel()
+    return math.sqrt(kernel @ kernel)
 
 
 POLLS_TO_READY = 2  # STATUS reads until an armed conversion completes
@@ -255,19 +269,15 @@ class AdcEmulator:
         if not self.registers[IO_CONTROL_1] & 0xFF00:
             raise ExcitationOff("IO_CONTROL_1 excitation bits are clear")
         ch = self.sensors.channels[channel]
-        kernel = sinc3_kernel()
-        n = kernel.size
-        if ch.interference_amplitude != 0.0 or ch.noise_std != 0.0:
+        filtered = ch.resistance  # DC input: unit-gain filter is exact
+        if ch.interference_amplitude != 0.0:
             # oversampled modulator stream ending at the current signal clock
-            signal = np.full(n, ch.resistance, dtype=float)
-            if ch.interference_amplitude != 0.0:
-                t = self._now - (n - 1 - np.arange(n)) / MODULATOR_RATE
-                signal += ch.interference_amplitude * np.sin(2 * math.pi * ch.interference_freq * t)
-            if ch.noise_std > 0.0:
-                signal += self._rng.normal(0.0, ch.noise_std, n)
-            filtered = float(kernel @ signal)
-        else:
-            filtered = ch.resistance  # DC input: unit-gain filter is exact
+            kernel = sinc3_kernel()
+            t = self._now - np.arange(kernel.size)[::-1] / MODULATOR_RATE
+            wobble = ch.interference_amplitude * np.sin(2 * math.pi * ch.interference_freq * t)
+            filtered = float(kernel @ (ch.resistance + wobble))
+        if ch.noise_std > 0.0:
+            filtered += ch.noise_std * sinc3_noise_gain() * self._rng.standard_normal()
         code = resistance_to_code(filtered)
         self.registers[DATA] = code
         self._rdy = 0

@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--connect", type=_endpoint, required=True, metavar="HOST:PORT")
     node.add_argument("--seed", type=_non_negative_int, default=0)
     node.add_argument("--noise", type=_number(float, lambda v: 0 <= v < float("inf"), ">= 0"),
-                      default=0.0, help="resistance noise std, ohm")
+                      default=0.0, help="resistance noise std per modulator sample, ohm")
     node.add_argument("--frames", type=_non_negative_int, default=0,
                       help="stop after N frames (0 = until interrupted)")
     node.add_argument("--node-id", type=_number(int, lambda v: 0 <= v <= 0xFFFF, "in [0, 65535]"),

@@ -26,6 +26,7 @@ from shmlink.adc import (
     code_to_resistance,
     resistance_to_code,
     sinc3_kernel,
+    sinc3_noise_gain,
 )
 
 HALF_LSB = 0.5 * 2.5 / 16777216 / 0.001  # ~7.4506e-5 ohm
@@ -86,8 +87,11 @@ def test_nan_resistance_is_refused():
 
 
 def test_nan_noise_std_is_refused():
-    with pytest.raises(ValueError):
-        ChannelInput(resistance=100.0, noise_std=math.nan)
+    for bad in ({"noise_std": math.nan}, {"noise_std": math.inf}, {"noise_std": -0.1},
+                {"interference_amplitude": math.nan}, {"interference_amplitude": math.inf},
+                {"interference_freq": math.nan}, {"interference_freq": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelInput(resistance=100.0, **bad)
 
 
 def test_round_trip_bound():
@@ -283,9 +287,9 @@ def test_seeded_noise_is_deterministic():
 
 
 @pytest.mark.parametrize("disturbance,codes", [
-    ({"noise_std": 0.5}, [671132, 671084, 671101, 671085, 671085, 671086]),
+    ({"noise_std": 0.5}, [671091, 671166, 671158, 671060, 671072, 671059]),
     ({"noise_std": 0.5, "interference_amplitude": 0.3, "interference_freq": 13.0},
-     [671127, 671071, 671113, 671090, 671069, 671091]),
+     [671086, 671153, 671171, 671064, 671056, 671064]),
 ])
 def test_seeded_noisy_codes_pinned(disturbance, codes):
     emu = armed_emulator([ChannelInput(resistance=100.0, **disturbance)] + [ChannelInput()] * 7,
@@ -295,6 +299,50 @@ def test_seeded_noisy_codes_pinned(disturbance, codes):
         emu.write_register(0x09, 0x8011)
         measured.append(emu.sample_channel(0, now=0.1 * i))
     assert measured == codes
+
+
+def test_noisy_conversion_is_one_draw_at_the_filter_noise_gain():
+    sigma, r, seed, k = 0.5, 100.0, 11, 40
+    g = math.sqrt(sinc3_kernel() @ sinc3_kernel())
+    emu = armed_emulator([ChannelInput(resistance=r, noise_std=sigma), ChannelInput(resistance=47.0)]
+                         + [ChannelInput()] * 6, seed=seed)
+    noisy, quiet = [], []
+    for i in range(k):
+        emu.write_register(0x09, 0x8011)
+        noisy.append(emu.sample_channel(0, now=0.1 * i))
+        emu.write_register(0x0B, 0x8011)  # noise-free channel in between: it draws nothing
+        quiet.append(emu.sample_channel(1, now=0.1 * i + 0.05))
+    z = np.random.default_rng(seed).standard_normal(k)
+    assert noisy == [resistance_to_code(r + sigma * g * z[i]) for i in range(k)]
+    assert quiet == [resistance_to_code(47.0)] * k
+
+
+def test_filtered_noise_matches_the_per_sample_model():
+    """One draw at sigma*g has the code spread of sinc3-filtering per-sample noise."""
+    kernel = sinc3_kernel()
+    g = sinc3_noise_gain()
+    assert g * g == pytest.approx(kernel @ kernel, rel=1e-15)
+    sigma, r, n, chunk = 0.5, 100.0, 2000, 200
+    lsb = 2 * HALF_LSB
+    rng = np.random.default_rng(5)
+    per_sample = []
+    for _ in range(n // chunk):  # fresh window per conversion, chunked to bound memory
+        windows = r + sigma * rng.standard_normal((chunk, kernel.size))
+        per_sample += [resistance_to_code(v) for v in windows @ kernel]
+    emu = armed_emulator([ChannelInput(resistance=r, noise_std=sigma)] + [ChannelInput()] * 7,
+                         seed=6)
+    emulated = []
+    for i in range(n):
+        emu.write_register(0x09, 0x8011)
+        emulated.append(emu.sample_channel(0, now=0.1 * i))
+    analytic = sigma * g / lsb  # ~56.8 codes
+    rel_se = 1 / math.sqrt(2 * (n - 1))  # standard error of a sample std, relative
+    stds = [np.std(codes, ddof=1) for codes in (per_sample, emulated)]
+    for std in stds:
+        assert std == pytest.approx(analytic, rel=4 * rel_se)
+    assert stds[0] == pytest.approx(stds[1], rel=4 * math.sqrt(2) * rel_se)
+    for codes in (per_sample, emulated):
+        assert abs(np.mean(codes) - resistance_to_code(r)) <= 4 * analytic / math.sqrt(n)
 
 
 @pytest.mark.parametrize("disturbance", [{"noise_std": 0.01},
