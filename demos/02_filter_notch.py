@@ -18,8 +18,9 @@ import math
 
 import numpy as np
 
-from shmlink.adc import (DECIMATION, MODULATOR_RATE, OUTPUT_RATE, AdcEmulator, ChannelInput,
-                         SensorModel, code_to_resistance, sinc3_kernel, sinc3_noise_gain)
+from shmlink.adc import (DATA, DECIMATION, MODULATOR_RATE, OUTPUT_RATE, STATUS, AdcEmulator,
+                         ChannelInput, SensorModel, code_to_resistance, sinc3_kernel,
+                         sinc3_noise_gain)
 
 print(f"modulator {MODULATOR_RATE:.0f} Hz, decimation {DECIMATION}, "
       f"output rate {OUTPUT_RATE:.0f} Hz\n")
@@ -39,8 +40,11 @@ for freq in (23.0, 47.0, 50.0, 60.0):
     emu.write_register(0x03, 0x003811)
     worst = 0.0
     for i in range(32):
-        emu.write_register(0x09, 0x8011)
-        code = emu.sample_channel(0, now=i / (freq * 32))
+        emu.write_register(0x09, 0x8011)  # arm channel 0
+        emu.set_time(i / (freq * 32))
+        while emu.read_register(STATUS) & 0x80:  # poll until RDY clears
+            pass
+        code = emu.read_register(DATA)
         worst = max(worst, abs(code_to_resistance(code) - 100.0))
     floor = 0.5 * 2.5 / 16777216 / 0.001
     db = 20 * math.log10(10.0 / max(worst, floor))

@@ -10,7 +10,8 @@ oversampled modulator stream, and the code<->resistance conversion
 
 Writing a CHANNEL register with its enable bit set arms a conversion; the
 conversion completes while the STATUS register is being polled, after which
-the DATA register holds the filtered, quantized code.
+the DATA register holds the filtered, quantized code.  That handshake, the
+one the node firmware runs, is the only way to get a code out of the emulator.
 
 Sensor noise is white Gaussian, std sigma per modulator sample.  The linear
 filter maps it to N(0, (sigma*g)^2), g = sqrt(sum k^2) ~ 0.0169 being the sinc3
@@ -65,12 +66,6 @@ class ReadOnlyRegister(BusError):
 
 class DataNotReady(BusError):
     """DATA was read while a conversion is still in flight."""
-
-
-class ChannelNotArmed(BusError):
-    def __init__(self, channel: int):
-        super().__init__(f"channel {channel} is not armed")
-        self.channel = channel
 
 
 class ExcitationOff(BusError):
@@ -178,10 +173,12 @@ class AdcEmulator:
     """Register-level emulation of the 8-channel sigma-delta converter.
 
     Single-threaded per instance.  The host sets the signal clock with
-    :meth:`set_time`; conversions triggered through the register interface
-    complete after POLLS_TO_READY STATUS reads and consume one filter
-    window of signal ending at the internal clock, which then advances by the
-    window's duration so back-to-back channel scans see consecutive signal.
+    :meth:`set_time`.  A CHANNEL write with the enable bit arms a conversion,
+    which completes on the POLLS_TO_READY-th STATUS read; there is no other
+    entry.  It consumes one filter window of signal ending at the internal
+    clock, which then advances by the window's duration so back-to-back
+    channel scans see consecutive signal.  STATUS bit 7 is RDY: 1 until a
+    conversion has latched its code into DATA.
     """
 
     def __init__(self, sensors: SensorModel | None = None, seed: int | None = None):
@@ -202,11 +199,6 @@ class AdcEmulator:
     def set_time(self, now: float) -> None:
         """Position the signal clock (seconds); conversions sample up to it."""
         self._now = now
-
-    @property
-    def rdy(self) -> int:
-        """1 while no valid DATA is available, 0 once a conversion completed."""
-        return self._rdy
 
     # -- register bus ---------------------------------------------------------
 
@@ -238,15 +230,6 @@ class AdcEmulator:
 
     # -- conversion ------------------------------------------------------------
 
-    def sample_channel(self, channel: int, now: float) -> int:
-        """Run one conversion on an armed channel, sampling signal up to ``now``.
-
-        Returns the 24-bit code also latched into DATA; RDY transitions 1 -> 0.
-        """
-        self.set_time(now)
-        self._check_armed(channel)
-        return self._convert(channel)
-
     def _arm(self, channel: int) -> None:
         self._pending_channel = channel
         self._polls_left = POLLS_TO_READY
@@ -258,12 +241,6 @@ class AdcEmulator:
         self._polls_left -= 1
         if self._polls_left <= 0:
             self._convert(self._pending_channel)
-
-    def _check_armed(self, channel: int) -> None:
-        if not 0 <= channel < len(CHANNEL_ADDRS):
-            raise ChannelNotArmed(channel)
-        if not self.registers[CHANNEL_ADDRS[channel]] & CHANNEL_ENABLE_BIT:
-            raise ChannelNotArmed(channel)
 
     def _convert(self, channel: int) -> int:
         if not self.registers[IO_CONTROL_1] & 0xFF00:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import math
 import socket
 import tempfile
 import threading
@@ -36,7 +37,7 @@ from . import mlp
 from .adc import AdcEmulator, SensorModel
 from .dataset import read_table_csv
 from .firmware import NodeFirmware
-from .gateway import Gateway, GatewayConfig, latency_summary, node_listener, serve_nodes
+from .gateway import Gateway, GatewayConfig, node_listener, serve_nodes
 from .protocol import encode, send_message
 from .server import DEFAULT_MODEL_ID, InferenceServer, ServerConfig
 
@@ -117,6 +118,18 @@ class PollGateway(Gateway):
                 closed = self._queued.wait_for(lambda: self._closed, scan - time.perf_counter())
                 queued, self._pending = self._pending, []
             self._answer(queued)
+
+
+def latency_summary(end_to_end: list[float]) -> dict[str, float]:
+    """Mean, nearest-rank p50/p95, and max of a non-empty list of latencies in seconds."""
+    values = sorted(end_to_end)
+    n = len(values)
+
+    def nearest_rank(p: float) -> float:
+        return values[math.ceil(p / 100.0 * n) - 1]
+
+    return {"count": float(n), "mean": sum(values) / n,
+            "p50": nearest_rank(50.0), "p95": nearest_rank(95.0), "max": values[-1]}
 
 
 def run_bench(mode: str, frames: int = 200, tick: float | None = None,

@@ -177,6 +177,8 @@ def _load_grid(path: str | None) -> mlp.HyperGrid:
         # keys left out keep HyperGrid's defaults; an unknown key is a TypeError
         return mlp.HyperGrid(**{key: tuple(value) if isinstance(value, list) else value
                                 for key, value in doc.items()})
+    except RecursionError:  # json.loads on deeply nested arrays or objects
+        raise UsageError(f"grid file {path}: nested too deeply") from None
     except (OSError, ValueError, TypeError) as exc:
         raise UsageError(f"grid file {path}: {exc}") from exc
 

@@ -85,10 +85,15 @@ _SUMMARY_LABELS = ("mean", "standard deviation")
 def _csv_rows(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The header row of CSV ``text`` ([] if none) and ``(line, row)`` for each row after it.
 
-    Blank rows are dropped; ``line`` is the 1-based line a row ends on.
+    Blank rows are dropped; ``line`` is the 1-based line a row ends on.  Text
+    the csv module cannot split, such as a cell past its field size limit,
+    is a MalformedRow at the line where splitting failed.
     """
     reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
+    try:
+        rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
     return (rows[0][1], rows[1:]) if rows else ([], [])
 
 

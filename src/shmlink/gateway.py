@@ -85,10 +85,6 @@ class ServerRefused(GatewayError):
         super().__init__(f"server refused the request: {reply!r}")
 
 
-class NoRecords(GatewayError):
-    pass
-
-
 class PersistenceFailure(GatewayError):
     pass
 
@@ -130,20 +126,6 @@ class GatewayConfig:
             self.server_address = parse_endpoint(self.server_endpoint)
         except ValueError as exc:
             raise ValueError(f"server_endpoint {exc}") from None
-
-
-def latency_summary(end_to_end: list[float]) -> dict[str, float]:
-    """Mean, nearest-rank p50/p95, and max of end-to-end latencies in seconds."""
-    if not end_to_end:
-        raise NoRecords("no latency records")
-    values = sorted(end_to_end)
-    n = len(values)
-
-    def nearest_rank(p: float) -> float:
-        return values[math.ceil(p / 100.0 * n) - 1]
-
-    return {"count": float(n), "mean": sum(values) / n,
-            "p50": nearest_rank(50.0), "p95": nearest_rank(95.0), "max": values[-1]}
 
 
 class CsvAppender:

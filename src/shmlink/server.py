@@ -7,10 +7,11 @@ bench's periodic-scan baseline's alike: both send their batches over TCP.
 
 A malformed message earns an error reply, built by ``Refused.reply``, on its
 own connection and never disturbs other clients: ``bad_message`` for an
-unknown type, a missing field, a cell that is not a finite number or a
-prediction that overflows, ``shape_mismatch`` for rows that are not an
-(n, d_in) matrix, ``model_not_loaded``, ``bad_model``, and ``internal`` for a
-fault of the server's own.  Model state is read-shared and replaced
+unknown type, a missing field, a ``model_id`` that is not a non-empty string,
+a cell that is not a finite number or a prediction that overflows,
+``shape_mismatch`` for rows that are not an (n, d_in) matrix,
+``model_not_loaded``, ``bad_model``, and ``internal`` for a fault of the
+server's own.  Model state is read-shared and replaced
 atomically by load_model.
 """
 
@@ -144,7 +145,8 @@ class InferenceServer:
             request_id = given
             if "rows" not in msg:
                 raise Refused("bad_message", "missing 'rows'")
-            result = self.handle_predict(str(msg.get("model_id") or DEFAULT_MODEL_ID), msg["rows"])
+            model_id = _check_model_id(msg.get("model_id", DEFAULT_MODEL_ID))
+            result = self.handle_predict(model_id, msg["rows"])
             return {"type": "predict_ok", "request_id": request_id, **result}
         except Refused as exc:
             return exc.reply(request_id)
@@ -178,7 +180,7 @@ class InferenceServer:
 
     def _on_load_model(self, msg: dict) -> dict:
         try:
-            model_id = str(msg["model_id"])
+            model_id = _check_model_id(msg["model_id"])
             if "document" in msg:
                 model = mlp.model_from_doc(msg["document"])
             else:
@@ -190,6 +192,13 @@ class InferenceServer:
         with self._models_lock:
             self._models[model_id] = model
         return {"type": "load_model_ok", "model_id": model_id}
+
+
+def _check_model_id(model_id) -> str:
+    """Refuses ``bad_message`` unless ``model_id`` is a non-empty string."""
+    if not isinstance(model_id, str) or not model_id:
+        raise Refused("bad_message", f"model_id {model_id!r} is not a non-empty string")
+    return model_id
 
 
 def _check_cells(rows) -> None:

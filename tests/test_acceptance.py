@@ -5,7 +5,6 @@ live).  The benchmark criteria drive the real in-process loopback stack, so
 this module takes on the order of a minute; everything else is seconds.
 """
 
-import json
 import math
 import time
 from pathlib import Path
@@ -15,6 +14,8 @@ import pytest
 
 from shmlink import mlp
 from shmlink.adc import (
+    DATA,
+    STATUS,
     AdcEmulator,
     ChannelInput,
     SensorModel,
@@ -88,7 +89,10 @@ def test_criterion_03_filter_rejection():
         worst = 0.0
         for i in range(16):
             emu.write_register(0x09, 0x8011)
-            code = emu.sample_channel(0, now=i / (freq * 16) + 0.29)
+            emu.set_time(i / (freq * 16) + 0.29)
+            while emu.read_register(STATUS) & 0x80:  # poll until RDY clears
+                pass
+            code = emu.read_register(DATA)
             worst = max(worst, abs(code_to_resistance(code) - 100.0))
         attenuations[freq] = 20 * math.log10(10.0 / max(worst, HALF_LSB_BOUND))
     elapsed = time.perf_counter() - started

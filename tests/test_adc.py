@@ -16,7 +16,6 @@ from shmlink.adc import (
     STATUS,
     AdcEmulator,
     ChannelInput,
-    ChannelNotArmed,
     CodeOutOfRange,
     DataNotReady,
     ExcitationOff,
@@ -38,6 +37,16 @@ def armed_emulator(channel_inputs=None, seed=None) -> AdcEmulator:
     emu.write_register(IO_CONTROL_1, 0x003811)
     emu.write_register(0x09, 0x8011)
     return emu
+
+
+def convert(emu: AdcEmulator, now: float) -> int:
+    """The firmware's handshake: poll STATUS until RDY clears, then read DATA."""
+    emu.set_time(now)
+    polls = 0
+    while emu.read_register(STATUS) & 0x80:
+        polls += 1
+        assert polls < 100
+    return emu.read_register(DATA)
 
 
 # -- conversion arithmetic ----------------------------------------------------------
@@ -115,7 +124,7 @@ def test_reset_state():
     emu = armed_emulator()
     emu.reset()
     assert emu.read_register(DATA) == 0          # cleared DATA stays readable
-    assert emu.rdy == 1                          # but nothing converted yet
+    assert emu.read_register(STATUS) & 0x80      # but RDY says nothing converted yet
     assert emu.read_register(0x19) == 0          # prior writes cleared
 
 
@@ -169,12 +178,12 @@ def test_status_polling_completes_conversion():
         polls += 1
         assert polls < 100
     assert emu.read_register(DATA) == 805306
-    assert emu.rdy == 0
+    assert not emu.read_register(STATUS) & 0x80
 
 
 def test_status_read_with_nothing_pending_converts_nothing():
     emu = armed_emulator([ChannelInput(resistance=120.0)] + [ChannelInput()] * 7)
-    emu.sample_channel(0, now=0.0)
+    convert(emu, now=0.0)
     status = emu.read_register(STATUS)
     emu.sensors.set_resistance(0, 100.0)  # a conversion now would latch another code
     for _ in range(3):
@@ -182,24 +191,14 @@ def test_status_read_with_nothing_pending_converts_nothing():
     assert emu.read_register(DATA) == 805306
 
 
-def test_sample_channel_pinned():
+def test_register_handshake_pinned():
     emu = armed_emulator([ChannelInput(resistance=100.0)] + [ChannelInput()] * 7)
-    assert emu.sample_channel(0, now=0.0) == 671089
-    assert emu.read_register(DATA) == 671089
+    assert convert(emu, now=0.0) == 671089
 
 
 def test_zero_resistance_reads_zero():
     emu = armed_emulator()
-    assert emu.sample_channel(0, now=0.0) == 0
-
-
-def test_channel_not_armed():
-    emu = AdcEmulator()
-    emu.write_register(IO_CONTROL_1, 0x003811)
-    with pytest.raises(ChannelNotArmed):
-        emu.sample_channel(0, now=0.0)
-    with pytest.raises(ChannelNotArmed):  # past the last channel
-        emu.sample_channel(8, now=0.0)
+    assert convert(emu, now=0.0) == 0
 
 
 def test_excitation_off():
@@ -207,7 +206,7 @@ def test_excitation_off():
     emu.write_register(IO_CONTROL_1, 0x000011)  # channel routing set, current off
     emu.write_register(0x09, 0x8011)
     with pytest.raises(ExcitationOff):
-        emu.sample_channel(0, now=0.0)
+        convert(emu, now=0.0)
 
 
 def test_disarm_cancels_pending():
@@ -242,7 +241,7 @@ def measured_interference_deviation(freq, amplitude=10.0, phases=16):
     emu = armed_emulator(inputs)
     for i in range(phases):
         emu.write_register(0x09, 0x8011)  # re-arm
-        code = emu.sample_channel(0, now=i / (freq * phases) + 0.37)
+        code = convert(emu, now=i / (freq * phases) + 0.37)
         worst = max(worst, abs(code_to_resistance(code) - 100.0))
     return worst
 
@@ -265,7 +264,7 @@ def test_filtered_constant_input_within_half_lsb():
     for r in (47.0, 50.988, 119.3, 2401.5):
         inputs = [ChannelInput(resistance=r)] + [ChannelInput()] * 7
         emu = armed_emulator(inputs)
-        code = emu.sample_channel(0, now=0.0)
+        code = convert(emu, now=0.0)
         assert abs(code_to_resistance(code) - r) <= 7.4506e-5
 
 
@@ -279,7 +278,7 @@ def test_seeded_noise_is_deterministic():
         codes = []
         for i in range(5):
             emu.write_register(0x09, 0x8011)
-            codes.append(emu.sample_channel(0, now=float(i)))
+            codes.append(convert(emu, now=float(i)))
         return codes
 
     assert run(42) == run(42)
@@ -297,7 +296,7 @@ def test_seeded_noisy_codes_pinned(disturbance, codes):
     measured = []
     for i in range(6):
         emu.write_register(0x09, 0x8011)
-        measured.append(emu.sample_channel(0, now=0.1 * i))
+        measured.append(convert(emu, now=0.1 * i))
     assert measured == codes
 
 
@@ -309,9 +308,9 @@ def test_noisy_conversion_is_one_draw_at_the_filter_noise_gain():
     noisy, quiet = [], []
     for i in range(k):
         emu.write_register(0x09, 0x8011)
-        noisy.append(emu.sample_channel(0, now=0.1 * i))
+        noisy.append(convert(emu, now=0.1 * i))
         emu.write_register(0x0B, 0x8011)  # noise-free channel in between: it draws nothing
-        quiet.append(emu.sample_channel(1, now=0.1 * i + 0.05))
+        quiet.append(convert(emu, now=0.1 * i + 0.05))
     z = np.random.default_rng(seed).standard_normal(k)
     assert noisy == [resistance_to_code(r + sigma * g * z[i]) for i in range(k)]
     assert quiet == [resistance_to_code(47.0)] * k
@@ -334,7 +333,7 @@ def test_filtered_noise_matches_the_per_sample_model():
     emulated = []
     for i in range(n):
         emu.write_register(0x09, 0x8011)
-        emulated.append(emu.sample_channel(0, now=0.1 * i))
+        emulated.append(convert(emu, now=0.1 * i))
     analytic = sigma * g / lsb  # ~56.8 codes
     rel_se = 1 / math.sqrt(2 * (n - 1))  # standard error of a sample std, relative
     stds = [np.std(codes, ddof=1) for codes in (per_sample, emulated)]
@@ -352,7 +351,7 @@ def test_integer_resistance_converts_like_float(disturbance):
     def code(r):
         emu = armed_emulator([ChannelInput(resistance=r, **disturbance)] + [ChannelInput()] * 7,
                              seed=3)
-        return emu.sample_channel(0, now=0.25)
+        return convert(emu, now=0.25)
 
     assert code(100) == code(100.0)
 

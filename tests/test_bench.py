@@ -4,11 +4,12 @@ import math
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from shmlink import bench
 from shmlink.adc import AdcEmulator, ChannelInput, SensorModel
-from shmlink.bench import run_bench, run_node, stream_node
+from shmlink.bench import latency_summary, run_bench, run_node, stream_node
 from shmlink.firmware import NodeFirmware
 from shmlink.protocol import encode, recv_message
 from test_cli import FrameSink
@@ -67,6 +68,33 @@ def test_run_bench_refuses_a_poll_interval_before_starting_anything(monkeypatch,
     monkeypatch.setattr(bench, "InferenceServer", None)  # building one raises TypeError
     with pytest.raises(ValueError, match="poll interval"):
         run_bench("poll", frames=2, poll_interval=interval)
+
+
+# -- latency summary -----------------------------------------------------------------------
+
+
+def test_summary_hand_values():
+    summary = latency_summary([0.1, 0.2, 0.3])
+    assert summary["mean"] == pytest.approx(0.2)
+    assert summary["p50"] == 0.2
+    assert summary["max"] == 0.3
+
+
+def test_summary_single_record():
+    summary = latency_summary([0.42])
+    assert summary["mean"] == summary["p50"] == summary["p95"] == summary["max"] == 0.42
+
+
+def test_summary_nearest_rank_matches_sort_oracle():
+    rng = np.random.default_rng(1)
+    values = rng.exponential(0.2, 100)
+    summary = latency_summary([float(v) for v in values])
+    ordered = sorted(values)
+    assert summary["p95"] == ordered[94]   # nearest-rank: ceil(0.95*100) = 95th value
+    assert summary["p50"] == ordered[49]
+
+
+# -- emulated node -------------------------------------------------------------------------
 
 
 def test_run_node_sends_the_reference_firmware_frames():

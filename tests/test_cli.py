@@ -324,6 +324,17 @@ def test_load_grid_rejects_unknown_keys_and_bad_values(tmp_path, doc):
         cli._load_grid(str(path))
 
 
+def test_train_grid_nested_too_deeply_exits_two(tmp_path, small_dataset):
+    grid = tmp_path / "grid.json"
+    grid.write_text("[" * 100000)
+    out = tmp_path / "m.json"
+    result = run_cli("train", "--data", str(small_dataset), "--grid", str(grid),
+                     "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert f"error: grid file {grid}: nested too deeply" in result.stderr
+    assert not out.exists()
+
+
 # -- sync ----------------------------------------------------------------------------
 
 
@@ -391,6 +402,18 @@ def test_sync_percent_strain_past_decimal_range_exits_two(tmp_path):
                      "--offset", "0", "--out", str(out))
     assert result.returncode == 2, result.stderr
     assert "error: line 3: strain '1e999999999' out of range" in result.stderr
+    assert not out.exists()
+
+
+def test_sync_cell_past_the_csv_field_limit_exits_two(tmp_path):
+    mech_path, res_path = tmp_path / "mech.csv", tmp_path / "res.csv"
+    mech_path.write_text("Time,Strain\n0,0.001\n1,0.002\n")
+    res_path.write_text("t,R1\n0,47\n1," + "4" * 140000 + "\n")  # past csv's 131072 limit
+    out = tmp_path / "out.csv"
+    result = run_cli("sync", "--mech", str(mech_path), "--res", str(res_path),
+                     "--offset", "0", "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert "error: line 3: field larger than field limit" in result.stderr
     assert not out.exists()
 
 

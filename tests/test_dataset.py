@@ -125,6 +125,19 @@ def test_malformed_data_row_names_its_line(parse, text):
     assert str(excinfo.value).startswith("line 3: ")
 
 
+@pytest.mark.parametrize("parse,header", [
+    (parse_resistance_csv, "t,R1"),
+    (parse_mechanical_csv, "Time,Strain"),
+    (read_table_csv, "index,Time,Strain,t,R1"),
+], ids=["resistance", "mechanical", "table"])
+def test_cell_past_the_csv_field_limit_names_its_line(parse, header):
+    width = header.count(",") + 1
+    text = f"{header}\n{','.join(['0'] * width)}\n{'9' * (csv.field_size_limit() + 1)}\n"
+    with pytest.raises(MalformedRow) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == f"line 3: field larger than field limit ({csv.field_size_limit()})"
+
+
 @pytest.mark.parametrize("parse,text,line", [
     (parse_resistance_csv, "t,R1\n\n\n0.0,x\n", 4),
     (read_table_csv, "index,Time,Strain,t,R1\n\n0,1.0,nan,0.0,x\n", 3),

@@ -33,11 +33,9 @@ from shmlink.gateway import (
     Gateway,
     GatewayConfig,
     GatewayError,
-    NoRecords,
     ServerRefused,
     ServerUnreachable,
     TriggerRule,
-    latency_summary,
     node_listener,
     read_node_stream,
     serve_nodes,
@@ -1091,35 +1089,6 @@ def test_closed_gateway_refuses_frames(tmp_path):
         gw.ingest(frame(1))
     assert gw._pending == []
     assert [r.t for r in read_table_csv((tmp_path / "t.csv").read_text())] == [0.0]
-
-
-# -- latency summary -----------------------------------------------------------------------
-
-
-def test_summary_hand_values():
-    summary = latency_summary([0.1, 0.2, 0.3])
-    assert summary["mean"] == pytest.approx(0.2)
-    assert summary["p50"] == 0.2
-    assert summary["max"] == 0.3
-
-
-def test_summary_single_record():
-    summary = latency_summary([0.42])
-    assert summary["mean"] == summary["p50"] == summary["p95"] == summary["max"] == 0.42
-
-
-def test_summary_nearest_rank_matches_sort_oracle():
-    rng = np.random.default_rng(1)
-    values = rng.exponential(0.2, 100)
-    summary = latency_summary([float(v) for v in values])
-    ordered = sorted(values)
-    assert summary["p95"] == ordered[94]   # nearest-rank: ceil(0.95*100) = 95th value
-    assert summary["p50"] == ordered[49]
-
-
-def test_summary_no_records():
-    with pytest.raises(NoRecords):
-        latency_summary([])
 
 
 # -- live node intake ---------------------------------------------------------------------

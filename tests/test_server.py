@@ -383,6 +383,18 @@ def test_refusal_reply_is_exact(tmp_path, raw, error, detail, request_id):
     assert isinstance(reply["detail"], str)
 
 
+@pytest.mark.parametrize("model_id", [0, "", None, 1.5, True, ["default"]])
+def test_model_id_must_be_a_non_empty_string(tmp_path, model_id):
+    """An id refused by load_model is refused by predict, never answered by ``default``."""
+    server = gain_server(tmp_path)
+    detail = f"model_id {model_id!r} is not a non-empty string"
+    loaded = server.handle_message(load(model_id=model_id, path=str(tmp_path / "gain.json")))
+    assert loaded == {"type": "error", "error": "bad_message", "detail": detail}
+    answered = server.handle_message(predict(request_id=1, model_id=model_id, rows=[[1.0, 0.0]]))
+    assert answered == {"type": "error", "error": "bad_message", "detail": detail,
+                        "request_id": 1}
+
+
 def test_fault_in_the_server_is_an_internal_reply(running_server, monkeypatch, caplog):
     def broken(raw):
         raise RuntimeError("boom")
