@@ -242,7 +242,7 @@ class AdcEmulator:
         if self._polls_left <= 0:
             self._convert(self._pending_channel)
 
-    def _convert(self, channel: int) -> int:
+    def _convert(self, channel: int) -> None:
         if not self.registers[IO_CONTROL_1] & 0xFF00:
             raise ExcitationOff("IO_CONTROL_1 excitation bits are clear")
         ch = self.sensors.channels[channel]
@@ -255,10 +255,8 @@ class AdcEmulator:
             filtered = float(kernel @ (ch.resistance + wobble))
         if ch.noise_std > 0.0:
             filtered += ch.noise_std * sinc3_noise_gain() * self._rng.standard_normal()
-        code = resistance_to_code(filtered)
-        self.registers[DATA] = code
+        self.registers[DATA] = resistance_to_code(filtered)
         self._rdy = 0
         self._pending_channel = None
         self._polls_left = 0
         self._now += SETTLE_TIME
-        return code

@@ -5,14 +5,16 @@ then per tick an 8-step choreography per channel (excitation on, arm, poll
 ready, read data, convert to volts then ohms, excitation off, disarm), ending
 with a telemetry frame that carries a counter of completed ticks modulo 2^32
 (the frame's u32 field): it wraps to 0 after 4294967295, 49.7 days at 1 ms.
-Register writes are traced so the sequence can be checked byte for byte.
+Register addresses and converter bits come from ``adc``; the firmware holds
+only its own choices: the init values, the excitation current setting, and
+each channel's pin routing and idle CHANNEL word.  Register writes are traced
+so the sequence can be checked byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .adc import DATA, IO_CONTROL_1, STATUS, STATUS_RDY_BIT, code_to_resistance
+from .adc import (ADC_CONTROL, CHANNEL_ADDRS, CHANNEL_ENABLE_BIT, CONFIG_0, DATA, FILTER_0,
+                  IO_CONTROL_1, STATUS, STATUS_RDY_BIT, code_to_resistance)
 from .protocol import COUNTER_MODULUS, TelemetryFrame
 
 
@@ -22,35 +24,19 @@ class ConversionTimeout(Exception):
         self.channel = channel
 
 
-@dataclass(frozen=True)
-class ChannelStep:
-    """Register choreography for one channel of the acquisition loop."""
+EXCITATION_ON = 0x3800  # IO_CONTROL_1 current-source bits, set while a channel converts
 
-    io_control_on: int
-    channel_reg_addr: int
-    channel_arm_value: int
-    io_control_off: int
-    channel_disarm_value: int
+# Per channel, in scan order 0..7: (IO_CONTROL_1 pin routing, CHANNEL word with
+# the enable bit clear).
+CHANNEL_PLAN = ((0x11, 0x0011), (0x33, 0x0051), (0x55, 0x0091), (0x77, 0x00D1),
+                (0x99, 0x0111), (0xBB, 0x0151), (0xDD, 0x0191), (0xFF, 0x01D1))
 
-
-# Per-channel excitation routing and arm/disarm words, in scan order 0..7.
-CHANNEL_PLAN = (
-    ChannelStep(0x003811, 0x09, 0x8011, 0x000011, 0x0011),
-    ChannelStep(0x003833, 0x0B, 0x8051, 0x000033, 0x0051),
-    ChannelStep(0x003855, 0x0D, 0x8091, 0x000055, 0x0091),
-    ChannelStep(0x003877, 0x0F, 0x80D1, 0x000077, 0x00D1),
-    ChannelStep(0x003899, 0x11, 0x8111, 0x000099, 0x0111),
-    ChannelStep(0x0038BB, 0x13, 0x8151, 0x0000BB, 0x0151),
-    ChannelStep(0x0038DD, 0x15, 0x8191, 0x0000DD, 0x0191),
-    ChannelStep(0x0038FF, 0x17, 0x81D1, 0x0000FF, 0x01D1),
-)
-
-# Init writes after reset: CHANNEL_0 idle, CONFIG_0, ADC_CONTROL, FILTER_0.
+# Init writes after reset, in order; CHANNEL_0 gets its idle word.
 INIT_SEQUENCE = (
-    (0x09, 0x0011),
-    (0x19, 0x0070),
-    (0x01, 0x0500),
-    (0x21, 0x060030),
+    (CHANNEL_ADDRS[0], 0x0011),
+    (CONFIG_0, 0x0070),
+    (ADC_CONTROL, 0x0500),
+    (FILTER_0, 0x060030),
 )
 
 CHANNEL_COUNTS = (2, 8)  # channels a node scans: the 2-sensor configuration's 0-1, or all
@@ -104,24 +90,24 @@ class NodeFirmware:
             raise RuntimeError("init() must run before run_tick()")
         if hasattr(self.bus, "set_time"):
             self.bus.set_time(now)
-        resistances = tuple(self._acquire(CHANNEL_PLAN[channel], channel)
-                            for channel in range(self.channel_count))
+        resistances = tuple(self._acquire(channel) for channel in range(self.channel_count))
         frame = TelemetryFrame(counter=self.counter, node_id=self.node_id,
                                resistances=resistances)
         self.counter = (self.counter + 1) % COUNTER_MODULUS
         return frame
 
-    def _acquire(self, step: ChannelStep, channel: int) -> float:
-        self._write(IO_CONTROL_1, step.io_control_on)
-        self._write(step.channel_reg_addr, step.channel_arm_value)
+    def _acquire(self, channel: int) -> float:
+        routing, word = CHANNEL_PLAN[channel]
+        self._write(IO_CONTROL_1, EXCITATION_ON | routing)
+        self._write(CHANNEL_ADDRS[channel], word | CHANNEL_ENABLE_BIT)
         for _ in range(POLL_BUDGET):
             if not self.bus.read_register(STATUS) & STATUS_RDY_BIT:
                 break
         else:
             raise ConversionTimeout(channel, POLL_BUDGET)
         resistance = code_to_resistance(self.bus.read_register(DATA))
-        self._write(IO_CONTROL_1, step.io_control_off)
-        self._write(step.channel_reg_addr, step.channel_disarm_value)
+        self._write(IO_CONTROL_1, routing)
+        self._write(CHANNEL_ADDRS[channel], word)
         return resistance
 
     def _write(self, addr: int, value: int) -> None:

@@ -365,15 +365,16 @@ class Gateway:
     def request_prediction(self, rows: list[list[float]]) -> list[float]:
         """Round-trip one predict request in at most two attempts, never sleeping.
 
-        A transport failure or a reply that is not a JSON object fails the
-        attempt and drops the connection, so the second attempt reconnects (a
-        server that closed an idle connection or restarted); ServerUnreachable
-        when both fail.  Any other reply but ``predict_ok`` with one number
-        per row, such as ``shape_mismatch`` or ``model_not_loaded``, raises
-        ServerRefused at once: asking again would get the same answer.  A
-        refused connect fails at once; a server that never answers holds the
-        caller 2 x SERVER_TIMEOUT.  Calls from any thread take turns on the
-        one server connection.
+        A transport failure or a reply that is not a JSON object, one nested
+        too deeply to parse among them, fails the attempt and drops the
+        connection, so the second attempt reconnects (a server that closed an
+        idle connection or restarted); ServerUnreachable when both fail.  Any
+        other reply but ``predict_ok`` with one number per row, such as
+        ``shape_mismatch`` or ``model_not_loaded``, raises ServerRefused at
+        once: asking again would get the same answer.  A refused connect fails
+        at once; a server that never answers holds the caller 2 x
+        SERVER_TIMEOUT.  Calls from any thread take turns on the one server
+        connection.
         """
         with self._request_lock:
             self._request_id += 1
@@ -388,7 +389,7 @@ class Gateway:
                     if not isinstance(reply, dict):
                         raise ValueError(f"reply {reply!r} is not an object")
                     break
-                except (OSError, ValueError) as exc:
+                except (OSError, ValueError, RecursionError) as exc:
                     self._drop_server_connection()
                     if attempt:
                         raise ServerUnreachable(f"2 attempts failed: {exc}") from exc

@@ -466,7 +466,7 @@ def load_model(path) -> MlpModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CorruptModelFile(str(exc)) from None
     return model_from_doc(doc)
 

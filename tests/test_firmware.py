@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from shmlink.adc import STATUS, AdcEmulator, SensorModel, UnknownRegister
-from shmlink.firmware import CHANNEL_PLAN, INIT_SEQUENCE, ConversionTimeout, NodeFirmware
+from shmlink.firmware import CHANNEL_PLAN, ConversionTimeout, NodeFirmware
 from shmlink.protocol import decode, encode
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -32,8 +32,7 @@ def format_trace(trace) -> str:
 
 def test_init_trace_is_golden_sequence():
     fw = fresh_firmware()
-    assert fw.capture_trace() == list(INIT_SEQUENCE)
-    assert fw.capture_trace()[0] == (0x09, 0x0011)
+    assert fw.capture_trace() == [(0x09, 0x0011), (0x19, 0x0070), (0x01, 0x0500), (0x21, 0x060030)]
 
 
 def test_counter_zero_after_init():
@@ -89,9 +88,9 @@ def test_arm_precedes_io_off_for_every_channel():
     fw.clear_trace()
     fw.run_tick(now=0.0)
     trace = fw.capture_trace()
-    for step in CHANNEL_PLAN:
-        arm = trace.index((step.channel_reg_addr, step.channel_arm_value))
-        off = trace.index((0x03, step.io_control_off))
+    for channel, (routing, word) in enumerate(CHANNEL_PLAN):
+        arm = trace.index((0x09 + 2 * channel, 0x8000 | word))
+        off = trace.index((0x03, routing))
         assert arm < off
 
 

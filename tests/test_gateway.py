@@ -809,6 +809,33 @@ def test_server_that_closes_without_a_reply_is_unreachable_after_two_attempts(tm
     assert len(requests) == 2
 
 
+def test_reply_nested_too_deeply_is_a_failed_attempt(tmp_path):
+    listener = listen("127.0.0.1", 0)
+    stop = threading.Event()
+    connections = []  # each connection reads one request and answers one nested past parsing
+
+    def answer_nested(conn):
+        connections.append(conn)
+        recv_message(conn)
+        send_message(conn, b"[" * 100000)
+
+    server = threading.Thread(target=serve_connections, args=(listener, answer_nested, stop))
+    server.start()
+    gw = Gateway(GatewayConfig(server_endpoint="%s:%d" % listener.getsockname(),
+                               persistence_path=str(tmp_path / "t.csv"),
+                               latency_log_path=str(tmp_path / "lat.csv")))
+    try:
+        with pytest.raises(ServerUnreachable, match="2 attempts failed"):
+            gw.request_prediction([[1.0, 2.0]])
+    finally:
+        gw.close()
+        stop.set()
+        server.join(timeout=10)
+        listener.close()
+    assert not server.is_alive()
+    assert len(connections) == 2
+
+
 @pytest.mark.parametrize("endpoint", ["localhost", "127.0.0.1:99999", "127.0.0.1:0",
                                       ":7420", "127.0.0.1:", "127.0.0.1:http"])
 def test_server_endpoint_must_be_host_and_port(endpoint):

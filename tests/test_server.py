@@ -266,6 +266,19 @@ def test_stop_ends_every_server_thread_with_client_connected(model_file):
         assert client.recv(1) == b""  # the server shut the connection
 
 
+def test_model_file_nested_too_deeply_is_a_corrupt_model_file(running_server, tmp_path):
+    """json.load raises RecursionError on it: the load, the reply and startup all refuse it."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    with pytest.raises(mlp.CorruptModelFile):
+        mlp.load_model(deep)
+    reply = roundtrip(running_server, {"type": "load_model", "model_id": "default",
+                                       "path": str(deep)})
+    assert reply["error"] == "bad_model"
+    with pytest.raises(mlp.CorruptModelFile):
+        InferenceServer(ServerConfig(port=0, model_files={"default": str(deep)}))
+
+
 # -- startup failures ------------------------------------------------------------------
 
 
