@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 from decimal import Decimal, Overflow
 from pathlib import Path
@@ -347,12 +348,24 @@ def csv_line(cells) -> str:
 
 
 def write_atomic(path, text: str) -> None:
-    """Replace ``path`` with ``text`` by a rename, so no reader sees a partial file."""
+    """Replace ``path`` with ``text`` by a rename, so no reader sees a partial file.
+
+    The new file is synced before the rename and its directory after it, so a
+    power cut leaves the old file or the new one, never an empty one (POSIX).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
     tmp.replace(path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def read_table_csv(text: str) -> list[AlignedRecord]:

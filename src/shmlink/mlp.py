@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -28,6 +30,9 @@ import numpy as np
 from .dataset import split_chronological, write_atomic
 
 MODEL_FORMAT_VERSION = 1
+# the largest model file load_model reads, protocol.MAX_MESSAGE_SIZE: a path load
+# takes no document that a load by value could not carry
+MAX_MODEL_BYTES = 64 * 1024 * 1024
 # what forward_rows computes, as model documents name it; no other value loads
 ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "identity"}
 
@@ -462,11 +467,23 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    """Read a model document; forward outputs match the saved model bit-exactly."""
+    """Read a model document; forward outputs match the saved model bit-exactly.
+
+    Only a regular file of at most MAX_MODEL_BYTES loads.  The open never
+    blocks, so a FIFO or a device is refused at once rather than waited on or
+    read without end; every refusal is a CorruptModelFile.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        with open(fd, "rb") as fh:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                raise CorruptModelFile(f"{path} is not a regular file")
+            data = fh.read(MAX_MODEL_BYTES + 1)
+        if len(data) > MAX_MODEL_BYTES:
+            raise CorruptModelFile(f"{path} is larger than {MAX_MODEL_BYTES} bytes")
+        doc = json.loads(data.decode("utf-8"))
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and a path holding a NUL
+    except (OSError, ValueError, RecursionError) as exc:
         raise CorruptModelFile(str(exc)) from None
     return model_from_doc(doc)
 

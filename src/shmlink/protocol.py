@@ -13,13 +13,12 @@ Frame layout, little-endian throughout:
                   preceding bytes
 
 Frames travel over TCP, one frame per length-prefixed message (u32 LE
-length); :func:`link_send` models the radio link's budget and losses.  Both TCP
-listeners read their streams through :func:`recv_batches`, one ``recv`` per
-arrival, which yields every message that ``recv`` completed; request/response
-clients read one reply with :func:`recv_message`.  The decoder is
-total: any byte sequence yields a frame or a :class:`FrameError`, never a
-crash.  The TCP services (gateway node intake, inference server) share one
-listen / accept / stop loop, :func:`listen` plus :func:`serve_connections`.
+length).  Both TCP listeners read their streams through :func:`recv_batches`,
+one ``recv`` per arrival, which yields every message that ``recv`` completed;
+request/response clients read one reply with :func:`recv_message`.  The
+decoder is total: any byte sequence yields a frame or a :class:`FrameError`,
+never a crash.  The TCP services (gateway node intake, inference server) share
+one listen / accept / stop loop, :func:`listen` plus :func:`serve_connections`.
 
 Example:
     >>> from shmlink.protocol import TelemetryFrame, encode, decode
@@ -141,52 +140,6 @@ def decode(data: bytes) -> TelemetryFrame:
     frame = TelemetryFrame(counter=counter, node_id=node_id, resistances=resistances)
     _validate(frame)
     return frame
-
-
-# -- link simulation -----------------------------------------------------------
-
-
-@dataclass
-class LinkConfig:
-    """Radio link budget: bit rate (bit/s), drop probability, latency (s).
-
-    Each frame is delayed by its own serialization time at ``throughput``;
-    frames do not queue, so two sent at one ``now`` arrive together.
-    """
-
-    throughput: float = 2_000_000.0
-    loss: float = 0.0
-    latency: float = 0.0
-
-    def __post_init__(self):
-        if not self.throughput > 0:  # the nots also refuse nan
-            raise ValueError("throughput must be > 0")
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError("loss must be within [0, 1]")
-        if not self.latency >= 0:
-            raise ValueError("latency must be >= 0")
-
-
-@dataclass(frozen=True)
-class Delivery:
-    """A frame that survived the link, due at ``time`` (seconds)."""
-
-    time: float
-    data: bytes
-
-
-def link_send(frame: TelemetryFrame, config: LinkConfig, now: float, rng) -> Delivery | None:
-    """Push one frame onto the simulated link.
-
-    Returns the delivery event at ``now + latency + bits/throughput``, or
-    None when the link dropped the frame (probability ``config.loss``, drawn
-    from ``rng``, anything with a ``random()`` in [0, 1), so a seeded
-    generator repeats the losses).
-    """
-    data = encode(frame)
-    if config.loss > 0.0 and rng.random() < config.loss:
-        return None
-    return Delivery(time=now + config.latency + len(data) * 8 / config.throughput, data=data)
 
 
 # -- length-prefixed TCP transport ----------------------------------------------

@@ -187,7 +187,7 @@ class InferenceServer:
                 model = mlp.load_model(str(msg["path"]))
         except KeyError as exc:
             raise Refused("bad_message", f"missing {exc}") from None
-        except (mlp.MlError, OSError) as exc:
+        except mlp.MlError as exc:
             raise Refused("bad_model", str(exc)) from None
         with self._models_lock:
             self._models[model_id] = model

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -451,6 +452,26 @@ def test_write_atomic_writes_then_replaces(tmp_path):
     write_atomic(path, "second\n")
     assert path.read_text(encoding="utf-8") == "second\n"
     assert [p.name for p in path.parent.iterdir()] == ["trigger.pred.json"]
+
+
+def test_write_atomic_syncs_the_file_before_the_rename_and_the_directory_after(
+        tmp_path, monkeypatch):
+    """So a power cut leaves the old file or the new one, never an empty one."""
+    path = tmp_path / "model.json"
+    path.write_text("old", encoding="utf-8")
+    synced = []  # per fsync: what it synced, and what the path held at that moment
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        synced.append((os.fstat(fd), path.read_text(encoding="utf-8")))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    write_atomic(path, "new")
+    assert [held for _, held in synced] == ["old", "new"]  # one sync each side of the rename
+    (file, _), (directory, _) = synced
+    assert os.path.samestat(file, path.stat())  # the new file, before it replaced the old
+    assert os.path.samestat(directory, tmp_path.stat())  # its directory, after
 
 
 def test_read_rejects_malformed_rows():

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from shmlink.mlp import (
     save_model,
     train,
 )
+from shmlink.protocol import MAX_MESSAGE_SIZE
 from shmlink.synthetic import strain_records
 
 R1_COLUMN = [50.988, 51.002, 50.994, 50.990, 50.992]  # pinned recording values
@@ -696,6 +699,61 @@ def test_unsupported_version(tmp_path):
 def test_missing_file_corrupt(tmp_path):
     with pytest.raises(CorruptModelFile):
         load_model(tmp_path / "nope.json")
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+
+
+def oversized_model_file(tmp_path):
+    """A valid model document padded with spaces to one byte more than a message can carry."""
+    path = tmp_path / "padded.json"
+    save_model(seeded_model(), path)
+    pad = MAX_MESSAGE_SIZE + 1 - path.stat().st_size
+    with open(path, "ab") as fh:
+        for start in range(0, pad, 1 << 20):
+            fh.write(b" " * min(1 << 20, pad - start))
+    return path
+
+
+def fifo_model_file(tmp_path):
+    fifo = tmp_path / "model.fifo"
+    os.mkfifo(fifo)
+    return fifo
+
+
+def release_fifo(fifo):
+    """Open ``fifo`` for writing and close it, which wakes a reader blocked in open()."""
+    try:
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    except OSError:  # ENXIO: no reader is waiting on it
+        pass
+
+
+@needs_fifo
+def test_fifo_is_refused_without_blocking(tmp_path):
+    fifo = fifo_model_file(tmp_path)
+    raised = []
+
+    def load():
+        try:
+            load_model(fifo)
+        except CorruptModelFile as exc:
+            raised.append(exc)
+
+    loader = threading.Thread(target=load, daemon=True)
+    loader.start()
+    loader.join(timeout=1.0)
+    if loader.is_alive():
+        release_fifo(fifo)
+        loader.join()
+        pytest.fail("load_model blocked opening a FIFO")
+    assert "not a regular file" in str(raised[0])
+
+
+def test_model_file_over_the_cap_is_refused(tmp_path):
+    with pytest.raises(CorruptModelFile, match="larger than"):
+        load_model(oversized_model_file(tmp_path))
+    assert mlp.MAX_MODEL_BYTES == MAX_MESSAGE_SIZE
 
 
 @pytest.mark.parametrize("spoil", [

@@ -1,7 +1,5 @@
-"""Frame codec: pinned bytes, CRC oracle, totality, link simulation."""
+"""Frame codec: pinned bytes, CRC oracle, totality, stream reader."""
 
-import math
-import random
 import socket
 import struct
 
@@ -14,16 +12,13 @@ from shmlink.protocol import (
     MAX_MESSAGE_SIZE,
     BadMagic,
     CrcMismatch,
-    Delivery,
     FrameError,
     InvalidFrame,
-    LinkConfig,
     TelemetryFrame,
     Truncated,
     UnsupportedVersion,
     decode,
     encode,
-    link_send,
     recv_batches,
     recv_message,
     send_message,
@@ -197,69 +192,6 @@ def test_decoder_total_over_magic_prefixed_bytes(data):
         decode(b"SHM1" + data)
     except FrameError:
         pass
-
-
-# -- link simulation -----------------------------------------------------------------
-
-
-def test_delivery_time_from_size_and_throughput():
-    frame = TelemetryFrame(counter=0, node_id=0, resistances=(1.0, 2.0))
-    config = LinkConfig(throughput=2e6, loss=0.0, latency=0.0)
-    delivery = link_send(frame, config, now=5.0, rng=random.Random(0))
-    size = len(encode(frame))
-    assert delivery.time == pytest.approx(5.0 + size * 8 / 2e6)
-    # a 30-byte message at 2 Mbit/s takes 1.2e-4 s
-    assert 30 * 8 / config.throughput == pytest.approx(1.2e-4)
-
-
-def test_latency_adds_exactly():
-    frame = TelemetryFrame(counter=0, node_id=0, resistances=(1.0,))
-    rng = random.Random(0)
-    base = link_send(frame, LinkConfig(latency=0.0), now=0.0, rng=rng).time
-    slow = link_send(frame, LinkConfig(latency=0.05), now=0.0, rng=rng).time
-    assert slow - base == pytest.approx(0.05)
-
-
-def test_full_loss_always_drops():
-    frame = TelemetryFrame(counter=0, node_id=0, resistances=(1.0,))
-    rng = random.Random(1)
-    assert all(link_send(frame, LinkConfig(loss=1.0), now=float(i), rng=rng) is None
-               for i in range(50))
-
-
-def test_lossless_link_preserves_counter_order():
-    config, rng = LinkConfig(loss=0.0, latency=0.003), random.Random(0)
-    deliveries = []
-    for i in range(100):
-        frame = TelemetryFrame(counter=i, node_id=1, resistances=(47.0, 120.0))
-        deliveries.append(link_send(frame, config, now=i * 0.01, rng=rng))
-    times = [d.time for d in deliveries]
-    counters = [decode(d.data).counter for d in deliveries]
-    assert times == sorted(times)
-    assert counters == list(range(100))
-
-
-def test_loss_probability_seeded_and_plausible():
-    frame = TelemetryFrame(counter=0, node_id=0, resistances=(1.0,))
-
-    def run(seed):
-        config, rng = LinkConfig(loss=0.3), random.Random(seed)
-        return [link_send(frame, config, now=0.0, rng=rng) is None for _ in range(1000)]
-
-    outcomes = run(5)
-    assert outcomes == run(5)
-    assert 0.2 < sum(outcomes) / len(outcomes) < 0.4
-
-
-def test_invalid_link_config():
-    with pytest.raises(ValueError):
-        LinkConfig(throughput=0.0)
-    with pytest.raises(ValueError):
-        LinkConfig(loss=1.5)
-    for fields in ({"throughput": math.nan}, {"loss": math.nan},
-                   {"latency": -1.0}, {"latency": math.nan}):
-        with pytest.raises(ValueError):
-            LinkConfig(**fields)
 
 
 # -- buffered stream reader --------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from shmlink import mlp
 from shmlink.protocol import MAX_MESSAGE_SIZE, ConnectionClosed, recv_message, send_message
 from shmlink.server import InferenceServer, Refused, ServerConfig
+from test_mlp import fifo_model_file, needs_fifo, oversized_model_file, release_fifo
 
 
 @pytest.fixture
@@ -279,6 +280,25 @@ def test_model_file_nested_too_deeply_is_a_corrupt_model_file(running_server, tm
         InferenceServer(ServerConfig(port=0, model_files={"default": str(deep)}))
 
 
+@pytest.mark.parametrize("make_path", [pytest.param(fifo_model_file, marks=needs_fifo),
+                                       oversized_model_file], ids=["fifo", "oversized"])
+def test_path_load_of_a_fifo_or_an_oversized_file_is_bad_model(running_server, tmp_path,
+                                                                make_path):
+    """Refused at once: the handler neither blocks in open() nor reads past the cap."""
+    path = make_path(tmp_path)
+    try:
+        with socket.create_connection(running_server.address, timeout=1) as sock:
+            reply = roundtrip(running_server, {"type": "load_model", "model_id": "default",
+                                               "path": str(path)}, sock=sock)
+            answer = roundtrip(running_server, {"type": "predict", "rows": [[51.0, 43.0]]},
+                               sock=sock)
+    finally:
+        if path.is_fifo():
+            release_fifo(path)  # wakes a handler still blocked opening it
+    assert reply["error"] == "bad_model"
+    assert answer["type"] == "predict_ok"
+
+
 # -- startup failures ------------------------------------------------------------------
 
 
@@ -380,6 +400,8 @@ REFUSALS = [  # request bytes, error code, detail (ANY where numpy or the OS wor
     (load(request_id=3), "bad_message", "missing 'model_id'", None),
     (load(model_id="a"), "bad_message", "missing 'path'", None),
     (load(model_id="a", path="no/such/model.json"), "bad_model", ANY, None),
+    pytest.param(load(model_id="a", path="model\0.json"), "bad_model", "embedded null byte",
+                 None, id="nul_in_path"),
     (load(model_id="a", document=5), "bad_model", "not a model document", None),
 ]
 
