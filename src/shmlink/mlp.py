@@ -474,9 +474,9 @@ def load_model(path) -> MlpModel:
     read without end; every refusal is a CorruptModelFile.
     """
     try:
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-        with open(fd, "rb") as fh:
-            if not stat.S_ISREG(os.fstat(fd).st_mode):
+        # the file object owns the descriptor from the start, so a refusal closes it
+        with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 raise CorruptModelFile(f"{path} is not a regular file")
             data = fh.read(MAX_MODEL_BYTES + 1)
         if len(data) > MAX_MODEL_BYTES:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -754,6 +755,15 @@ def test_model_file_over_the_cap_is_refused(tmp_path):
     with pytest.raises(CorruptModelFile, match="larger than"):
         load_model(oversized_model_file(tmp_path))
     assert mlp.MAX_MODEL_BYTES == MAX_MESSAGE_SIZE
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no per-process descriptor list")
+def test_directory_is_refused_without_leaking_a_descriptor(tmp_path):
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        with pytest.raises(CorruptModelFile, match=re.escape(str(tmp_path))):
+            load_model(tmp_path)
+    assert len(os.listdir("/proc/self/fd")) <= before
 
 
 @pytest.mark.parametrize("spoil", [
