@@ -16,6 +16,8 @@ one the node firmware runs, is the only way to get a code out of the emulator.
 Sensor noise is white Gaussian, std sigma per modulator sample.  The linear
 filter maps it to N(0, (sigma*g)^2), g = sqrt(sum k^2) ~ 0.0169 being the sinc3
 kernel's noise gain, so each noisy conversion draws its filtered noise once.
+The draws come in order from blocks of NOISE_BLOCK taken at once from the
+emulator's seeded generator, the same values one scalar draw at a time gives.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ FILTER_0 = 0x21
 WRITABLE_ADDRS = frozenset((ADC_CONTROL, IO_CONTROL_1, CONFIG_0, FILTER_0) + CHANNEL_ADDRS)
 READONLY_ADDRS = frozenset((STATUS, DATA))
 KNOWN_ADDRS = WRITABLE_ADDRS | READONLY_ADDRS
+_CHANNEL_INDEX = {addr: channel for channel, addr in enumerate(CHANNEL_ADDRS)}
 
 CHANNEL_ENABLE_BIT = 0x8000  # bit 15 of a CHANNEL register arms the channel
 STATUS_RDY_BIT = 0x80        # bit 7 of STATUS: 1 = no valid DATA yet
@@ -88,7 +91,7 @@ def resistance_to_code(r: float) -> int:
     if math.isnan(r):
         raise ValueError("resistance is NaN")
     x = r * DEFAULT_EXCITATION / VREF * RESOLUTION
-    return math.floor(min(max(x, 0.0), MAX_CODE) + 0.5)
+    return 0 if x < 0.0 else MAX_CODE if x > MAX_CODE else math.floor(x + 0.5)
 
 
 def code_to_resistance(code: int) -> float:
@@ -167,6 +170,7 @@ def sinc3_noise_gain() -> float:
 
 
 POLLS_TO_READY = 2  # STATUS reads until an armed conversion completes
+NOISE_BLOCK = 256   # standard normals drawn per call to the generator
 
 
 class AdcEmulator:
@@ -184,6 +188,7 @@ class AdcEmulator:
     def __init__(self, sensors: SensorModel | None = None, seed: int | None = None):
         self.sensors = sensors if sensors is not None else SensorModel()
         self._rng = np.random.default_rng(seed)
+        self._noise: list[float] = []  # drawn, not yet used; reversed, so pop() keeps order
         self._now = 0.0
         self.reset()
 
@@ -203,44 +208,38 @@ class AdcEmulator:
     # -- register bus ---------------------------------------------------------
 
     def write_register(self, addr: int, value: int) -> None:
-        if addr in READONLY_ADDRS:
-            raise ReadOnlyRegister(addr)
         if addr not in WRITABLE_ADDRS:
-            raise UnknownRegister(addr)
+            raise ReadOnlyRegister(addr) if addr in READONLY_ADDRS else UnknownRegister(addr)
+        if type(value) is not int:  # a bool or a float would store, then fail a conversion
+            raise ValueError(f"register value {value!r} is not an int")
         if not 0 <= value <= 0xFFFFFF:
             raise ValueError(f"register value 0x{value:X} exceeds 24 bits")
         self.registers[addr] = value
-        if addr in CHANNEL_ADDRS:
-            channel = CHANNEL_ADDRS.index(addr)
-            if value & CHANNEL_ENABLE_BIT:
-                self._arm(channel)
-            elif self._pending_channel == channel:
-                self._pending_channel = None  # disarm cancels the pending conversion
-                self._polls_left = 0
+        channel = _CHANNEL_INDEX.get(addr)
+        if channel is None:
+            return
+        if value & CHANNEL_ENABLE_BIT:  # arm
+            self._pending_channel = channel
+            self._polls_left = POLLS_TO_READY
+            self._rdy = 1
+        elif self._pending_channel == channel:
+            self._pending_channel = None  # disarm cancels the pending conversion
+            self._polls_left = 0
 
     def read_register(self, addr: int) -> int:
+        if addr == STATUS:  # a poll: the POLLS_TO_READY-th completes the pending conversion
+            if self._pending_channel is not None:
+                self._polls_left -= 1
+                if self._polls_left <= 0:
+                    self._convert(self._pending_channel)
+            return (STATUS_RDY_BIT if self._rdy else 0) | (self._pending_channel or 0)
         if addr not in KNOWN_ADDRS:
             raise UnknownRegister(addr)
-        if addr == STATUS:
-            self._poll()
-            return (STATUS_RDY_BIT if self._rdy else 0) | (self._pending_channel or 0)
         if addr == DATA and self._pending_channel is not None:
             raise DataNotReady("conversion in flight")
         return self.registers[addr]
 
     # -- conversion ------------------------------------------------------------
-
-    def _arm(self, channel: int) -> None:
-        self._pending_channel = channel
-        self._polls_left = POLLS_TO_READY
-        self._rdy = 1
-
-    def _poll(self) -> None:
-        if self._pending_channel is None:
-            return
-        self._polls_left -= 1
-        if self._polls_left <= 0:
-            self._convert(self._pending_channel)
 
     def _convert(self, channel: int) -> None:
         if not self.registers[IO_CONTROL_1] & 0xFF00:
@@ -254,7 +253,9 @@ class AdcEmulator:
             wobble = ch.interference_amplitude * np.sin(2 * math.pi * ch.interference_freq * t)
             filtered = float(kernel @ (ch.resistance + wobble))
         if ch.noise_std > 0.0:
-            filtered += ch.noise_std * sinc3_noise_gain() * self._rng.standard_normal()
+            if not self._noise:
+                self._noise = self._rng.standard_normal(NOISE_BLOCK)[::-1].tolist()
+            filtered += ch.noise_std * sinc3_noise_gain() * self._noise.pop()
         self.registers[DATA] = resistance_to_code(filtered)
         self._rdy = 0
         self._pending_channel = None

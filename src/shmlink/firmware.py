@@ -90,25 +90,25 @@ class NodeFirmware:
             raise RuntimeError("init() must run before run_tick()")
         if hasattr(self.bus, "set_time"):
             self.bus.set_time(now)
-        resistances = tuple(self._acquire(channel) for channel in range(self.channel_count))
+        read = self.bus.read_register
+        write = self._write if self._trace_enabled else self.bus.write_register
+        resistances = []
+        for channel in range(self.channel_count):
+            routing, word = CHANNEL_PLAN[channel]
+            write(IO_CONTROL_1, EXCITATION_ON | routing)
+            write(CHANNEL_ADDRS[channel], word | CHANNEL_ENABLE_BIT)
+            for _ in range(POLL_BUDGET):
+                if not read(STATUS) & STATUS_RDY_BIT:
+                    break
+            else:
+                raise ConversionTimeout(channel, POLL_BUDGET)
+            resistances.append(code_to_resistance(read(DATA)))
+            write(IO_CONTROL_1, routing)
+            write(CHANNEL_ADDRS[channel], word)
         frame = TelemetryFrame(counter=self.counter, node_id=self.node_id,
-                               resistances=resistances)
+                               resistances=tuple(resistances))
         self.counter = (self.counter + 1) % COUNTER_MODULUS
         return frame
-
-    def _acquire(self, channel: int) -> float:
-        routing, word = CHANNEL_PLAN[channel]
-        self._write(IO_CONTROL_1, EXCITATION_ON | routing)
-        self._write(CHANNEL_ADDRS[channel], word | CHANNEL_ENABLE_BIT)
-        for _ in range(POLL_BUDGET):
-            if not self.bus.read_register(STATUS) & STATUS_RDY_BIT:
-                break
-        else:
-            raise ConversionTimeout(channel, POLL_BUDGET)
-        resistance = code_to_resistance(self.bus.read_register(DATA))
-        self._write(IO_CONTROL_1, routing)
-        self._write(CHANNEL_ADDRS[channel], word)
-        return resistance
 
     def _write(self, addr: int, value: int) -> None:
         self.bus.write_register(addr, value)

@@ -10,9 +10,10 @@ own connection and never disturbs other clients: ``bad_message`` for an
 unknown type, a missing field, a ``model_id`` that is not a non-empty string,
 a cell that is not a finite number or a prediction that overflows,
 ``shape_mismatch`` for rows that are not an (n, d_in) matrix,
-``model_not_loaded``, ``bad_model``, and ``internal`` for a fault of the
-server's own.  Model state is read-shared and replaced
-atomically by load_model.
+``model_not_loaded``, ``bad_model``, ``too_many_models`` for a load under a
+new id when MAX_MODELS are loaded, and ``internal`` for a fault of the
+server's own.  Model state is read-shared and replaced atomically by
+load_model.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .protocol import (DEFAULT_HOST, DEFAULT_PORT, MAX_MESSAGE_SIZE, listen, rec
 log = logging.getLogger(__name__)
 
 DEFAULT_MODEL_ID = "default"  # what a predict without a model_id is answered by
+MAX_MODELS = 64  # loaded models; a load under a new id beyond it is refused, a replacement never
 
 
 class Refused(Exception):
@@ -66,6 +68,8 @@ class InferenceServer:
         self._listener: socket.socket | None = None
         self._accept: threading.Thread | None = None  # stop() joins it
         self._stop = threading.Event()
+        if len(config.model_files) > MAX_MODELS:
+            raise ValueError(f"{len(config.model_files)} model files; at most {MAX_MODELS}")
         for model_id, path in config.model_files.items():
             self._models[model_id] = mlp.load_model(path)  # startup failure propagates
 
@@ -190,6 +194,9 @@ class InferenceServer:
         except mlp.MlError as exc:
             raise Refused("bad_model", str(exc)) from None
         with self._models_lock:
+            if model_id not in self._models and len(self._models) >= MAX_MODELS:
+                raise Refused("too_many_models",
+                              f"{MAX_MODELS} models are loaded; {model_id!r} is not one of them")
             self._models[model_id] = model
         return {"type": "load_model_ok", "model_id": model_id}
 

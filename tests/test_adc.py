@@ -1,6 +1,7 @@
 """Converter emulation: register semantics, quantization, sinc3 filtering."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shmlink.adc import (
+    CHANNEL_ADDRS,
+    CHANNEL_ENABLE_BIT,
+    CONFIG_0,
     DATA,
     DECIMATION,
+    DEFAULT_EXCITATION,
     IO_CONTROL_1,
+    KNOWN_ADDRS,
+    MAX_CODE,
     MODULATOR_RATE,
+    NOISE_BLOCK,
     OUTPUT_RATE,
+    POLLS_TO_READY,
+    READONLY_ADDRS,
+    RESOLUTION,
+    SETTLE_TIME,
     STATUS,
+    STATUS_RDY_BIT,
+    VREF,
+    WRITABLE_ADDRS,
     AdcEmulator,
     ChannelInput,
     CodeOutOfRange,
@@ -163,6 +178,19 @@ def test_value_exceeding_24_bits_rejected():
     emu = AdcEmulator()
     with pytest.raises(ValueError):
         emu.write_register(0x09, 1 << 24)
+
+
+@pytest.mark.parametrize("addr,value", [(IO_CONTROL_1, 1.5), (IO_CONTROL_1, True),
+                                        (CHANNEL_ADDRS[0], 0x8011 + 0.5), (CHANNEL_ADDRS[0], True),
+                                        (CONFIG_0, "7"), (CONFIG_0, np.int64(7))])
+def test_register_value_that_is_not_an_int_is_refused_before_it_is_stored(addr, value):
+    emu = AdcEmulator()
+    emu.write_register(IO_CONTROL_1, 0x003811)
+    before = dict(emu.registers)
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        emu.write_register(addr, value)
+    assert emu.registers == before
+    assert emu.read_register(STATUS) == STATUS_RDY_BIT  # nothing armed, nothing converted
 
 
 def test_data_read_mid_conversion_raises():
@@ -344,6 +372,27 @@ def test_filtered_noise_matches_the_per_sample_model():
         assert abs(np.mean(codes) - resistance_to_code(r)) <= 4 * analytic / math.sqrt(n)
 
 
+def test_noise_blocks_cross_their_boundary_unchanged():
+    """Blocks of NOISE_BLOCK draws give the scalar draws, in order, across a reset()."""
+    sigma, r, seed, k = 0.5, 100.0, 29, 2 * NOISE_BLOCK + 3
+    g = sinc3_noise_gain()
+    emu = AdcEmulator(SensorModel(channels=[ChannelInput(resistance=r, noise_std=sigma),
+                                            ChannelInput(resistance=47.0)]
+                                  + [ChannelInput()] * 6), seed=seed)
+    noisy, quiet = [], []
+    for i in range(k):
+        if i == k // 2:
+            emu.reset()  # keeps the generator and the draws it has made
+        emu.write_register(IO_CONTROL_1, 0x003811)
+        emu.write_register(0x09, 0x8011)
+        noisy.append(convert(emu, now=0.1 * i))
+        emu.write_register(0x0B, 0x8051)
+        quiet.append(convert(emu, now=0.1 * i + 0.05))
+    rng = np.random.default_rng(seed)
+    assert noisy == [resistance_to_code(r + sigma * g * rng.standard_normal()) for _ in range(k)]
+    assert quiet == [resistance_to_code(47.0)] * k
+
+
 @pytest.mark.parametrize("disturbance", [{"noise_std": 0.01},
                                          {"interference_amplitude": 0.3,
                                           "interference_freq": 50.0}])
@@ -360,3 +409,170 @@ def test_integer_resistance_converts_like_float(disturbance):
 @given(st.integers(min_value=0, max_value=2**24 - 1))
 def test_code_round_trips_exactly(code):
     assert resistance_to_code(code_to_resistance(code)) == code
+
+
+# -- the register bus checked against its earlier implementation --------------------------
+
+
+def reference_resistance_to_code(r: float) -> int:
+    """``resistance_to_code`` as first written, clamping with min and max."""
+    if math.isnan(r):
+        raise ValueError("resistance is NaN")
+    x = r * DEFAULT_EXCITATION / VREF * RESOLUTION
+    return math.floor(min(max(x, 0.0), MAX_CODE) + 0.5)
+
+
+class ReferenceAdcEmulator:
+    """The emulator with a separate method per register step and one scalar draw
+    per noisy conversion, kept verbatim apart from its clamp: ``AdcEmulator``
+    must behave like it bit for bit on every int register value."""
+
+    def __init__(self, sensors: SensorModel | None = None, seed: int | None = None):
+        self.sensors = sensors if sensors is not None else SensorModel()
+        self._rng = np.random.default_rng(seed)
+        self._now = 0.0
+        self.reset()
+
+    # -- power / clock -------------------------------------------------------
+
+    def reset(self) -> None:
+        """Power-on state: all registers zero, no conversion pending, RDY=1."""
+        self.registers = {addr: 0 for addr in KNOWN_ADDRS}
+        self._rdy = 1
+        self._pending_channel: int | None = None
+        self._polls_left = 0
+
+    def set_time(self, now: float) -> None:
+        """Position the signal clock (seconds); conversions sample up to it."""
+        self._now = now
+
+    # -- register bus ---------------------------------------------------------
+
+    def write_register(self, addr: int, value: int) -> None:
+        if addr in READONLY_ADDRS:
+            raise ReadOnlyRegister(addr)
+        if addr not in WRITABLE_ADDRS:
+            raise UnknownRegister(addr)
+        if not 0 <= value <= 0xFFFFFF:
+            raise ValueError(f"register value 0x{value:X} exceeds 24 bits")
+        self.registers[addr] = value
+        if addr in CHANNEL_ADDRS:
+            channel = CHANNEL_ADDRS.index(addr)
+            if value & CHANNEL_ENABLE_BIT:
+                self._arm(channel)
+            elif self._pending_channel == channel:
+                self._pending_channel = None  # disarm cancels the pending conversion
+                self._polls_left = 0
+
+    def read_register(self, addr: int) -> int:
+        if addr not in KNOWN_ADDRS:
+            raise UnknownRegister(addr)
+        if addr == STATUS:
+            self._poll()
+            return (STATUS_RDY_BIT if self._rdy else 0) | (self._pending_channel or 0)
+        if addr == DATA and self._pending_channel is not None:
+            raise DataNotReady("conversion in flight")
+        return self.registers[addr]
+
+    # -- conversion ------------------------------------------------------------
+
+    def _arm(self, channel: int) -> None:
+        self._pending_channel = channel
+        self._polls_left = POLLS_TO_READY
+        self._rdy = 1
+
+    def _poll(self) -> None:
+        if self._pending_channel is None:
+            return
+        self._polls_left -= 1
+        if self._polls_left <= 0:
+            self._convert(self._pending_channel)
+
+    def _convert(self, channel: int) -> None:
+        if not self.registers[IO_CONTROL_1] & 0xFF00:
+            raise ExcitationOff("IO_CONTROL_1 excitation bits are clear")
+        ch = self.sensors.channels[channel]
+        filtered = ch.resistance  # DC input: unit-gain filter is exact
+        if ch.interference_amplitude != 0.0:
+            # oversampled modulator stream ending at the current signal clock
+            kernel = sinc3_kernel()
+            t = self._now - np.arange(kernel.size)[::-1] / MODULATOR_RATE
+            wobble = ch.interference_amplitude * np.sin(2 * math.pi * ch.interference_freq * t)
+            filtered = float(kernel @ (ch.resistance + wobble))
+        if ch.noise_std > 0.0:
+            filtered += ch.noise_std * sinc3_noise_gain() * self._rng.standard_normal()
+        self.registers[DATA] = reference_resistance_to_code(filtered)
+        self._rdy = 0
+        self._pending_channel = None
+        self._polls_left = 0
+        self._now += SETTLE_TIME
+
+
+FULL_SCALE = code_to_resistance(MAX_CODE)
+
+
+@given(st.one_of(st.floats(allow_nan=False),
+                 st.sampled_from([-0.0, 5e-324, -5e-324, FULL_SCALE, 2500.0,
+                                  math.nextafter(FULL_SCALE, math.inf)])))
+def test_clamp_matches_reference(r):
+    code = resistance_to_code(r)
+    assert code == reference_resistance_to_code(r) and type(code) is int
+
+
+def bus_sensors() -> SensorModel:
+    """Noisy, interfered, both and quiet channels; a fresh copy per emulator."""
+    return SensorModel(channels=[
+        ChannelInput(resistance=100.0, noise_std=0.5),
+        ChannelInput(resistance=47.0, noise_std=0.2, interference_amplitude=0.3,
+                     interference_freq=13.0),
+        ChannelInput(resistance=120.0, interference_amplitude=0.3, interference_freq=50.0),
+    ] + [ChannelInput(resistance=2400.0 + i) for i in range(5)])
+
+
+BUS_ADDRS = sorted(KNOWN_ADDRS) + [0x04, 0x0A, 0x55, 0xFF]  # the last four are unknown
+BUS_VALUES = st.one_of(st.sampled_from([0, 0x0011, 0x8011, 0x8051, 0x003811, 0xFFFFFF]),
+                       st.integers(min_value=-2, max_value=RESOLUTION + 1))
+BUS_RESISTANCES = st.one_of(st.floats(min_value=-10.0, max_value=3000.0),
+                            st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 1e300]))
+BUS_CALL = st.one_of(
+    st.tuples(st.just("write_register"),
+              st.one_of(st.sampled_from(CHANNEL_ADDRS), st.just(IO_CONTROL_1),
+                        st.sampled_from(BUS_ADDRS)),
+              BUS_VALUES),
+    st.tuples(st.just("read_register"),
+              st.one_of(st.just(STATUS), st.just(DATA), st.sampled_from(BUS_ADDRS))),
+    st.tuples(st.just("set_time"), st.floats(min_value=0.0, max_value=1e4)),
+    st.tuples(st.just("reset")),
+    st.tuples(st.just("set_resistance"), st.integers(min_value=0, max_value=7), BUS_RESISTANCES),
+)
+# the firmware's handshake on one channel, excitation on or off, and maybe
+# disarmed before its polls; random calls alone rarely complete a conversion
+HANDSHAKE = st.builds(
+    lambda excitation, addr, disarm: [("write_register", IO_CONTROL_1, excitation),
+                                      ("write_register", addr, 0x8011)]
+    + [("write_register", addr, 0x0011)] * disarm
+    + [("read_register", STATUS), ("read_register", STATUS), ("read_register", DATA)],
+    st.sampled_from([0x003811, 0x003811, 0x000011]), st.sampled_from(CHANNEL_ADDRS),
+    st.sampled_from([False, False, False, True]))
+BUS_CALLS = st.lists(st.one_of(BUS_CALL.map(lambda call: [call]), HANDSHAKE),
+                     min_size=10, max_size=60).map(lambda steps: sum(steps, []))
+
+
+def bus_outcome(emu, call):
+    """What one call returns, or the type and message of what it raises."""
+    name, *args = call
+    target = emu.sensors if name == "set_resistance" else emu
+    try:
+        return getattr(target, name)(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), BUS_CALLS)
+def test_register_bus_matches_reference(seed, calls):
+    emu = AdcEmulator(bus_sensors(), seed=seed)
+    reference = ReferenceAdcEmulator(bus_sensors(), seed=seed)
+    for call in calls:
+        assert bus_outcome(emu, call) == bus_outcome(reference, call), call
+        assert emu.registers == reference.registers, call

@@ -14,7 +14,7 @@ import pytest
 
 from shmlink import mlp
 from shmlink.protocol import MAX_MESSAGE_SIZE, ConnectionClosed, recv_message, send_message
-from shmlink.server import InferenceServer, Refused, ServerConfig
+from shmlink.server import MAX_MODELS, InferenceServer, Refused, ServerConfig
 from test_mlp import fifo_model_file, needs_fifo, oversized_model_file, release_fifo
 
 
@@ -171,6 +171,27 @@ def test_load_model_inline_document(running_server):
     assert predict_reply["predictions"][0] == mlp.forward(other, [0.0, 0.0])
 
 
+def test_model_table_is_bounded(tmp_path):
+    server = gain_server(tmp_path)  # "default" is loaded
+    doc = mlp.model_to_doc(mlp.init_model(2, 4, mu=np.zeros(2), sigma=np.ones(2),
+                                          rng=np.random.default_rng(3)))
+    replies = [server.handle_message(load(model_id=f"m{i}", document=doc))["type"]
+               for i in range(1, MAX_MODELS)]
+    assert replies == ["load_model_ok"] * (MAX_MODELS - 1)
+    table = server.handle_message(b'{"type": "health"}')["models"]
+    assert len(table) == MAX_MODELS
+    for model_id in ("one_too_many", "another"):
+        assert server.handle_message(load(model_id=model_id, document=doc)) == {
+            "type": "error", "error": "too_many_models",
+            "detail": f"{MAX_MODELS} models are loaded; {model_id!r} is not one of them"}
+    assert server.handle_message(b'{"type": "health"}')["models"] == table
+    for model_id in ("m1", "default"):  # a replacement is always taken
+        assert server.handle_message(load(model_id=model_id, document=doc)) == {
+            "type": "load_model_ok", "model_id": model_id}
+    answered = server.handle_message(predict(request_id=1, rows=[[0.0, 0.0]]))
+    assert answered["predictions"] == [mlp.forward(mlp.model_from_doc(doc), [0.0, 0.0])]
+
+
 @pytest.mark.parametrize("key,value", [("feature_std", [float("nan"), 1.0]),
                                        ("format_version", True),
                                        ("layer_sizes", [2.9, "4", 4, True])])
@@ -307,6 +328,13 @@ def test_unloadable_model_fails_startup(tmp_path):
     bad.write_text("{")
     with pytest.raises(mlp.CorruptModelFile):
         InferenceServer(ServerConfig(port=0, model_files={"default": str(bad)}))
+
+
+def test_more_model_files_than_the_table_holds_fail_startup(model_file):
+    files = {f"m{i}": str(model_file) for i in range(MAX_MODELS + 1)}
+    with pytest.raises(ValueError, match=f"{MAX_MODELS + 1} model files; at most {MAX_MODELS}"):
+        InferenceServer(ServerConfig(model_files=files))
+    InferenceServer(ServerConfig(model_files=dict(list(files.items())[:MAX_MODELS])))
 
 
 def test_unbindable_address_fails_startup(model_file):
