@@ -343,6 +343,13 @@ def csv_line(cells) -> str:
 
     >>> csv_line((7, 0.1, math.nan, -math.inf, 5e-324))
     '7,0.1,nan,-inf,5e-324\\n'
+
+    A finite float's ``repr`` is its JSON too, so a predict carries the same cells:
+
+    >>> import json
+    >>> line = csv_line((-0.0, 5e-324, 1e16))
+    >>> line, [repr(v) for v in json.loads("[" + line[:-1] + "]")]
+    ('-0.0,5e-324,1e+16\\n', ['-0.0', '5e-324', '1e+16'])
     """
     return ",".join(map(repr, cells)) + "\n"
 

@@ -16,7 +16,9 @@ or whose width is not the telemetry log's are logged as lost.
 Node intake works in batches: one ``recv`` per arrival, and the frames it
 completed are ingested in one pass under the ingest lock and written to the
 telemetry CSV with one write.  The frames of one batch share one ``Time`` and
-one ``t_frame_received``; a frame that arrives alone is a batch of one.
+one ``t_frame_received``; a frame that arrives alone is a batch of one.  Each
+frame's resistances are rendered once (``dataset.csv_line``): they end its
+telemetry row and, in brackets, are its row of the predict request.
 
 Triggers go to the server over TCP from one sender thread per gateway, which
 reads no node: ingest only queues a triggered frame and wakes it.  Each pass
@@ -28,7 +30,7 @@ coalesced frame's ``t_request_sent`` is the time its batch was sent, and each
 batch's latency rows are written with one write.
 ``Gateway._send_pending`` is the sender thread's loop; the bench's
 periodic-scan baseline overrides it to answer the queue once per interval,
-through the same per-channel-count ``_answer`` and the same server requests.
+through the same per-channel-count ``_answer`` and the same ``_round_trip``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from __future__ import annotations
 import io
 import json
 import logging
-import math
 import mmap
 import socket
 import threading
@@ -44,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import csv_line, table_csv_header, table_csv_row
+from .dataset import csv_line, table_csv_header
 from .protocol import (
     COUNTER_MODULUS,
     DEFAULT_HOST,
@@ -244,7 +245,7 @@ class Gateway:
         self._ingest_lock = threading.Lock()  # readers of many nodes funnel in
         # triggers awaiting the sender thread, and close(); both under the ingest lock
         self._queued = threading.Condition(self._ingest_lock)
-        self._pending: list[tuple[TelemetryFrame, float]] = []
+        self._pending: list[tuple[TelemetryFrame, float, str]] = []  # frame, received, line
         self._closed = False
         # triggers answered so far, one latency-log row each; written only by the sender thread
         self.answered = 0
@@ -280,21 +281,23 @@ class Gateway:
             # Time = arrival wall clock, stamped under the lock so the rows keep time order
             wall = time.time()
             fired = []
-            for frame in frames:
+            lines = [csv_line(f.resistances) for f in frames]  # for the row and the request
+            for frame, line in zip(frames, lines):
                 hit = self._should_trigger(frame)
                 if hit:
                     self._baseline[frame.node_id] = frame.resistances
-                    self._pending.append((frame, received))
+                    self._pending.append((frame, received, line))
                 fired.append(hit)
-            self._persist(frames, wall)
+            self._persist(frames, lines, wall)
             if self._pending:
                 self._queued.notify()
         return fired
 
-    def _persist(self, frames: list[TelemetryFrame], wall: float) -> None:
+    def _persist(self, frames: list[TelemetryFrame], lines: list[str], wall: float) -> None:
         """Append one row per frame: Time ``wall``, Strain unknown (nan), t the node counter.
 
-        The log opens on the first call that can open it, for the width of
+        Rows are ``dataset.table_csv_row``'s, from ``lines`` and ``Time`` rendered
+        once.  The log opens on the first call that can open it, for the width of
         that call's first frame, and then takes only frames of its width.
         Each frame whose row is not written is logged as lost.
         """
@@ -304,12 +307,13 @@ class Gateway:
                                         table_csv_header(frames[0].channel_count))
                 self._next_index = int(self._csv.last_row[0]) + 1 if self._csv.last_row else 0
             width = len(self._csv.header) - 4  # index, Time, Strain, t, then R1..Rn
-            kept = [f for f in frames if f.channel_count == width]
+            kept = [(f, line) for f, line in zip(frames, lines) if f.channel_count == width]
             lost = [f for f in frames if f.channel_count != width]
             reason = f"the log holds {width} channels"
+            time_strain = f",{float(wall)!r},nan,"
             self._csv.append("".join(
-                table_csv_row(self._next_index + k, wall, math.nan, f.counter, f.resistances)
-                for k, f in enumerate(kept)))
+                f"{self._next_index + k}{time_strain}{float(f.counter)!r},{line}"
+                for k, (f, line) in enumerate(kept)))
             self._next_index += len(kept)
         except (OSError, PersistenceFailure) as exc:
             lost, reason = frames, f"cannot write {self.config.persistence_path}: {exc}"
@@ -341,8 +345,8 @@ class Gateway:
                 return
             self._answer(queued)
 
-    def _answer(self, queued: list[tuple[TelemetryFrame, float]]) -> None:
-        """Answer ``(frame, received)`` triggers with one ``request_prediction`` per channel count.
+    def _answer(self, queued: list[tuple[TelemetryFrame, float, str]]) -> None:
+        """Answer ``(frame, received, line)`` triggers with one ``_round_trip`` per channel count.
 
         Batches go in order of arrival.  A batch whose request raises any
         Exception loses its frames' predictions (logged); the batches after it
@@ -354,16 +358,19 @@ class Gateway:
             queued = [item for item in queued if item[0].channel_count != width]
             sent = time.perf_counter()
             try:
-                self.request_prediction([list(f.resistances) for f, _ in batch])
+                self._round_trip(["[" + line[:-1] + "]" for _, _, line in batch])
             except Exception:
                 log.exception("trigger send failed; predictions lost for (node, counter) %s",
-                              [(f.node_id, f.counter) for f, _ in batch])
+                              [(f.node_id, f.counter) for f, _, _ in batch])
                 continue
-            done = time.perf_counter()
-            self._record_latency([(f, received, sent, done) for f, received in batch])
+            self._record_latency(batch, sent, time.perf_counter())
 
     def request_prediction(self, rows: list[list[float]]) -> list[float]:
-        """Round-trip one predict request in at most two attempts, never sleeping.
+        """Round-trip one predict request for ``rows``, each rendered by ``json.dumps``."""
+        return self._round_trip([json.dumps(row) for row in rows])
+
+    def _round_trip(self, rows: list[str]) -> list[float]:
+        """Round-trip one predict of rendered JSON rows in at most two attempts, never sleeping.
 
         A transport failure or a reply that is not a JSON object, one nested
         too deeply to parse among them, fails the attempt and drops the
@@ -378,8 +385,8 @@ class Gateway:
         """
         with self._request_lock:
             self._request_id += 1
-            request = {"type": "predict", "request_id": self._request_id, "rows": rows}
-            payload = json.dumps(request).encode()
+            payload = (f'{{"type": "predict", "request_id": {self._request_id}, '
+                       f'"rows": [{",".join(rows)}]}}').encode()
             for attempt in range(2):
                 try:
                     sock = self._server_connection()
@@ -416,15 +423,16 @@ class Gateway:
 
     # -- latency -----------------------------------------------------------------------
 
-    def _record_latency(self, answers: list[tuple[TelemetryFrame, float, float, float]]) -> None:
-        """One latency-log row per ``(frame, received, sent, done)``, written with one write."""
-        self.answered += len(answers)
+    def _record_latency(self, batch: list, sent: float, done: float) -> None:
+        """One latency-log row per frame of ``batch``, sent at ``sent``, answered at ``done``."""
+        self.answered += len(batch)
+        stamps = f",{sent!r},{done!r},"  # rendered once, written with one write
         try:
             self._latency.append("".join(
-                csv_line((frame.counter, frame.node_id, received, sent, done, done - received))
-                for frame, received, sent, done in answers))
+                f"{frame.counter},{frame.node_id},{received!r}{stamps}{done - received!r}\n"
+                for frame, received, _ in batch))
         except PersistenceFailure as exc:
-            for frame, *_ in answers:
+            for frame, *_ in batch:
                 log.error("latency row for counter %d from node %d lost: %s",
                           frame.counter, frame.node_id, exc)
 

@@ -48,6 +48,7 @@ COUNTER_MODULUS = 1 << 32  # the u32 frame counter wraps to 0 here
 _HEADER = struct.Struct("<4sBHIB")  # magic, version, node_id, counter, channel_count
 _CRC = struct.Struct("<I")
 MAX_FRAME_SIZE = _HEADER.size + 8 * MAX_CHANNELS + _CRC.size  # the widest frame, in bytes
+_FRAMES = {n: struct.Struct(f"<4sBHIB{n}dI") for n in range(1, MAX_CHANNELS + 1)}
 
 
 class FrameError(Exception):
@@ -90,7 +91,8 @@ class TelemetryFrame:
         return len(self.resistances)
 
 
-def _validate(frame: TelemetryFrame) -> None:
+def encode(frame: TelemetryFrame) -> bytes:
+    """Serialize a frame; raises InvalidFrame if its invariants do not hold."""
     if not 1 <= frame.channel_count <= MAX_CHANNELS:
         raise InvalidFrame(f"channel_count {frame.channel_count} outside 1..{MAX_CHANNELS}")
     if not 0 <= frame.counter < COUNTER_MODULUS:
@@ -100,11 +102,6 @@ def _validate(frame: TelemetryFrame) -> None:
     for r in frame.resistances:
         if not math.isfinite(r) or r < 0:
             raise InvalidFrame(f"resistance {r!r} not finite and >= 0")
-
-
-def encode(frame: TelemetryFrame) -> bytes:
-    """Serialize a frame; raises InvalidFrame if its invariants do not hold."""
-    _validate(frame)
     body = _HEADER.pack(MAGIC, VERSION, frame.node_id, frame.counter, frame.channel_count)
     body += struct.pack(f"<{frame.channel_count}d", *frame.resistances)
     return body + _CRC.pack(zlib.crc32(body))
@@ -115,6 +112,7 @@ def decode(data: bytes) -> TelemetryFrame:
 
     Checks run magic -> version -> structure -> CRC -> value invariants, so a
     corrupted payload always surfaces as CrcMismatch rather than a value error.
+    A frame that passes is read by one ``unpack`` of its layout in ``_FRAMES``.
     """
     if len(data) < 4:
         raise Truncated(f"{len(data)} bytes, need at least 4 for magic")
@@ -126,20 +124,22 @@ def decode(data: bytes) -> TelemetryFrame:
         raise UnsupportedVersion(f"version {data[4]}")
     if len(data) < _HEADER.size:
         raise Truncated(f"{len(data)} bytes, header needs {_HEADER.size}")
-    _, _, node_id, counter, channel_count = _HEADER.unpack_from(data)
+    channel_count = data[_HEADER.size - 1]
     total = _HEADER.size + 8 * channel_count + _CRC.size
     if len(data) < total:
         raise Truncated(f"{len(data)} bytes, frame needs {total}")
     if len(data) > total:
         raise InvalidFrame(f"{len(data) - total} trailing bytes")
-    body = data[: total - _CRC.size]
-    (stored,) = _CRC.unpack_from(data, total - _CRC.size)
-    if zlib.crc32(body) != stored:
-        raise CrcMismatch(f"stored 0x{stored:08X}")
-    resistances = struct.unpack_from(f"<{channel_count}d", data, _HEADER.size)
-    frame = TelemetryFrame(counter=counter, node_id=node_id, resistances=resistances)
-    _validate(frame)
-    return frame
+    if zlib.crc32(data) != 0x2144DF1C:  # the CRC-32 of a body and its right CRC, and of no other
+        raise CrcMismatch(f"stored 0x{_CRC.unpack_from(data, total - _CRC.size)[0]:08X}")
+    if not 1 <= channel_count <= MAX_CHANNELS:
+        raise InvalidFrame(f"channel_count {channel_count} outside 1..{MAX_CHANNELS}")
+    fields = _FRAMES[channel_count].unpack(data)  # magic, version, node, counter, n, R1..Rn, CRC
+    resistances = fields[5:-1]
+    for r in resistances:
+        if not 0 <= r < math.inf:  # false for nan
+            raise InvalidFrame(f"resistance {r!r} not finite and >= 0")
+    return TelemetryFrame(fields[3], resistances, fields[2])
 
 
 # -- length-prefixed TCP transport ----------------------------------------------

@@ -6,6 +6,7 @@ import errno
 import gc
 import json
 import logging
+import math
 import os
 import socket
 import struct
@@ -21,13 +22,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shmlink import gateway as gateway_mod
 from shmlink import mlp
 from shmlink.bench import PollGateway
-from shmlink.dataset import AlignedRecord, read_table_csv, write_table_csv
+from shmlink.dataset import (
+    AlignedRecord,
+    csv_line,
+    read_table_csv,
+    table_csv_row,
+    write_table_csv,
+)
 from shmlink.gateway import (
     CsvAppender,
     Gateway,
@@ -42,6 +49,7 @@ from shmlink.gateway import (
 )
 from shmlink.protocol import (
     COUNTER_MODULUS,
+    MAX_CHANNELS,
     ConnectionClosed,
     TelemetryFrame,
     encode,
@@ -400,6 +408,76 @@ def test_persisted_rows_are_table_csv_rows(quiet_gateway, tmp_path, monkeypatch)
     assert (tmp_path / "telemetry.csv").read_bytes() == expected.encode("utf-8")
 
 
+EDGE_CELLS = [0.0, -0.0, 5e-324, 1e16, 1.7976931348623157e308]
+CELLS = st.one_of(st.sampled_from(EDGE_CELLS), st.floats(min_value=0.0, allow_infinity=False))
+STAMPS = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@contextlib.contextmanager
+def catching_server():
+    """The endpoint of a server that answers each predict with 0.0 per row, and what it got."""
+    listener = listen("127.0.0.1", 0)
+    stop = threading.Event()
+    caught = []
+
+    def answer(conn):
+        for messages in recv_batches(conn, 1 << 20):
+            for raw in messages:
+                caught.append(raw)
+                try:
+                    rows = json.loads(raw)["rows"]
+                except (ValueError, KeyError):
+                    rows = []  # a reply the gateway refuses
+                reply = {"type": "predict_ok", "request_id": 0, "predictions": [0.0] * len(rows)}
+                send_message(conn, json.dumps(reply).encode())
+
+    server = threading.Thread(target=serve_connections, args=(listener, answer, stop))
+    server.start()
+    try:
+        yield "%s:%d" % listener.getsockname(), caught
+    finally:
+        stop.set()
+        server.join(timeout=10)
+        listener.close()
+    assert not server.is_alive()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, MAX_CHANNELS).flatmap(
+           lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width),
+                                  min_size=1, max_size=4)),
+       first=st.integers(0, COUNTER_MODULUS - 4), node_id=st.integers(0, 0xFFFF),
+       wall=STAMPS, stamps=st.lists(STAMPS, min_size=3, max_size=3).map(sorted))
+@example(rows=[EDGE_CELLS], first=COUNTER_MODULUS - 4, node_id=0xFFFF,
+         wall=1700000000.1234567, stamps=[5e-324, 1e16, 1.7976931348623157e308])
+def test_rows_and_predict_share_the_rendering_of_csv_line_and_json(rows, first, node_id, wall,
+                                                                    stamps):
+    """Byte parity: telemetry rows with ``table_csv_row``, latency rows with ``csv_line``, and
+    the predict's rows with ``json.dumps`` of the row lists, for the same frames and clock."""
+    frames = [TelemetryFrame(counter=first + k, node_id=node_id, resistances=tuple(row))
+              for k, row in enumerate(rows)]
+    received, sent, done = stamps  # the gateway's three perf_counter readings, in order
+    clock = SimpleNamespace(time=lambda: wall, perf_counter=iter(stamps).__next__)
+    with tempfile.TemporaryDirectory() as tmp, catching_server() as (endpoint, caught):
+        gw = Gateway(GatewayConfig(server_endpoint=endpoint,
+                                   persistence_path=str(Path(tmp, "t.csv")),
+                                   latency_log_path=str(Path(tmp, "lat.csv"))))
+        with mock.patch.object(gateway_mod, "time", clock):
+            gw.ingest_frames(frames)  # one batch: one Time, one t_frame_received, one predict
+            gw.close()
+        telemetry, latency = (Path(tmp, name).read_text(encoding="utf-8")
+                              .splitlines(keepends=True)[1:] for name in ("t.csv", "lat.csv"))
+    assert telemetry == [table_csv_row(k, wall, math.nan, f.counter, f.resistances)
+                         for k, f in enumerate(frames)]
+    assert latency == [csv_line((f.counter, f.node_id, received, sent, done, done - received))
+                       for f in frames]
+    (payload,) = caught
+    request = json.loads(payload)
+    assert (request["type"], request["request_id"]) == ("predict", 1)
+    assert [[repr(v) for v in row] for row in request["rows"]] \
+        == [[repr(v) for v in row] for row in json.loads(json.dumps(rows))]
+
+
 def test_torn_final_line_quarantined(tmp_path):
     path = tmp_path / "t.csv"
     appender = CsvAppender(path, HEADER)
@@ -630,7 +708,7 @@ def intake_gateway(work: Path, delta_ohm: float) -> Gateway:
     gw = Gateway(GatewayConfig(persistence_path=str(work / "t.csv"),
                                latency_log_path=str(work / "lat.csv"),
                                trigger=TriggerRule(every_frame=False, delta_ohm=delta_ohm)))
-    gw.request_prediction = lambda rows: [0.0] * len(rows)
+    gw._round_trip = lambda rows: [0.0] * len(rows)
     return gw
 
 
@@ -1021,13 +1099,13 @@ def test_concurrent_triggers_coalesce_bit_identically(served_gateway, tmp_path):
 
 def test_failed_batch_loses_only_its_own_frames(served_gateway, caplog):
     gw, _ = served_gateway
-    request_prediction = gw.request_prediction
+    round_trip = gw._round_trip
     queued = []
     failing = threading.Event()
 
     def fail_once(rows):
         # frames from another node arrive while this send is in flight
-        gw.request_prediction = request_prediction
+        gw._round_trip = round_trip
         other = threading.Thread(target=lambda: queued.extend(
             gw.ingest(frame(counter, node_id=1)) for counter in range(3)))
         other.start()
@@ -1035,7 +1113,7 @@ def test_failed_batch_loses_only_its_own_frames(served_gateway, caplog):
         failing.set()
         raise ServerUnreachable("server down")
 
-    gw.request_prediction = fail_once
+    gw._round_trip = fail_once
     with caplog.at_level(logging.ERROR, logger="shmlink.gateway"):
         assert gw.ingest(frame(0)) is True
         assert failing.wait(timeout=10)
@@ -1054,11 +1132,11 @@ def test_sender_survives_any_exception(tmp_path, caplog):
     first_sent = threading.Event()
 
     def broken_once(rows):
-        gw.request_prediction = lambda rows: [0.0] * len(rows)
+        gw._round_trip = lambda rows: [0.0] * len(rows)
         first_sent.set()
         raise RuntimeError("a bug in the send path")
 
-    gw.request_prediction = broken_once
+    gw._round_trip = broken_once
     reader, client = socket.socketpair()
 
     def node():  # frame 0 alone in the first batch, then two more
@@ -1099,7 +1177,7 @@ def test_close_sends_what_is_queued_and_leaves_no_thread(tmp_path):
         time.sleep(0.02)
         return [0.0] * len(rows)
 
-    gw.request_prediction = slow
+    gw._round_trip = slow
     for counter in range(5):
         assert gw.ingest(frame(counter)) is True
     gw.close()

@@ -1,13 +1,18 @@
 """Frame codec: pinned bytes, CRC oracle, totality, stream reader."""
 
+import math
 import socket
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shmlink.protocol import (
+    COUNTER_MODULUS,
+    MAGIC,
+    MAX_CHANNELS,
     MAX_FRAME_SIZE,
     MAX_MESSAGE_SIZE,
     BadMagic,
@@ -17,6 +22,7 @@ from shmlink.protocol import (
     TelemetryFrame,
     Truncated,
     UnsupportedVersion,
+    VERSION,
     decode,
     encode,
     recv_batches,
@@ -192,6 +198,115 @@ def test_decoder_total_over_magic_prefixed_bytes(data):
         decode(b"SHM1" + data)
     except FrameError:
         pass
+
+
+# -- the decoder against its reference ----------------------------------------------------
+
+# ``protocol.decode`` as it was written field by field, before it unpacked a frame in one
+# call, and the ``_validate`` it called: the oracle of the tests below.
+_HEADER = struct.Struct("<4sBHIB")
+_CRC = struct.Struct("<I")
+
+
+def _validate(frame: TelemetryFrame) -> None:
+    if not 1 <= frame.channel_count <= MAX_CHANNELS:
+        raise InvalidFrame(f"channel_count {frame.channel_count} outside 1..{MAX_CHANNELS}")
+    if not 0 <= frame.counter < COUNTER_MODULUS:
+        raise InvalidFrame(f"counter {frame.counter} does not fit u32")
+    if not 0 <= frame.node_id <= 0xFFFF:
+        raise InvalidFrame(f"node_id {frame.node_id} does not fit u16")
+    for r in frame.resistances:
+        if not math.isfinite(r) or r < 0:
+            raise InvalidFrame(f"resistance {r!r} not finite and >= 0")
+
+
+def reference_decode(data: bytes) -> TelemetryFrame:
+    """Parse one frame from ``data``; total over arbitrary byte sequences.
+
+    Checks run magic -> version -> structure -> CRC -> value invariants, so a
+    corrupted payload always surfaces as CrcMismatch rather than a value error.
+    """
+    if len(data) < 4:
+        raise Truncated(f"{len(data)} bytes, need at least 4 for magic")
+    if data[:4] != MAGIC:
+        raise BadMagic(data[:4].hex())
+    if len(data) < 5:
+        raise Truncated("missing version byte")
+    if data[4] != VERSION:
+        raise UnsupportedVersion(f"version {data[4]}")
+    if len(data) < _HEADER.size:
+        raise Truncated(f"{len(data)} bytes, header needs {_HEADER.size}")
+    _, _, node_id, counter, channel_count = _HEADER.unpack_from(data)
+    total = _HEADER.size + 8 * channel_count + _CRC.size
+    if len(data) < total:
+        raise Truncated(f"{len(data)} bytes, frame needs {total}")
+    if len(data) > total:
+        raise InvalidFrame(f"{len(data) - total} trailing bytes")
+    body = data[: total - _CRC.size]
+    (stored,) = _CRC.unpack_from(data, total - _CRC.size)
+    if zlib.crc32(body) != stored:
+        raise CrcMismatch(f"stored 0x{stored:08X}")
+    resistances = struct.unpack_from(f"<{channel_count}d", data, _HEADER.size)
+    frame = TelemetryFrame(counter=counter, node_id=node_id, resistances=resistances)
+    _validate(frame)
+    return frame
+
+
+def outcome(decoder, data: bytes):
+    """What ``decoder`` makes of ``data``: the frame's repr (so -0.0 counts), or its error."""
+    try:
+        return repr(decoder(data))
+    except FrameError as exc:
+        return type(exc), str(exc)
+
+
+def assert_decodes_as_reference(data: bytes) -> None:
+    assert outcome(decode, data) == outcome(reference_decode, data)
+
+
+def crafted(channel_count: int, cells: bytes, node_id: int = 0, counter: int = 0) -> bytes:
+    """A frame with any channel-count byte and any cell bytes, and a valid CRC."""
+    body = _HEADER.pack(MAGIC, VERSION, node_id, counter, channel_count) + cells
+    return body + _CRC.pack(zlib.crc32(body))
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=200))
+def test_decode_matches_the_reference_on_any_bytes(data):
+    assert_decodes_as_reference(data)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([b"SHM1", b"SHM1\x01"]), st.binary(max_size=100))
+def test_decode_matches_the_reference_on_magic_prefixed_bytes(prefix, data):
+    assert_decodes_as_reference(prefix + data)
+
+
+@settings(max_examples=20, deadline=None)
+@given(node_id=st.integers(0, 0xFFFF), counter=st.integers(0, COUNTER_MODULUS - 1),
+       cell=st.floats(min_value=0.0, allow_infinity=False),
+       extra=st.sampled_from([-8, -1, 0, 0, 1, 8]))
+def test_decode_matches_the_reference_for_every_channel_count_byte(node_id, counter, cell,
+                                                                     extra):
+    """Each count 0..255 with a valid CRC, its cells the right length or ``extra`` bytes off;
+    and the same frame with its CRC broken."""
+    for channel_count in range(256):
+        cells = struct.pack(f"<{channel_count}d", *[cell] * channel_count)
+        cells = cells[:len(cells) + extra] if extra < 0 else cells + b"\x00" * extra
+        data = crafted(channel_count, cells, node_id, counter)
+        assert_decodes_as_reference(data)
+        assert_decodes_as_reference(data[:-1] + bytes([data[-1] ^ 1]))
+
+
+@settings(max_examples=300)
+@given(cells=st.lists(st.one_of(st.floats().map(struct.Struct("<d").pack),
+                                st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -5e-324])
+                                .map(struct.Struct("<d").pack),
+                                st.binary(min_size=8, max_size=8)),  # NaNs of every payload
+                      min_size=1, max_size=MAX_CHANNELS),
+       node_id=st.integers(0, 0xFFFF), counter=st.integers(0, COUNTER_MODULUS - 1))
+def test_decode_matches_the_reference_on_nan_infinite_and_negative_cells(cells, node_id, counter):
+    assert_decodes_as_reference(crafted(len(cells), b"".join(cells), node_id, counter))
 
 
 # -- buffered stream reader --------------------------------------------------------------
